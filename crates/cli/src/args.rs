@@ -752,7 +752,7 @@ pub fn usage() -> String {
            --iters <N>             clustering iterations         (default 1800)\n\
            --labels-out <PATH>     write predicted labels as CSV\n\
            --save-weights <PATH>   save pretrained weights (deep methods)\n\
-           --progress              print per-interval ACC/NMI (--trace is a deprecated alias)\n\
+           --progress              print per-interval ACC/NMI\n\
            --trace-out <PATH>      write an adec-prof/v1 tape-op profile JSON after the run\n\
                                    (observational: the trajectory is bitwise unchanged)\n\
            --check                 validate model architectures for this configuration, then exit\n\
@@ -822,11 +822,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
             "--labels-out" => args.labels_out = Some(value("--labels-out")?.clone()),
             "--save-weights" => args.save_weights = Some(value("--save-weights")?.clone()),
             "--progress" => args.progress = true,
-            "--trace" => {
-                // lint:allow(obs-eprintln) -- one-line deprecation warning
-                eprintln!("warning: --trace is deprecated, use --progress (tracing now means causal tracing; see --trace-out and adec prof)");
-                args.progress = true;
-            }
             "--trace-out" => args.trace_out = Some(value("--trace-out")?.clone()),
             "--check" => args.check = true,
             "--deep" => args.deep = true,
@@ -902,13 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_trace_flag_still_means_progress() {
-        let args = parse(&strs(&["--trace"])).unwrap();
-        assert!(args.progress, "--trace must stay a working alias for --progress");
-        assert_eq!(args.trace_out, None, "--trace must not imply --trace-out");
-    }
-
-    #[test]
     fn trace_out_flag_parses() {
         let args = parse(&strs(&["--trace-out", "prof.json"])).unwrap();
         assert_eq!(args.trace_out.as_deref(), Some("prof.json"));
@@ -968,6 +956,7 @@ mod tests {
         assert!(parse(&strs(&["--method", "zzz"])).unwrap_err().0.contains("unknown method"));
         assert!(parse(&strs(&["--dataset", "zzz"])).unwrap_err().0.contains("unknown dataset"));
         assert!(parse(&strs(&["--wat"])).unwrap_err().0.contains("unknown flag"));
+        assert!(parse(&strs(&["--trace"])).unwrap_err().0.contains("unknown flag"));
         assert!(parse(&strs(&["--seed", "abc"])).unwrap_err().0.contains("invalid seed"));
     }
 

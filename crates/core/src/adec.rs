@@ -21,18 +21,14 @@
 //! of the labels change between refreshes.
 
 use crate::autoencoder::Autoencoder;
-use crate::dec::{init_centroids, label_change, record_trace_point, training_view};
+use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
+use crate::dec::{init_centroids, kl_graph, minibatch, KlTargets};
 use crate::guard::{
-    begin_resume, faults::FaultPlan, push_labels, take_labels, DurabilityConfig, ExtraCursor,
-    GuardConfig, RunMark, TrainError, TrainGuard,
+    faults::FaultPlan, DurabilityConfig, ExtraCursor, Fault, GuardConfig, TrainError, TrainGuard,
 };
-use crate::trace::{ClusterOutput, GradLoss, TraceConfig, TrainTrace};
-use adec_nn::{
-    hard_labels, soft_assignment, target_distribution, Activation, Checkpoint, Mlp, OptState,
-    Optimizer, ParamId, ParamStore, ReferenceProfile, Sgd, Tape,
-};
+use crate::trace::{ClusterOutput, GradLoss, TraceConfig};
+use adec_nn::{Activation, Mlp, Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
 use adec_tensor::{Matrix, SeedRng};
-use std::time::Instant;
 
 /// ADEC configuration (paper defaults in [`AdecConfig::paper`]).
 #[derive(Debug, Clone)]
@@ -151,22 +147,6 @@ pub struct Adec {
     pub discriminator: Mlp,
 }
 
-/// Serializes ADEC's loop state (labels at the last refresh plus the
-/// Algorithm-1 alternation state) into checkpoint extras.
-fn adec_extra(
-    mark: RunMark,
-    y_prev: Option<&[usize]>,
-    decoder_only: bool,
-    block_j: usize,
-) -> Vec<u64> {
-    let mut extra = Vec::new();
-    mark.push(&mut extra);
-    push_labels(&mut extra, y_prev);
-    extra.push(u64::from(decoder_only));
-    extra.push(block_j as u64);
-    extra
-}
-
 impl Adec {
     /// Builds the discriminator, runs Algorithm 1, and returns the
     /// assignment plus the runner holding the trained discriminator.
@@ -182,285 +162,165 @@ impl Adec {
         cfg: &AdecConfig,
         rng: &mut SeedRng,
     ) -> Result<(Adec, ClusterOutput), TrainError> {
-        let start = Instant::now();
-        let _prof_phase = adec_nn::profiler::phase("adec");
-        let prof_init = adec_nn::profiler::section("init");
-        let n = data.rows();
-        let input_dim = ae.input_dim();
-
-        let discriminator = Mlp::new(
-            store,
-            &[input_dim, cfg.disc_hidden, cfg.disc_hidden, 1],
-            Activation::Relu,
-            Activation::Linear,
-            rng,
-        );
-
-        let mu0 = init_centroids(ae, store, data, cfg.k, rng);
-        let mu_id = store.register("adec.centroids", mu0);
-        crate::archspec::adversarial_spec("adec", ae, store, store.get(mu_id), &discriminator, "sgd+momentum")
-            .assert_valid();
-
-        let encoder_ids: std::collections::HashSet<ParamId> =
-            ae.encoder.param_ids().into_iter().collect();
-        let decoder_ids: std::collections::HashSet<ParamId> =
-            ae.decoder.param_ids().into_iter().collect();
-        let disc_ids: std::collections::HashSet<ParamId> =
-            discriminator.param_ids().into_iter().collect();
-
-        let mut guarded: Vec<ParamId> = ae.param_ids();
-        guarded.extend(discriminator.param_ids());
-        guarded.push(mu_id);
-        let mut guard = TrainGuard::new("adec", cfg.guard.clone(), guarded);
-        let mut faults = cfg.faults.activate();
-
-        let mut enc_opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-        let mut dec_opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-        let mut disc_opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-
-        let mut y_prev: Option<Vec<usize>> = None;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut decoder_only = true; // Algorithm 1's `test` flag
-        let mut block_j = 0usize;
-        let mut start_iter = 0usize;
-        let mut already_done = false;
-        let mut resumed = false;
-
-        if let Some((iter, ckpt)) = begin_resume(&cfg.durability, "adec", store, rng)? {
-            ckpt.opt(0)?.apply_sgd(&mut enc_opt)?;
-            ckpt.opt(1)?.apply_sgd(&mut dec_opt)?;
-            ckpt.opt(2)?.apply_sgd(&mut disc_opt)?;
-            let mut cur = ExtraCursor::new(&ckpt.extra);
-            let mark = RunMark::take(&mut cur)?;
-            y_prev = take_labels(&mut cur)?;
-            decoder_only = cur.word()? != 0;
-            block_j = cur.word()? as usize;
-            cur.finish()?;
-            if mark.done {
-                converged = mark.converged;
-                iterations = mark.iterations;
-                already_done = true;
-            } else {
-                start_iter = iter;
+        let (trainer, out) = cluster_loop!("adec", ae, data, cfg).run(store, rng, |store, rng| {
+            let h = cfg.disc_hidden;
+            let discriminator = Mlp::new(
+                store,
+                &[ae.input_dim(), h, h, 1],
+                Activation::Relu,
+                Activation::Linear,
+                rng,
+            );
+            let mu0 = init_centroids(ae, store, data, cfg.k, rng);
+            let mu_id = store.register("adec.centroids", mu0);
+            crate::archspec::adversarial_spec("adec", ae, store, store.get(mu_id), &discriminator, "sgd+momentum")
+                .assert_valid();
+            let opt = || Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
+            AdecTrainer {
+                ae,
+                data,
+                cfg,
+                targets: KlTargets::new(mu_id, cfg.alpha),
+                discriminator,
+                opts: [opt(), opt(), opt()],
+                decoder_only: true,
+                block_j: 0,
+                last_grad_norm: None,
             }
-            resumed = true;
-        }
-
-        // ---- Discriminator warm-up (Algorithm 1 line 2) ----
-        // Skipped on resume: the restored parameters and RNG state already
-        // account for it.
-        if !resumed {
-            for _ in 0..cfg.disc_pretrain {
-                let idx = rng.sample_indices(n, cfg.batch_size.min(n));
-                let x_b = training_view(&data.gather_rows(&idx), cfg.augment, rng);
-                let fake = ae.reconstruct(store, &x_b);
-                discriminator_step(
-                    &discriminator,
-                    store,
-                    &x_b,
-                    &fake,
-                    &mut disc_opt,
-                    &disc_ids,
-                );
-            }
-        }
-
-        drop(prof_init);
-
-        // ---- Clustering phase ----
-        let mut trace = TrainTrace::default();
-        let mut last_grad_norm: Option<f32> = None;
-        let mut p_full = Matrix::zeros(0, 0);
-        let mut force_refresh = start_iter % cfg.update_interval != 0;
-        let start_iter = if already_done { cfg.max_iter } else { start_iter };
-
-        for i in start_iter..cfg.max_iter {
-            // A rollback re-enters the loop here; the macro keeps the three
-            // optimizers, the alternation state, and the refresh flag in
-            // sync on every recovery path.
-            macro_rules! recover {
-                ($fault:expr) => {{
-                    let rec = guard.recover(store, $fault, i)?;
-                    enc_opt.lr *= rec.lr_scale;
-                    dec_opt.lr *= rec.lr_scale;
-                    disc_opt.lr *= rec.lr_scale;
-                    enc_opt.reset();
-                    dec_opt.reset();
-                    disc_opt.reset();
-                    y_prev = None;
-                    decoder_only = true;
-                    block_j = 0;
-                    force_refresh = true;
-                    continue;
-                }};
-            }
-
-            if faults.kill_requested(i) {
-                return Err(TrainError::Killed {
-                    phase: "adec".into(),
-                    iter: i,
-                });
-            }
-            iterations = i + 1;
-            let natural = i % cfg.update_interval == 0;
-            if natural || force_refresh {
-                let _prof_refresh = adec_nn::profiler::section("refresh");
-                force_refresh = false;
-                let z = ae.embed(store, data);
-                let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-                if let Err(fault) = guard
-                    .check_assignments(&q)
-                    .and_then(|()| guard.check_params(store))
-                {
-                    recover!(fault);
-                }
-                p_full = target_distribution(&q);
-                let y_pred = hard_labels(&q);
-                guard.mark_good(i, store);
-                if natural {
-                    cfg.durability
-                        .maybe_write("adec", i / cfg.update_interval, || Checkpoint {
-                            phase: "adec".into(),
-                            iter: i as u64,
-                            rng: rng.export_state(),
-                            store: store.clone(),
-                            opts: vec![
-                                OptState::capture_sgd(&enc_opt),
-                                OptState::capture_sgd(&dec_opt),
-                                OptState::capture_sgd(&disc_opt),
-                            ],
-                            extra: adec_extra(
-                                RunMark::mid_run(),
-                                y_prev.as_deref(),
-                                decoder_only,
-                                block_j,
-                            ),
-                            profile: None,
-                        })?;
-                }
-                record_trace_point(
-                    &mut trace,
-                    "adec",
-                    last_grad_norm,
-                    i,
-                    &q,
-                    &p_full,
-                    data,
-                    ae,
-                    store,
-                    mu_id,
-                    cfg.alpha,
-                    &cfg.trace,
-                    Some(GradLoss::Adversarial {
-                        decoder: &ae.decoder,
-                        discriminator: &discriminator,
-                    }),
-                    rng,
-                );
-                if let Some(prev) = &y_prev {
-                    if label_change(prev, &y_pred) < cfg.tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                y_prev = Some(y_pred);
-            }
-
-            let _prof_step = adec_nn::profiler::section("step");
-            faults.poison_centroids(i, store, mu_id);
-            let idx = rng.sample_indices(n, cfg.batch_size.min(n));
-            let x_b = training_view(&data.gather_rows(&idx), cfg.augment, rng);
-
-            if decoder_only {
-                // Auxiliary block: decoder catch-up only (eq. 11).
-                let dec_loss = decoder_step(ae, store, &x_b, &mut dec_opt, &decoder_ids);
-                let observed = faults.corrupt_loss(i, dec_loss);
-                if let Err(fault) = guard.check_loss(observed) {
-                    recover!(fault);
-                }
-                block_j += 1;
-                if block_j >= cfg.aux_iterations {
-                    decoder_only = false;
-                    block_j = 0;
-                }
-            } else {
-                // Joint block: encoder (eq. 10), decoder (eq. 11),
-                // discriminator (eq. 12), centroids (Theorem 3).
-                let p_b = p_full.gather_rows(&idx);
-                let (kl_loss, grad_norm) = encoder_step(
-                    ae,
-                    &discriminator,
-                    store,
-                    &x_b,
-                    &p_b,
-                    mu_id,
-                    cfg,
-                    &mut enc_opt,
-                    &encoder_ids,
-                );
-                last_grad_norm = Some(grad_norm);
-                let observed = faults.corrupt_loss(i, kl_loss);
-                if let Err(fault) = guard
-                    .check_loss(observed)
-                    .and_then(|()| guard.check_grad_norm(grad_norm))
-                {
-                    recover!(fault);
-                }
-                let dec_loss = decoder_step(ae, store, &x_b, &mut dec_opt, &decoder_ids);
-                let fake = ae.reconstruct(store, &x_b);
-                let disc_loss = discriminator_step(
-                    &discriminator,
-                    store,
-                    &x_b,
-                    &fake,
-                    &mut disc_opt,
-                    &disc_ids,
-                );
-                if let Err(fault) = guard
-                    .check_loss(dec_loss)
-                    .and_then(|()| guard.check_loss(disc_loss))
-                {
-                    recover!(fault);
-                }
-                block_j += 1;
-                if block_j >= cfg.aux_iterations {
-                    decoder_only = true;
-                    block_j = 0;
-                }
-            }
-        }
-
-        let _prof_final = adec_nn::profiler::section("finalize");
-        let z = ae.embed(store, data);
-        let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-        cfg.durability.write_final("adec", || Checkpoint {
-            phase: "adec".into(),
-            iter: iterations as u64,
-            rng: rng.export_state(),
-            store: store.clone(),
-            opts: vec![
-                OptState::capture_sgd(&enc_opt),
-                OptState::capture_sgd(&dec_opt),
-                OptState::capture_sgd(&disc_opt),
-            ],
-            extra: adec_extra(
-                RunMark::finished(converged, iterations),
-                y_prev.as_deref(),
-                decoder_only,
-                block_j,
-            ),
-            profile: Some(ReferenceProfile::compute(&z, &q, store.get(mu_id))),
         })?;
-        let output = ClusterOutput {
-            labels: hard_labels(&q),
-            q,
-            iterations,
-            converged,
-            trace,
-            seconds: start.elapsed().as_secs_f64(),
+        Ok((
+            Adec {
+                discriminator: trainer.discriminator,
+            },
+            out,
+        ))
+    }
+}
+
+/// ADEC's part of the shared clustering loop: DEC's targets, and
+/// Algorithm 1's alternation of decoder-only blocks with joint blocks.
+struct AdecTrainer<'a> {
+    ae: &'a Autoencoder,
+    data: &'a Matrix,
+    cfg: &'a AdecConfig,
+    targets: KlTargets,
+    discriminator: Mlp,
+    /// Encoder, decoder and discriminator optimizers.
+    opts: [Sgd; 3],
+    /// Algorithm 1's `test` flag: the current block trains the decoder
+    /// alone.
+    decoder_only: bool,
+    /// Iterations taken in the current block.
+    block_j: usize,
+    last_grad_norm: Option<f32>,
+}
+
+impl ClusterTrainer for AdecTrainer<'_> {
+    fn centroids(&self) -> ParamId {
+        self.targets.mu_id
+    }
+
+    fn guarded(&self) -> Vec<ParamId> {
+        let mut ids = self.ae.param_ids();
+        ids.extend(self.discriminator.param_ids());
+        ids.push(self.targets.mu_id);
+        ids
+    }
+
+    fn optimizers(&mut self) -> &mut [Sgd] {
+        &mut self.opts
+    }
+
+    fn alpha(&self) -> f32 {
+        self.cfg.alpha
+    }
+
+    /// Algorithm 1 line 2: pretrain the discriminator. A resumed run
+    /// skips it: the restored parameters and RNG state already account
+    /// for it.
+    fn warm_up(&mut self, store: &mut ParamStore, rng: &mut SeedRng) {
+        for _ in 0..self.cfg.disc_pretrain {
+            let (_, x_b) = minibatch(self.data, self.cfg.batch_size, self.cfg.augment, rng);
+            let fake = self.ae.reconstruct(store, &x_b);
+            discriminator_step(&self.discriminator, store, &x_b, &fake, &mut self.opts[2]);
+        }
+    }
+
+    fn refresh(&mut self, store: &ParamStore, guard: &TrainGuard) -> Result<Vec<usize>, Fault> {
+        self.targets.refresh(self.ae, self.data, store, guard)
+    }
+
+    fn probe(&self, store: &ParamStore, rng: &mut SeedRng) -> Probe {
+        let self_loss = GradLoss::Adversarial {
+            decoder: &self.ae.decoder,
+            discriminator: &self.discriminator,
         };
-        Ok((Adec { discriminator }, output))
+        Probe {
+            grad_norm: self.last_grad_norm,
+            ..self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(self_loss), rng)
+        }
+    }
+
+    fn step(
+        &mut self,
+        store: &mut ParamStore,
+        rng: &mut SeedRng,
+        check: &mut StepCheck<'_>,
+    ) -> Result<(), Fault> {
+        let ae = self.ae;
+        let (idx, x_b) = minibatch(self.data, self.cfg.batch_size, self.cfg.augment, rng);
+        let [enc_opt, dec_opt, disc_opt] = &mut self.opts;
+        if self.decoder_only {
+            // Auxiliary block: decoder catch-up only (eq. 11).
+            check.loss(decoder_step(ae, store, &x_b, dec_opt))?;
+        } else {
+            // Joint block: encoder (eq. 10), decoder (eq. 11),
+            // discriminator (eq. 12), centroids (Theorem 3).
+            let p_b = self.targets.batch(&idx);
+            let (kl_loss, grad_norm) = encoder_step(
+                ae,
+                &self.discriminator,
+                store,
+                &x_b,
+                &p_b,
+                self.targets.mu_id,
+                self.cfg,
+                enc_opt,
+            );
+            self.last_grad_norm = Some(grad_norm);
+            check
+                .loss(kl_loss)
+                .and_then(|()| check.guard.check_grad_norm(grad_norm))?;
+            let dec_loss = decoder_step(ae, store, &x_b, dec_opt);
+            let fake = ae.reconstruct(store, &x_b);
+            let disc_loss = discriminator_step(&self.discriminator, store, &x_b, &fake, disc_opt);
+            check
+                .guard
+                .check_loss(dec_loss)
+                .and_then(|()| check.guard.check_loss(disc_loss))?;
+        }
+        self.block_j += 1;
+        if self.block_j >= self.cfg.aux_iterations {
+            self.decoder_only = !self.decoder_only;
+            self.block_j = 0;
+        }
+        Ok(())
+    }
+
+    fn rollback(&mut self) {
+        self.decoder_only = true;
+        self.block_j = 0;
+    }
+
+    fn push_extra(&self, extra: &mut Vec<u64>) {
+        extra.push(u64::from(self.decoder_only));
+        extra.push(self.block_j as u64);
+    }
+
+    fn take_extra(&mut self, cur: &mut ExtraCursor<'_>) -> Result<(), TrainError> {
+        self.decoder_only = cur.word()? != 0;
+        self.block_j = cur.word()? as usize;
+        Ok(())
     }
 }
 
@@ -486,24 +346,15 @@ fn encoder_step(
     mu_id: ParamId,
     cfg: &AdecConfig,
     opt: &mut Sgd,
-    _encoder_ids: &std::collections::HashSet<ParamId>,
 ) -> (f32, f32) {
-    let b = x_b.rows() as f32;
     let enc_ids: Vec<ParamId> = ae.encoder.param_ids();
 
     // Pass 1: clustering gradient (encoder + centroids).
     let prof_kl = adec_nn::profiler::phase("adec.encoder.kl");
     let mut kl_tape = Tape::new();
-    let kl_value;
-    {
-        let xv = kl_tape.leaf(x_b.clone());
-        let z = ae.encoder.forward(&mut kl_tape, store, xv);
-        let mu = kl_tape.param(store, mu_id);
-        let kl = kl_tape.dec_kl(z, mu, p_b, cfg.alpha);
-        let loss = kl_tape.scale(kl, 1.0 / b);
-        kl_tape.backward(loss);
-        kl_value = kl_tape.scalar(loss);
-    }
+    let loss = kl_graph(&mut kl_tape, ae, store, x_b, mu_id, p_b, cfg.alpha);
+    kl_tape.backward(loss);
+    let kl_value = kl_tape.scalar(loss);
     // Every id queried below was bound during the forward pass on the same
     // tape, so the lookup cannot miss.
     #[allow(clippy::expect_used)]
@@ -533,26 +384,15 @@ fn encoder_step(
         // discriminator frozen).
         let _prof_adv = adec_nn::profiler::phase("adec.encoder.adv");
         let mut adv_tape = Tape::new();
-        {
-            let xv = adv_tape.leaf(x_b.clone());
-            let z = ae.encoder.forward(&mut adv_tape, store, xv);
-            let xhat = ae.decoder.forward(&mut adv_tape, store, z);
-            let logits = discriminator.forward(&mut adv_tape, store, xhat);
-            let loss = if cfg.saturating_adversarial {
-                // Literal eq. 10: E[log(1 − σ(s))] = −E[softplus(s)].
-                // Unbounded below; kept for the faithfulness ablation.
-                let sp = adv_tape.softplus(logits);
-                let m = adv_tape.mean_all(sp);
-                adv_tape.scale(m, -1.0)
-            } else {
-                // Non-saturating form −E[log σ(s)] = E[softplus(−s)]:
-                // same gradient direction, bounded below by 0.
-                let neg = adv_tape.scale(logits, -1.0);
-                let sp = adv_tape.softplus(neg);
-                adv_tape.mean_all(sp)
-            };
-            adv_tape.backward(loss);
-        }
+        let loss = adversarial_graph(
+            &mut adv_tape,
+            ae,
+            discriminator,
+            store,
+            x_b,
+            cfg.saturating_adversarial,
+        );
+        adv_tape.backward(loss);
         let adv_grads: Vec<Matrix> = enc_ids.iter().map(|&id| grad_of(&adv_tape, id)).collect();
         let adv_norm = adv_grads
             .iter()
@@ -574,58 +414,99 @@ fn encoder_step(
     (kl_value, kl_norm)
 }
 
-/// Decoder update minimizing eq. 11 with the encoder frozen: the embedding
-/// is computed without gradient and fed to the decoder as a constant.
-/// Returns the reconstruction loss for guard inspection.
-fn decoder_step(
+/// The `adec.encoder.adv` graph: eq. 10's adversarial regularizer on a
+/// batch, through encoder, decoder and discriminator.
+pub(crate) fn adversarial_graph(
+    tape: &mut Tape,
     ae: &Autoencoder,
-    store: &mut ParamStore,
+    discriminator: &Mlp,
+    store: &ParamStore,
     x_b: &Matrix,
-    opt: &mut Sgd,
-    decoder_ids: &std::collections::HashSet<ParamId>,
-) -> f32 {
+    saturating: bool,
+) -> Var {
+    let xv = tape.leaf(x_b.clone());
+    let z = ae.encoder.forward(tape, store, xv);
+    let xhat = ae.decoder.forward(tape, store, z);
+    let logits = discriminator.forward(tape, store, xhat);
+    if saturating {
+        // Literal eq. 10: E[log(1 − σ(s))] = −E[softplus(s)].
+        // Unbounded below; kept for the faithfulness ablation.
+        let sp = tape.softplus(logits);
+        let m = tape.mean_all(sp);
+        tape.scale(m, -1.0)
+    } else {
+        // Non-saturating form −E[log σ(s)] = E[softplus(−s)]:
+        // same gradient direction, bounded below by 0.
+        let neg = tape.scale(logits, -1.0);
+        let sp = tape.softplus(neg);
+        tape.mean_all(sp)
+    }
+}
+
+/// Decoder update minimizing eq. 11 with the encoder frozen.
+/// Returns the reconstruction loss for guard inspection.
+fn decoder_step(ae: &Autoencoder, store: &mut ParamStore, x_b: &Matrix, opt: &mut Sgd) -> f32 {
     let _prof = adec_nn::profiler::phase("adec.decoder");
-    let z = ae.encoder.infer(store, x_b); // detached
     let mut tape = Tape::new();
-    let zv = tape.leaf(z);
-    let xhat = ae.decoder.forward(&mut tape, store, zv);
-    let target = tape.leaf(x_b.clone());
-    let loss = tape.mse(xhat, target);
+    let loss = decoder_graph(&mut tape, ae, store, x_b);
     tape.backward(loss);
     let value = tape.scalar(loss);
+    let decoder_ids = ae.decoder.param_ids();
     opt.step_filtered(&tape, store, |id| decoder_ids.contains(&id));
     value
 }
 
-/// Discriminator update ascending eq. 12, i.e. minimizing
-/// `BCE(D(x), 1) + BCE(D(fake), 0)` on logits, with one-sided label
-/// smoothing (real target 0.9, Salimans et al. 2016): the discriminator
-/// stays informative without becoming the over-confident critic that
-/// would fight the within-class collapse ADEC aims for.
-/// Returns the discriminator loss for guard inspection.
+/// The `adec.decoder` graph (eq. 11): reconstruction of a batch whose
+/// embedding is computed without gradient and fed to the decoder as a
+/// constant.
+pub(crate) fn decoder_graph(tape: &mut Tape, ae: &Autoencoder, store: &ParamStore, x_b: &Matrix) -> Var {
+    let z = ae.encoder.infer(store, x_b); // detached
+    let zv = tape.leaf(z);
+    let xhat = ae.decoder.forward(tape, store, zv);
+    let target = tape.leaf(x_b.clone());
+    tape.mse(xhat, target)
+}
+
+/// Discriminator update ascending eq. 12. Returns the discriminator loss
+/// for guard inspection.
 fn discriminator_step(
     discriminator: &Mlp,
     store: &mut ParamStore,
     real: &Matrix,
     fake: &Matrix,
     opt: &mut Sgd,
-    disc_ids: &std::collections::HashSet<ParamId>,
 ) -> f32 {
     let _prof = adec_nn::profiler::phase("adec.discriminator");
     let mut tape = Tape::new();
+    let loss = discriminator_graph(&mut tape, discriminator, store, real, fake);
+    tape.backward(loss);
+    let value = tape.scalar(loss);
+    let disc_ids = discriminator.param_ids();
+    opt.step_filtered(&tape, store, |id| disc_ids.contains(&id));
+    value
+}
+
+/// The `adec.discriminator` graph (eq. 12): `BCE(D(x), 1) + BCE(D(fake), 0)`
+/// on logits, with one-sided label smoothing (real target 0.9, Salimans
+/// et al. 2016): the discriminator stays informative without becoming the
+/// over-confident critic that would fight the within-class collapse ADEC
+/// aims for.
+pub(crate) fn discriminator_graph(
+    tape: &mut Tape,
+    discriminator: &Mlp,
+    store: &ParamStore,
+    real: &Matrix,
+    fake: &Matrix,
+) -> Var {
     let rv = tape.leaf(real.clone());
-    let r_logits = discriminator.forward(&mut tape, store, rv);
+    let r_logits = discriminator.forward(tape, store, rv);
     let ones = Matrix::full(real.rows(), 1, 0.9);
     let l_real = tape.bce_with_logits(r_logits, &ones);
     let fv = tape.leaf(fake.clone());
-    let f_logits = discriminator.forward(&mut tape, store, fv);
+    let f_logits = discriminator.forward(tape, store, fv);
     let zeros = Matrix::zeros(fake.rows(), 1);
     let l_fake = tape.bce_with_logits(f_logits, &zeros);
-    let loss = tape.add(l_real, l_fake);
-    tape.backward(loss);
-    let value = tape.scalar(loss);
-    opt.step_filtered(&tape, store, |id| disc_ids.contains(&id));
-    value
+    tape.add(l_real, l_fake)
 }
 
 #[cfg(test)]

@@ -6,21 +6,10 @@
 //! constructors can call [`ArchSpec::assert_valid`] and die with a
 //! structured diagnostic *before* the first gradient step, and the CLI's
 //! `--check` mode can print the full report without training anything.
-//!
-//! **One source of truth.** The spec vocabulary ([`ArchSpec`],
-//! [`ChainSpec`], [`LayerSpec`], [`ChainRole`], [`ActKind`],
-//! [`ClusterHeadSpec`], [`Coupling`]) is defined in `adec_analysis::arch`
-//! and only *re-exported* here so existing `adec_core::archspec::...`
-//! paths keep compiling. Deprecation note: importing the vocabulary
-//! through this module is the legacy path — new code should take it from
-//! `adec_analysis` directly and use this module only for the live-model
-//! bridge builders below.
+//! The spec vocabulary itself lives in `adec_analysis`.
 
 use crate::autoencoder::{ArchPreset, Autoencoder};
-use adec_analysis::Report;
-pub use adec_analysis::{
-    ActKind, ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec, Coupling, LayerSpec,
-};
+use adec_analysis::{ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec, Report};
 use adec_nn::{Mlp, ParamStore};
 use adec_tensor::{Matrix, SeedRng};
 

@@ -7,18 +7,15 @@
 //! count-weighted incremental centroid updates.
 
 use crate::autoencoder::Autoencoder;
-use crate::dec::{init_centroids, label_change};
+use crate::cluster_loop::{cluster_loop, ClusterTrainer, StepCheck};
+use crate::dec::{init_centroids, minibatch};
 use crate::guard::{
-    begin_resume, faults::FaultPlan, push_labels, take_labels, DurabilityConfig, ExtraCursor,
-    GuardConfig, RunMark, TrainError, TrainGuard,
+    faults::FaultPlan, push_labels, take_labels, DurabilityConfig, ExtraCursor, Fault,
+    GuardConfig, TrainError, TrainGuard,
 };
-use crate::trace::{ClusterOutput, TraceConfig, TracePoint, TrainTrace};
-use adec_nn::{
-    soft_assignment, Checkpoint, OptState, Optimizer, ParamId, ParamStore, ReferenceProfile, Sgd,
-    Tape,
-};
+use crate::trace::{ClusterOutput, TraceConfig};
+use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
 use adec_tensor::{linalg::pairwise_sq_dists, Matrix, SeedRng};
-use std::time::Instant;
 
 /// DCN configuration.
 #[derive(Debug, Clone)]
@@ -107,225 +104,163 @@ impl Dcn {
         cfg: &DcnConfig,
         rng: &mut SeedRng,
     ) -> Result<ClusterOutput, TrainError> {
-        let start = Instant::now();
-        let _prof_phase = adec_nn::profiler::phase("dcn");
-        let prof_init = adec_nn::profiler::section("init");
-        let mu0 = init_centroids(ae, store, data, cfg.k, rng);
-        let mu_id = store.register("dcn.centroids", mu0);
-        crate::archspec::clustering_spec("dcn", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
-        // Per-cluster assignment counts drive the DCN incremental centroid
-        // learning rate 1/count.
-        let mut counts = vec![1usize; cfg.k];
-        let mut counts_good = counts.clone();
-        let trainable: std::collections::HashSet<ParamId> = ae.param_ids().into_iter().collect();
-        let mut guarded = ae.param_ids();
-        guarded.push(mu_id);
-
-        let mut opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-        let mut guard = TrainGuard::new("dcn", cfg.guard.clone(), guarded);
-        let mut faults = cfg.faults.activate();
-        let mut trace = TrainTrace::default();
-        let mut y_prev: Option<Vec<usize>> = None;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut start_iter = 0usize;
-        let mut already_done = false;
-
-        if let Some((iter, ckpt)) = begin_resume(&cfg.durability, "dcn", store, rng)? {
-            ckpt.opt(0)?.apply_sgd(&mut opt)?;
-            let mut cur = ExtraCursor::new(&ckpt.extra);
-            let mark = RunMark::take(&mut cur)?;
-            y_prev = take_labels(&mut cur)?;
-            counts = take_labels(&mut cur)?
-                .ok_or_else(|| TrainError::Resume("dcn checkpoint lacks counts".into()))?;
-            cur.finish()?;
-            if counts.len() != cfg.k {
-                return Err(TrainError::Resume(format!(
-                    "dcn checkpoint has {} cluster counts, config wants {}",
-                    counts.len(),
-                    cfg.k
-                )));
+        let (_, out) = cluster_loop!("dcn", ae, data, cfg).run(store, rng, |store, rng| {
+            let mu0 = init_centroids(ae, store, data, cfg.k, rng);
+            let mu_id = store.register("dcn.centroids", mu0);
+            crate::archspec::clustering_spec("dcn", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
+            DcnTrainer {
+                ae,
+                data,
+                cfg,
+                mu_id,
+                opt: Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0),
+                counts: vec![1; cfg.k],
+                counts_good: vec![1; cfg.k],
             }
-            counts_good = counts.clone();
-            if mark.done {
-                converged = mark.converged;
-                iterations = mark.iterations;
-                already_done = true;
-            } else {
-                start_iter = iter;
-            }
-        }
-
-        drop(prof_init);
-        let mut force_refresh = start_iter % cfg.update_interval != 0;
-        let start_iter = if already_done { cfg.max_iter } else { start_iter };
-        for i in start_iter..cfg.max_iter {
-            if faults.kill_requested(i) {
-                return Err(TrainError::Killed {
-                    phase: "dcn".into(),
-                    iter: i,
-                });
-            }
-            iterations = i + 1;
-            let natural = i % cfg.update_interval == 0;
-            if natural || force_refresh {
-                let _prof_refresh = adec_nn::profiler::section("refresh");
-                force_refresh = false;
-                if let Err(fault) = guard.check_params(store) {
-                    let rec = guard.recover(store, fault, i)?;
-                    counts = counts_good.clone();
-                    opt.lr *= rec.lr_scale;
-                    opt.reset();
-                    y_prev = None;
-                    force_refresh = true;
-                    continue;
-                }
-                guard.mark_good(i, store);
-                counts_good = counts.clone();
-                if natural {
-                    cfg.durability
-                        .maybe_write("dcn", i / cfg.update_interval, || Checkpoint {
-                            phase: "dcn".into(),
-                            iter: i as u64,
-                            rng: rng.export_state(),
-                            store: store.clone(),
-                            opts: vec![OptState::capture_sgd(&opt)],
-                            extra: dcn_extra(RunMark::mid_run(), y_prev.as_deref(), &counts),
-                            profile: None,
-                        })?;
-                }
-                let z = ae.embed(store, data);
-                let y_pred = nearest_centroids(&z, store.get(mu_id));
-                let (acc, nmi_v) = match &cfg.trace.y_true {
-                    Some(y) => (
-                        Some(adec_metrics::accuracy(y, &y_pred)),
-                        Some(adec_metrics::nmi(y, &y_pred)),
-                    ),
-                    None => (None, None),
-                };
-                adec_obs::emit(
-                    adec_obs::Event::new(adec_obs::Level::Info, "train.interval")
-                        .field("phase", "dcn")
-                        .field("iter", i)
-                        .field("kl_loss", 0.0f32)
-                        .opt_field("acc", acc)
-                        .opt_field("nmi", nmi_v)
-                        .sampled(),
-                );
-                trace.points.push(TracePoint {
-                    iter: i,
-                    acc,
-                    nmi: nmi_v,
-                    delta_fr: None,
-                    delta_fd: None,
-                    kl_loss: 0.0,
-                });
-                if let Some(prev) = &y_prev {
-                    if label_change(prev, &y_pred) < cfg.tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                y_prev = Some(y_pred);
-            }
-
-            let _prof_step = adec_nn::profiler::section("step");
-            faults.poison_centroids(i, store, mu_id);
-
-            let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-            let x_b = data.gather_rows(&idx);
-
-            // Assignments with the current network (fixed during the step).
-            let z_now = ae.embed(store, &x_b);
-            let assign = nearest_centroids(&z_now, store.get(mu_id));
-            let targets = store.get(mu_id).gather_rows(&assign);
-
-            // Network update on L_r + (λ/2)‖z − M s‖².
-            let _prof_tape = adec_nn::profiler::phase("dcn.step");
-            let mut tape = Tape::new();
-            let xv = tape.leaf(x_b.clone());
-            let z = ae.encoder.forward(&mut tape, store, xv);
-            let xhat = ae.decoder.forward(&mut tape, store, z);
-            let x_target = tape.leaf(x_b.clone());
-            let rec = tape.mse(xhat, x_target);
-            let t = tape.leaf(targets);
-            let km = tape.mse(z, t);
-            let km_scaled = tape.scale(km, cfg.lambda / 2.0);
-            let loss = tape.add(rec, km_scaled);
-            let observed = faults.corrupt_loss(i, tape.scalar(loss));
-            if let Err(fault) = guard.check_loss(observed) {
-                let rec = guard.recover(store, fault, i)?;
-                counts = counts_good.clone();
-                opt.lr *= rec.lr_scale;
-                opt.reset();
-                y_prev = None;
-                force_refresh = true;
-                continue;
-            }
-            tape.backward(loss);
-            opt.step_filtered(&tape, store, |id| trainable.contains(&id));
-
-            // Incremental centroid update (DCN eq. 8): per-sample step with
-            // learning rate 1/count.
-            let z_new = ae.embed(store, &x_b);
-            let centroids = store.get_mut(mu_id);
-            for (row, &c) in assign.iter().enumerate() {
-                counts[c] += 1;
-                let lr_c = 1.0 / counts[c] as f32;
-                for t in 0..centroids.cols() {
-                    let cur = centroids.get(c, t);
-                    centroids.set(c, t, cur + lr_c * (z_new.get(row, t) - cur));
-                }
-            }
-        }
-
-        let _prof_final = adec_nn::profiler::section("finalize");
-        let z = ae.embed(store, data);
-        let labels = nearest_centroids(&z, store.get(mu_id));
-        cfg.durability.write_final("dcn", || Checkpoint {
-            phase: "dcn".into(),
-            iter: iterations as u64,
-            rng: rng.export_state(),
-            store: store.clone(),
-            opts: vec![OptState::capture_sgd(&opt)],
-            extra: dcn_extra(
-                RunMark::finished(converged, iterations),
-                y_prev.as_deref(),
-                &counts,
-            ),
-            // DCN has no soft assignment of its own; profile entropy and
-            // confidence use the Student-t soft assignment serve applies
-            // at its default alpha.
-            profile: Some(ReferenceProfile::compute(
-                &z,
-                &soft_assignment(&z, store.get(mu_id), 1.0),
-                store.get(mu_id),
-            )),
         })?;
-        // DCN is hard-assignment; expose a one-hot Q for interface parity.
-        let mut q = Matrix::zeros(data.rows(), cfg.k);
-        for (i, &l) in labels.iter().enumerate() {
-            q.set(i, l, 1.0);
-        }
-        Ok(ClusterOutput {
-            labels,
-            q,
-            iterations,
-            converged,
-            trace,
-            seconds: start.elapsed().as_secs_f64(),
-        })
+        Ok(out)
     }
 }
 
-/// DCN's checkpoint `extra` layout: the [`RunMark`] triple, the previous
-/// refresh's hard labels, then the incremental-update cluster counts.
-fn dcn_extra(mark: RunMark, y_prev: Option<&[usize]>, counts: &[usize]) -> Vec<u64> {
-    let mut extra = Vec::new();
-    mark.push(&mut extra);
-    push_labels(&mut extra, y_prev);
-    push_labels(&mut extra, Some(counts));
-    extra
+/// DCN's part of the shared clustering loop: hard nearest-centroid
+/// targets, a network step on the joint loss, then the count-weighted
+/// centroid update.
+struct DcnTrainer<'a> {
+    ae: &'a Autoencoder,
+    data: &'a Matrix,
+    cfg: &'a DcnConfig,
+    mu_id: ParamId,
+    opt: Sgd,
+    /// Per-cluster assignment counts: the incremental centroid update's
+    /// learning rate is 1/count.
+    counts: Vec<usize>,
+    /// The counts at the last clean refresh, restored on rollback.
+    counts_good: Vec<usize>,
+}
+
+impl ClusterTrainer for DcnTrainer<'_> {
+    fn centroids(&self) -> ParamId {
+        self.mu_id
+    }
+
+    fn guarded(&self) -> Vec<ParamId> {
+        let mut ids = self.ae.param_ids();
+        ids.push(self.mu_id);
+        ids
+    }
+
+    fn optimizers(&mut self) -> &mut [Sgd] {
+        std::slice::from_mut(&mut self.opt)
+    }
+
+    /// DCN has no soft assignment of its own; the final profile's entropy
+    /// and confidence use the Student-t assignment serve applies at its
+    /// default alpha.
+    fn alpha(&self) -> f32 {
+        1.0
+    }
+
+    fn refresh(&mut self, store: &ParamStore, guard: &TrainGuard) -> Result<Vec<usize>, Fault> {
+        guard.check_params(store)?;
+        let z = self.ae.embed(store, self.data);
+        Ok(nearest_centroids(&z, store.get(self.mu_id)))
+    }
+
+    fn step(
+        &mut self,
+        store: &mut ParamStore,
+        rng: &mut SeedRng,
+        check: &mut StepCheck<'_>,
+    ) -> Result<(), Fault> {
+        let (_, x_b) = minibatch(self.data, self.cfg.batch_size, None, rng);
+
+        // Assignments with the current network (fixed during the step).
+        let z_now = self.ae.embed(store, &x_b);
+        let assign = nearest_centroids(&z_now, store.get(self.mu_id));
+        let targets = store.get(self.mu_id).gather_rows(&assign);
+
+        // Network update on L_r + (λ/2)‖z − M s‖².
+        let _prof_tape = adec_nn::profiler::phase("dcn.step");
+        let mut tape = Tape::new();
+        let loss = step_graph(&mut tape, self.ae, store, &x_b, targets, self.cfg.lambda);
+        check.loss(tape.scalar(loss))?;
+        tape.backward(loss);
+        let ae_ids = self.ae.param_ids();
+        self.opt.step_filtered(&tape, store, |id| ae_ids.contains(&id));
+
+        // Incremental centroid update (DCN eq. 8): per-sample step with
+        // learning rate 1/count.
+        let z_new = self.ae.embed(store, &x_b);
+        let centroids = store.get_mut(self.mu_id);
+        for (row, &c) in assign.iter().enumerate() {
+            self.counts[c] += 1;
+            let lr_c = 1.0 / self.counts[c] as f32;
+            for t in 0..centroids.cols() {
+                let cur = centroids.get(c, t);
+                centroids.set(c, t, cur + lr_c * (z_new.get(row, t) - cur));
+            }
+        }
+        Ok(())
+    }
+
+    fn commit(&mut self) {
+        self.counts_good = self.counts.clone();
+    }
+
+    fn rollback(&mut self) {
+        self.counts = self.counts_good.clone();
+    }
+
+    fn push_extra(&self, extra: &mut Vec<u64>) {
+        push_labels(extra, Some(&self.counts));
+    }
+
+    fn take_extra(&mut self, cur: &mut ExtraCursor<'_>) -> Result<(), TrainError> {
+        let counts = take_labels(cur)?
+            .ok_or_else(|| TrainError::Resume("dcn checkpoint lacks counts".into()))?;
+        if counts.len() != self.cfg.k {
+            return Err(TrainError::Resume(format!(
+                "dcn checkpoint has {} cluster counts, config wants {}",
+                counts.len(),
+                self.cfg.k
+            )));
+        }
+        self.counts_good = counts.clone();
+        self.counts = counts;
+        Ok(())
+    }
+
+    /// DCN is hard-assignment: nearest-centroid labels and a one-hot Q
+    /// for interface parity.
+    fn output(&self, z: &Matrix, _q: Matrix, store: &ParamStore) -> (Vec<usize>, Matrix) {
+        let labels = nearest_centroids(z, store.get(self.mu_id));
+        let mut q = Matrix::zeros(z.rows(), self.cfg.k);
+        for (i, &l) in labels.iter().enumerate() {
+            q.set(i, l, 1.0);
+        }
+        (labels, q)
+    }
+}
+
+/// The `dcn.step` graph: reconstruction plus (λ/2)‖z − M·s‖² against the
+/// batch's assigned centroids `targets`, through encoder and decoder.
+pub(crate) fn step_graph(
+    tape: &mut Tape,
+    ae: &Autoencoder,
+    store: &ParamStore,
+    x_b: &Matrix,
+    targets: Matrix,
+    lambda: f32,
+) -> Var {
+    let xv = tape.leaf(x_b.clone());
+    let z = ae.encoder.forward(tape, store, xv);
+    let xhat = ae.decoder.forward(tape, store, z);
+    let x_target = tape.leaf(x_b.clone());
+    let rec = tape.mse(xhat, x_target);
+    let t = tape.leaf(targets);
+    let km = tape.mse(z, t);
+    let km_scaled = tape.scale(km, lambda / 2.0);
+    tape.add(rec, km_scaled)
 }
 
 #[cfg(test)]

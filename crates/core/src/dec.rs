@@ -6,20 +6,15 @@
 //! distribution (eq. 3), refreshed every `update_interval` iterations.
 
 use crate::autoencoder::Autoencoder;
-use crate::guard::{
-    begin_resume, faults::FaultPlan, push_labels, take_labels, DurabilityConfig, ExtraCursor,
-    GuardConfig, RunMark, TrainError, TrainGuard,
-};
-use crate::trace::{
-    encoder_gradients, grad_cosine, ClusterOutput, GradLoss, TraceConfig, TracePoint, TrainTrace,
-};
+use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
+use crate::guard::{faults::FaultPlan, DurabilityConfig, Fault, GuardConfig, TrainError, TrainGuard};
+use crate::trace::{encoder_gradients, grad_cosine, ClusterOutput, GradLoss, TraceConfig};
 use adec_classic::{kmeans, KMeansConfig};
 use adec_nn::{
-    hard_labels, kl_divergence, soft_assignment, target_distribution, Checkpoint, OptState,
-    Optimizer, ParamId, ParamStore, ReferenceProfile, Sgd, Tape,
+    hard_labels, kl_divergence, soft_assignment, target_distribution, Optimizer, ParamId,
+    ParamStore, Sgd, Tape, Var,
 };
 use adec_tensor::{Matrix, SeedRng};
-use std::time::Instant;
 
 /// DEC configuration.
 #[derive(Debug, Clone)]
@@ -112,24 +107,29 @@ pub(crate) fn init_centroids(
     kmeans(&z, &KMeansConfig::fast(k), rng).centroids
 }
 
-/// Applies the paper's clustering-phase augmentation when configured:
-/// a fresh random rotation/translation of the mini-batch (targets are
-/// still computed from the clean data).
-pub(crate) fn training_view(
-    x_b: &Matrix,
+/// Samples a minibatch of `data`: its row indices and its training view.
+/// With `augment` set the view is a fresh random rotation/translation of
+/// the rows (the paper's clustering-phase augmentation; targets are still
+/// computed from the clean data).
+pub(crate) fn minibatch(
+    data: &Matrix,
+    batch_size: usize,
     augment: Option<(usize, usize)>,
     rng: &mut SeedRng,
-) -> Matrix {
-    match augment {
+) -> (Vec<usize>, Matrix) {
+    let idx = rng.sample_indices(data.rows(), batch_size.min(data.rows()));
+    let x_b = data.gather_rows(&idx);
+    let x_b = match augment {
         Some((h, w)) => adec_datagen::augment::augment_batch(
-            x_b,
+            &x_b,
             h,
             w,
             &adec_datagen::augment::AugmentConfig::default(),
             rng,
         ),
-        None => x_b.clone(),
-    }
+        None => x_b,
+    };
+    (idx, x_b)
 }
 
 /// Fraction of labels that changed between two assignments (the paper's
@@ -159,287 +159,233 @@ impl Dec {
         cfg: &DecConfig,
         rng: &mut SeedRng,
     ) -> Result<ClusterOutput, TrainError> {
-        let start = Instant::now();
-        let _prof_phase = adec_nn::profiler::phase("dec");
-        let prof_init = adec_nn::profiler::section("init");
-        let mu0 = init_centroids(ae, store, data, cfg.k, rng);
-        let mu_id = store.register("dec.centroids", mu0);
-        crate::archspec::clustering_spec("dec", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
-        let encoder_ids: std::collections::HashSet<ParamId> =
-            ae.encoder.param_ids().into_iter().collect();
-        let mut trainable = ae.encoder.param_ids();
-        trainable.push(mu_id);
-
-        let mut opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-        let mut guard = TrainGuard::new("dec", cfg.guard.clone(), trainable);
-        let mut faults = cfg.faults.activate();
-        let mut trace = TrainTrace::default();
-        let mut p_full = Matrix::zeros(0, 0);
-        let mut y_prev: Option<Vec<usize>> = None;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut start_iter = 0usize;
-        let mut already_done = false;
-
-        if let Some((iter, ckpt)) = begin_resume(&cfg.durability, "dec", store, rng)? {
-            ckpt.opt(0)?.apply_sgd(&mut opt)?;
-            let mut cur = ExtraCursor::new(&ckpt.extra);
-            let mark = RunMark::take(&mut cur)?;
-            y_prev = take_labels(&mut cur)?;
-            cur.finish()?;
-            if mark.done {
-                converged = mark.converged;
-                iterations = mark.iterations;
-                already_done = true;
-            } else {
-                start_iter = iter;
+        let (_, out) = cluster_loop!("dec", ae, data, cfg).run(store, rng, |store, rng| {
+            let mu0 = init_centroids(ae, store, data, cfg.k, rng);
+            let mu_id = store.register("dec.centroids", mu0);
+            crate::archspec::clustering_spec("dec", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
+            let mut params = ae.encoder.param_ids();
+            params.push(mu_id);
+            DecTrainer {
+                ae,
+                data,
+                cfg,
+                targets: KlTargets::new(mu_id, cfg.alpha),
+                params,
+                opt: Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0),
             }
-        }
-
-        drop(prof_init);
-        let mut force_refresh = start_iter % cfg.update_interval != 0;
-        let start_iter = if already_done { cfg.max_iter } else { start_iter };
-        for i in start_iter..cfg.max_iter {
-            if faults.kill_requested(i) {
-                return Err(TrainError::Killed {
-                    phase: "dec".into(),
-                    iter: i,
-                });
-            }
-            iterations = i + 1;
-            let natural = i % cfg.update_interval == 0;
-            if natural || force_refresh {
-                let _prof_refresh = adec_nn::profiler::section("refresh");
-                force_refresh = false;
-                let z = ae.embed(store, data);
-                let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-                if let Err(fault) = guard
-                    .check_assignments(&q)
-                    .and_then(|()| guard.check_params(store))
-                {
-                    let rec = guard.recover(store, fault, i)?;
-                    opt.lr *= rec.lr_scale;
-                    opt.reset();
-                    y_prev = None;
-                    force_refresh = true;
-                    continue;
-                }
-                p_full = target_distribution(&q);
-                let y_pred = hard_labels(&q);
-                guard.mark_good(i, store);
-                if natural {
-                    cfg.durability
-                        .maybe_write("dec", i / cfg.update_interval, || Checkpoint {
-                            phase: "dec".into(),
-                            iter: i as u64,
-                            rng: rng.export_state(),
-                            store: store.clone(),
-                            opts: vec![OptState::capture_sgd(&opt)],
-                            extra: dec_extra(RunMark::mid_run(), y_prev.as_deref()),
-                            profile: None,
-                        })?;
-                }
-                record_trace_point(
-                    &mut trace,
-                    "dec",
-                    None,
-                    i,
-                    &q,
-                    &p_full,
-                    data,
-                    ae,
-                    store,
-                    mu_id,
-                    cfg.alpha,
-                    &cfg.trace,
-                    None,
-                    rng,
-                );
-                if let Some(prev) = &y_prev {
-                    if label_change(prev, &y_pred) < cfg.tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                y_prev = Some(y_pred);
-            }
-
-            let _prof_step = adec_nn::profiler::section("step");
-            faults.poison_centroids(i, store, mu_id);
-
-            let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-            let x_b = training_view(&data.gather_rows(&idx), cfg.augment, rng);
-            let p_b = p_full.gather_rows(&idx);
-
-            let _prof_tape = adec_nn::profiler::phase("dec.kl");
-            let mut tape = Tape::new();
-            let xv = tape.leaf(x_b);
-            let z = ae.encoder.forward(&mut tape, store, xv);
-            let mu = tape.param(store, mu_id);
-            let kl = tape.dec_kl(z, mu, &p_b, cfg.alpha);
-            let loss = tape.scale(kl, 1.0 / idx.len() as f32);
-            let observed = faults.corrupt_loss(i, tape.scalar(loss));
-            if let Err(fault) = guard.check_loss(observed) {
-                let rec = guard.recover(store, fault, i)?;
-                opt.lr *= rec.lr_scale;
-                opt.reset();
-                y_prev = None;
-                force_refresh = true;
-                continue;
-            }
-            tape.backward(loss);
-            opt.step_filtered(&tape, store, |id| id == mu_id || encoder_ids.contains(&id));
-        }
-
-        let _prof_final = adec_nn::profiler::section("finalize");
-        let z = ae.embed(store, data);
-        let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-        cfg.durability.write_final("dec", || Checkpoint {
-            phase: "dec".into(),
-            iter: iterations as u64,
-            rng: rng.export_state(),
-            store: store.clone(),
-            opts: vec![OptState::capture_sgd(&opt)],
-            extra: dec_extra(RunMark::finished(converged, iterations), y_prev.as_deref()),
-            profile: Some(ReferenceProfile::compute(&z, &q, store.get(mu_id))),
         })?;
-        Ok(ClusterOutput {
-            labels: hard_labels(&q),
-            q,
-            iterations,
-            converged,
-            trace,
-            seconds: start.elapsed().as_secs_f64(),
-        })
+        Ok(out)
     }
 }
 
-/// DEC's checkpoint `extra` layout: the [`RunMark`] triple, then the
-/// previous refresh's hard labels (the convergence-check state).
-fn dec_extra(mark: RunMark, y_prev: Option<&[usize]>) -> Vec<u64> {
-    let mut extra = Vec::new();
-    mark.push(&mut extra);
-    push_labels(&mut extra, y_prev);
-    extra
+/// DEC's part of the shared clustering loop: KL self-training of the
+/// encoder and the centroids.
+struct DecTrainer<'a> {
+    ae: &'a Autoencoder,
+    data: &'a Matrix,
+    cfg: &'a DecConfig,
+    targets: KlTargets,
+    /// The encoder and the centroids: what the step updates and the
+    /// guard protects.
+    params: Vec<ParamId>,
+    opt: Sgd,
 }
 
-/// Shared trace-point recorder used by DEC/IDEC/ADEC runners. `self_loss`
-/// optionally supplies the model's self-supervised gradient source for
-/// Δ_FD (None → Δ_FD not recorded, as for plain DEC which has no
-/// regularizer). `grad_norm` is the most recent encoder gradient norm,
-/// when the trainer tracks one. Besides the in-memory [`TracePoint`],
-/// each call emits a sampled `train.interval` telemetry event.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_trace_point(
-    trace: &mut TrainTrace,
-    phase: &str,
-    grad_norm: Option<f32>,
-    iter: usize,
-    q_full: &Matrix,
-    p_full: &Matrix,
-    data: &Matrix,
+impl ClusterTrainer for DecTrainer<'_> {
+    fn centroids(&self) -> ParamId {
+        self.targets.mu_id
+    }
+
+    fn guarded(&self) -> Vec<ParamId> {
+        self.params.clone()
+    }
+
+    fn optimizers(&mut self) -> &mut [Sgd] {
+        std::slice::from_mut(&mut self.opt)
+    }
+
+    fn alpha(&self) -> f32 {
+        self.cfg.alpha
+    }
+
+    fn refresh(&mut self, store: &ParamStore, guard: &TrainGuard) -> Result<Vec<usize>, Fault> {
+        self.targets.refresh(self.ae, self.data, store, guard)
+    }
+
+    fn probe(&self, store: &ParamStore, rng: &mut SeedRng) -> Probe {
+        self.targets.probe(self.ae, self.data, store, &self.cfg.trace, None, rng)
+    }
+
+    fn step(
+        &mut self,
+        store: &mut ParamStore,
+        rng: &mut SeedRng,
+        check: &mut StepCheck<'_>,
+    ) -> Result<(), Fault> {
+        let (idx, x_b) = minibatch(self.data, self.cfg.batch_size, self.cfg.augment, rng);
+        let p_b = self.targets.batch(&idx);
+
+        let _prof_tape = adec_nn::profiler::phase("dec.kl");
+        let mut tape = Tape::new();
+        let loss = kl_graph(&mut tape, self.ae, store, &x_b, self.targets.mu_id, &p_b, self.cfg.alpha);
+        check.loss(tape.scalar(loss))?;
+        tape.backward(loss);
+        self.opt.step_filtered(&tape, store, |id| self.params.contains(&id));
+        Ok(())
+    }
+}
+
+/// The `dec.kl` step graph: `KL(P‖Q)` of a batch through the encoder and
+/// the centroids, averaged over its rows. ADEC's clustering pass
+/// (`adec.encoder.kl`) is the same graph.
+pub(crate) fn kl_graph(
+    tape: &mut Tape,
     ae: &Autoencoder,
     store: &ParamStore,
+    x_b: &Matrix,
     mu_id: ParamId,
+    p_b: &Matrix,
     alpha: f32,
-    cfg: &TraceConfig,
-    self_loss: Option<GradLoss<'_>>,
-    rng: &mut SeedRng,
-) {
-    let y_pred = hard_labels(q_full);
-    let (acc, nmi_v) = match &cfg.y_true {
-        Some(y_true) => (
-            Some(adec_metrics::accuracy(y_true, &y_pred)),
-            Some(adec_metrics::nmi(y_true, &y_pred)),
-        ),
-        None => (None, None),
-    };
-    let kl_loss = kl_divergence(p_full, q_full) / q_full.rows() as f32;
+) -> Var {
+    let xv = tape.leaf(x_b.clone());
+    let z = ae.encoder.forward(tape, store, xv);
+    let mu = tape.param(store, mu_id);
+    let kl = tape.dec_kl(z, mu, p_b, alpha);
+    tape.scale(kl, 1.0 / x_b.rows() as f32)
+}
 
-    let (mut delta_fr, mut delta_fd) = (None, None);
-    if cfg.tradeoff {
-        let probe = rng.sample_indices(data.rows(), cfg.probe_size.min(data.rows()));
-        let x_probe = data.gather_rows(&probe);
-        let mu = store.get(mu_id).clone();
+/// DEC's self-training targets, shared by DEC, IDEC and ADEC: the
+/// Student-t soft assignment `Q` of the full data (eq. 1) and its
+/// sharpened target `P` (eq. 3), as of the last refresh.
+pub(crate) struct KlTargets {
+    /// The centroid parameter.
+    pub mu_id: ParamId,
+    alpha: f32,
+    q: Matrix,
+    p: Matrix,
+}
 
-        // Sharpness-normalized probe: as the embedding spreads out, the
-        // α = 1 assignment saturates to one-hot and the residual gradients
-        // concentrate on the (anti-parallel) error set, which conflates
-        // convergence sharpness with Feature Randomness. Measuring both
-        // models with the Student-t bandwidth matched to the current
-        // nearest-centroid distance scale keeps the probe assignment at
-        // comparable entropy — a measurement-only normalization applied
-        // identically to every model.
-        let z_probe = ae.encoder.infer(store, &x_probe);
-        let probe_alpha = {
-            let d2 = adec_tensor::pairwise_sq_dists(&z_probe, &mu);
-            let mut acc = 0.0f32;
-            for i in 0..d2.rows() {
-                let mut best = f32::INFINITY;
-                for j in 0..d2.cols() {
-                    best = best.min(d2.get(i, j));
+impl KlTargets {
+    /// Targets over `mu_id`, empty until the first refresh.
+    pub fn new(mu_id: ParamId, alpha: f32) -> KlTargets {
+        KlTargets {
+            mu_id,
+            alpha,
+            q: Matrix::zeros(0, 0),
+            p: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Recomputes `Q` and `P` from the full data, unless the guard finds
+    /// the assignment or the parameters faulted; returns the hard labels.
+    pub fn refresh(
+        &mut self,
+        ae: &Autoencoder,
+        data: &Matrix,
+        store: &ParamStore,
+        guard: &TrainGuard,
+    ) -> Result<Vec<usize>, Fault> {
+        let z = ae.embed(store, data);
+        let q = soft_assignment(&z, store.get(self.mu_id), self.alpha);
+        guard.check_assignments(&q).and_then(|()| guard.check_params(store))?;
+        self.p = target_distribution(&q);
+        let labels = hard_labels(&q);
+        self.q = q;
+        Ok(labels)
+    }
+
+    /// The rows of `P` for a minibatch.
+    pub fn batch(&self, idx: &[usize]) -> Matrix {
+        self.p.gather_rows(idx)
+    }
+
+    /// The mean KL loss at the last refresh and, with
+    /// [`TraceConfig::tradeoff`], the Δ_FR / Δ_FD gradient probes.
+    /// `self_loss` is the model's self-supervised gradient source for
+    /// Δ_FD (None → Δ_FD not recorded, as for plain DEC which has no
+    /// regularizer).
+    pub fn probe(
+        &self,
+        ae: &Autoencoder,
+        data: &Matrix,
+        store: &ParamStore,
+        cfg: &TraceConfig,
+        self_loss: Option<GradLoss<'_>>,
+        rng: &mut SeedRng,
+    ) -> Probe {
+        let (q_full, p_full) = (&self.q, &self.p);
+        let kl_loss = kl_divergence(p_full, q_full) / q_full.rows() as f32;
+
+        let (mut delta_fr, mut delta_fd) = (None, None);
+        if cfg.tradeoff {
+            let probe = rng.sample_indices(data.rows(), cfg.probe_size.min(data.rows()));
+            let x_probe = data.gather_rows(&probe);
+            let mu = store.get(self.mu_id).clone();
+
+            // Sharpness-normalized probe: as the embedding spreads out, the
+            // α = 1 assignment saturates to one-hot and the residual gradients
+            // concentrate on the (anti-parallel) error set, which conflates
+            // convergence sharpness with Feature Randomness. Measuring both
+            // models with the Student-t bandwidth matched to the current
+            // nearest-centroid distance scale keeps the probe assignment at
+            // comparable entropy — a measurement-only normalization applied
+            // identically to every model.
+            let z_probe = ae.encoder.infer(store, &x_probe);
+            let probe_alpha = {
+                let d2 = adec_tensor::pairwise_sq_dists(&z_probe, &mu);
+                let mut acc = 0.0f32;
+                for i in 0..d2.rows() {
+                    let mut best = f32::INFINITY;
+                    for j in 0..d2.cols() {
+                        best = best.min(d2.get(i, j));
+                    }
+                    acc += best;
                 }
-                acc += best;
-            }
-            (acc / d2.rows().max(1) as f32).max(alpha)
-        };
-        let q_probe = soft_assignment(&z_probe, &mu, probe_alpha);
-        let p_probe = target_distribution(&q_probe);
-        let g_pseudo = encoder_gradients(
-            &ae.encoder,
-            store,
-            &x_probe,
-            GradLoss::DecKl {
-                mu: &mu,
-                p: &p_probe,
-                alpha: probe_alpha,
-            },
-        );
-        if let Some(y_true) = &cfg.y_true {
-            let y_probe: Vec<usize> = probe.iter().map(|&i| y_true[i]).collect();
-            // The cluster↔class mapping comes from the FULL-data
-            // assignment — a probe-sized contingency gives unstable
-            // Hungarian matchings that corrupt the supervised target.
-            let map = crate::trace::class_to_cluster_map(q_full, y_true);
-            let p_sup = crate::trace::supervised_target_with_map(&y_probe, &map, q_full.cols());
-            let g_true = encoder_gradients(
+                (acc / d2.rows().max(1) as f32).max(self.alpha)
+            };
+            let q_probe = soft_assignment(&z_probe, &mu, probe_alpha);
+            let p_probe = target_distribution(&q_probe);
+            let g_pseudo = encoder_gradients(
                 &ae.encoder,
                 store,
                 &x_probe,
                 GradLoss::DecKl {
                     mu: &mu,
-                    p: &p_sup,
+                    p: &p_probe,
                     alpha: probe_alpha,
                 },
             );
-            delta_fr = Some(grad_cosine(&g_pseudo, &g_true));
+            if let Some(y_true) = &cfg.y_true {
+                let y_probe: Vec<usize> = probe.iter().map(|&i| y_true[i]).collect();
+                // The cluster↔class mapping comes from the FULL-data
+                // assignment — a probe-sized contingency gives unstable
+                // Hungarian matchings that corrupt the supervised target.
+                let map = crate::trace::class_to_cluster_map(q_full, y_true);
+                let p_sup = crate::trace::supervised_target_with_map(&y_probe, &map, q_full.cols());
+                let g_true = encoder_gradients(
+                    &ae.encoder,
+                    store,
+                    &x_probe,
+                    GradLoss::DecKl {
+                        mu: &mu,
+                        p: &p_sup,
+                        alpha: probe_alpha,
+                    },
+                );
+                delta_fr = Some(grad_cosine(&g_pseudo, &g_true));
+            }
+            if let Some(self_loss) = self_loss {
+                let g_self = encoder_gradients(&ae.encoder, store, &x_probe, self_loss);
+                delta_fd = Some(grad_cosine(&g_pseudo, &g_self));
+            }
         }
-        if let Some(self_loss) = self_loss {
-            let g_self = encoder_gradients(&ae.encoder, store, &x_probe, self_loss);
-            delta_fd = Some(grad_cosine(&g_pseudo, &g_self));
+        Probe {
+            kl_loss,
+            grad_norm: None,
+            delta_fr,
+            delta_fd,
         }
     }
-
-    adec_obs::emit(
-        adec_obs::Event::new(adec_obs::Level::Info, "train.interval")
-            .field("phase", phase)
-            .field("iter", iter)
-            .field("kl_loss", kl_loss)
-            .opt_field("grad_norm", grad_norm)
-            .opt_field("acc", acc)
-            .opt_field("nmi", nmi_v)
-            .opt_field("delta_fr", delta_fr)
-            .opt_field("delta_fd", delta_fd)
-            .sampled(),
-    );
-    trace.points.push(TracePoint {
-        iter,
-        acc,
-        nmi: nmi_v,
-        delta_fr,
-        delta_fd,
-        kl_loss,
-    });
 }
 
 #[cfg(test)]

@@ -8,19 +8,13 @@
 //! Drift mechanism ADEC removes.
 
 use crate::autoencoder::Autoencoder;
-use crate::dec::{init_centroids, label_change, record_trace_point, training_view};
-use crate::guard::{
-    begin_resume, faults::FaultPlan, push_labels, take_labels, DurabilityConfig, ExtraCursor,
-    GuardConfig, RunMark, TrainError, TrainGuard,
-};
-use crate::trace::{ClusterOutput, GradLoss, TraceConfig, TrainTrace};
-use adec_nn::{
-    hard_labels, soft_assignment, target_distribution, Checkpoint, OptState, Optimizer, ParamId,
-    ParamStore, ReferenceProfile, Sgd, Tape,
-};
+use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
+use crate::dec::{init_centroids, minibatch, KlTargets};
+use crate::guard::{faults::FaultPlan, DurabilityConfig, Fault, GuardConfig, TrainError, TrainGuard};
+use crate::trace::{ClusterOutput, GradLoss, TraceConfig};
+use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
 use adec_tensor::Matrix;
 use adec_tensor::SeedRng;
-use std::time::Instant;
 
 /// IDEC configuration.
 #[derive(Debug, Clone)]
@@ -113,174 +107,105 @@ impl Idec {
         cfg: &IdecConfig,
         rng: &mut SeedRng,
     ) -> Result<ClusterOutput, TrainError> {
-        let start = Instant::now();
-        let _prof_phase = adec_nn::profiler::phase("idec");
-        let prof_init = adec_nn::profiler::section("init");
-        let mu0 = init_centroids(ae, store, data, cfg.k, rng);
-        let mu_id = store.register("idec.centroids", mu0);
-        crate::archspec::clustering_spec("idec", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
-        let mut guarded = ae.param_ids();
-        guarded.push(mu_id);
-        let trainable: std::collections::HashSet<ParamId> =
-            guarded.iter().copied().collect();
-
-        let mut opt = Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0);
-        let mut guard = TrainGuard::new("idec", cfg.guard.clone(), guarded);
-        let mut faults = cfg.faults.activate();
-        let mut trace = TrainTrace::default();
-        let mut p_full = Matrix::zeros(0, 0);
-        let mut y_prev: Option<Vec<usize>> = None;
-        let mut converged = false;
-        let mut iterations = 0usize;
-        let mut start_iter = 0usize;
-        let mut already_done = false;
-
-        if let Some((iter, ckpt)) = begin_resume(&cfg.durability, "idec", store, rng)? {
-            ckpt.opt(0)?.apply_sgd(&mut opt)?;
-            let mut cur = ExtraCursor::new(&ckpt.extra);
-            let mark = RunMark::take(&mut cur)?;
-            y_prev = take_labels(&mut cur)?;
-            cur.finish()?;
-            if mark.done {
-                converged = mark.converged;
-                iterations = mark.iterations;
-                already_done = true;
-            } else {
-                start_iter = iter;
+        let (_, out) = cluster_loop!("idec", ae, data, cfg).run(store, rng, |store, rng| {
+            let mu0 = init_centroids(ae, store, data, cfg.k, rng);
+            let mu_id = store.register("idec.centroids", mu0);
+            crate::archspec::clustering_spec("idec", ae, store, store.get(mu_id), "sgd+momentum").assert_valid();
+            let mut params = ae.param_ids();
+            params.push(mu_id);
+            IdecTrainer {
+                ae,
+                data,
+                cfg,
+                targets: KlTargets::new(mu_id, cfg.alpha),
+                params,
+                opt: Sgd::new(cfg.lr, cfg.momentum).with_clip(5.0),
             }
-        }
-
-        drop(prof_init);
-        let mut force_refresh = start_iter % cfg.update_interval != 0;
-        let start_iter = if already_done { cfg.max_iter } else { start_iter };
-        for i in start_iter..cfg.max_iter {
-            if faults.kill_requested(i) {
-                return Err(TrainError::Killed {
-                    phase: "idec".into(),
-                    iter: i,
-                });
-            }
-            iterations = i + 1;
-            let natural = i % cfg.update_interval == 0;
-            if natural || force_refresh {
-                let _prof_refresh = adec_nn::profiler::section("refresh");
-                force_refresh = false;
-                let z = ae.embed(store, data);
-                let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-                if let Err(fault) = guard
-                    .check_assignments(&q)
-                    .and_then(|()| guard.check_params(store))
-                {
-                    let rec = guard.recover(store, fault, i)?;
-                    opt.lr *= rec.lr_scale;
-                    opt.reset();
-                    y_prev = None;
-                    force_refresh = true;
-                    continue;
-                }
-                p_full = target_distribution(&q);
-                let y_pred = hard_labels(&q);
-                guard.mark_good(i, store);
-                if natural {
-                    cfg.durability
-                        .maybe_write("idec", i / cfg.update_interval, || Checkpoint {
-                            phase: "idec".into(),
-                            iter: i as u64,
-                            rng: rng.export_state(),
-                            store: store.clone(),
-                            opts: vec![OptState::capture_sgd(&opt)],
-                            extra: idec_extra(RunMark::mid_run(), y_prev.as_deref()),
-                            profile: None,
-                        })?;
-                }
-                record_trace_point(
-                    &mut trace,
-                    "idec",
-                    None,
-                    i,
-                    &q,
-                    &p_full,
-                    data,
-                    ae,
-                    store,
-                    mu_id,
-                    cfg.alpha,
-                    &cfg.trace,
-                    Some(GradLoss::Reconstruction {
-                        decoder: &ae.decoder,
-                    }),
-                    rng,
-                );
-                if let Some(prev) = &y_prev {
-                    if label_change(prev, &y_pred) < cfg.tol {
-                        converged = true;
-                        break;
-                    }
-                }
-                y_prev = Some(y_pred);
-            }
-
-            let _prof_step = adec_nn::profiler::section("step");
-            faults.poison_centroids(i, store, mu_id);
-
-            let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-            let x_b = training_view(&data.gather_rows(&idx), cfg.augment, rng);
-            let p_b = p_full.gather_rows(&idx);
-
-            let _prof_tape = adec_nn::profiler::phase("idec.step");
-            let mut tape = Tape::new();
-            let xv = tape.leaf(x_b.clone());
-            let z = ae.encoder.forward(&mut tape, store, xv);
-            let xhat = ae.decoder.forward(&mut tape, store, z);
-            let target = tape.leaf(x_b);
-            let rec = tape.mse(xhat, target);
-            let mu = tape.param(store, mu_id);
-            let kl = tape.dec_kl(z, mu, &p_b, cfg.alpha);
-            let kl_mean = tape.scale(kl, cfg.gamma / idx.len() as f32);
-            let loss = tape.add(rec, kl_mean);
-            let observed = faults.corrupt_loss(i, tape.scalar(loss));
-            if let Err(fault) = guard.check_loss(observed) {
-                let rec = guard.recover(store, fault, i)?;
-                opt.lr *= rec.lr_scale;
-                opt.reset();
-                y_prev = None;
-                force_refresh = true;
-                continue;
-            }
-            tape.backward(loss);
-            opt.step_filtered(&tape, store, |id| trainable.contains(&id));
-        }
-
-        let _prof_final = adec_nn::profiler::section("finalize");
-        let z = ae.embed(store, data);
-        let q = soft_assignment(&z, store.get(mu_id), cfg.alpha);
-        cfg.durability.write_final("idec", || Checkpoint {
-            phase: "idec".into(),
-            iter: iterations as u64,
-            rng: rng.export_state(),
-            store: store.clone(),
-            opts: vec![OptState::capture_sgd(&opt)],
-            extra: idec_extra(RunMark::finished(converged, iterations), y_prev.as_deref()),
-            profile: Some(ReferenceProfile::compute(&z, &q, store.get(mu_id))),
         })?;
-        Ok(ClusterOutput {
-            labels: hard_labels(&q),
-            q,
-            iterations,
-            converged,
-            trace,
-            seconds: start.elapsed().as_secs_f64(),
-        })
+        Ok(out)
     }
 }
 
-/// IDEC's checkpoint `extra` layout (same as DEC's): the [`RunMark`]
-/// triple, then the previous refresh's hard labels.
-fn idec_extra(mark: RunMark, y_prev: Option<&[usize]>) -> Vec<u64> {
-    let mut extra = Vec::new();
-    mark.push(&mut extra);
-    push_labels(&mut extra, y_prev);
-    extra
+/// IDEC's part of the shared clustering loop: DEC's targets, with the
+/// decoder's reconstruction loss kept in the step.
+struct IdecTrainer<'a> {
+    ae: &'a Autoencoder,
+    data: &'a Matrix,
+    cfg: &'a IdecConfig,
+    targets: KlTargets,
+    /// Encoder, decoder and centroids: what the step updates and the
+    /// guard protects.
+    params: Vec<ParamId>,
+    opt: Sgd,
+}
+
+impl ClusterTrainer for IdecTrainer<'_> {
+    fn centroids(&self) -> ParamId {
+        self.targets.mu_id
+    }
+
+    fn guarded(&self) -> Vec<ParamId> {
+        self.params.clone()
+    }
+
+    fn optimizers(&mut self) -> &mut [Sgd] {
+        std::slice::from_mut(&mut self.opt)
+    }
+
+    fn alpha(&self) -> f32 {
+        self.cfg.alpha
+    }
+
+    fn refresh(&mut self, store: &ParamStore, guard: &TrainGuard) -> Result<Vec<usize>, Fault> {
+        self.targets.refresh(self.ae, self.data, store, guard)
+    }
+
+    fn probe(&self, store: &ParamStore, rng: &mut SeedRng) -> Probe {
+        let self_loss = GradLoss::Reconstruction {
+            decoder: &self.ae.decoder,
+        };
+        self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(self_loss), rng)
+    }
+
+    fn step(
+        &mut self,
+        store: &mut ParamStore,
+        rng: &mut SeedRng,
+        check: &mut StepCheck<'_>,
+    ) -> Result<(), Fault> {
+        let (idx, x_b) = minibatch(self.data, self.cfg.batch_size, self.cfg.augment, rng);
+        let p_b = self.targets.batch(&idx);
+
+        let _prof_tape = adec_nn::profiler::phase("idec.step");
+        let mut tape = Tape::new();
+        let loss = step_graph(&mut tape, self.ae, store, &x_b, self.targets.mu_id, &p_b, self.cfg);
+        check.loss(tape.scalar(loss))?;
+        tape.backward(loss);
+        self.opt.step_filtered(&tape, store, |id| self.params.contains(&id));
+        Ok(())
+    }
+}
+
+/// The `idec.step` graph (eq. 4): reconstruction plus γ times the mean
+/// `KL(P‖Q)` of a batch, through encoder, decoder and centroids.
+pub(crate) fn step_graph(
+    tape: &mut Tape,
+    ae: &Autoencoder,
+    store: &ParamStore,
+    x_b: &Matrix,
+    mu_id: ParamId,
+    p_b: &Matrix,
+    cfg: &IdecConfig,
+) -> Var {
+    let xv = tape.leaf(x_b.clone());
+    let z = ae.encoder.forward(tape, store, xv);
+    let xhat = ae.decoder.forward(tape, store, z);
+    let target = tape.leaf(x_b.clone());
+    let rec = tape.mse(xhat, target);
+    let mu = tape.param(store, mu_id);
+    let kl = tape.dec_kl(z, mu, p_b, cfg.alpha);
+    let kl_mean = tape.scale(kl, cfg.gamma / x_b.rows() as f32);
+    tape.add(rec, kl_mean)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! and shines on image data with clean local structure.
 
 use crate::autoencoder::Autoencoder;
-use crate::trace::{ClusterOutput, TraceConfig, TracePoint, TrainTrace};
+use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::ward_agglomerative;
 use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape};
 use adec_tensor::{Matrix, SeedRng};
@@ -130,21 +130,7 @@ pub fn run(
             } else {
                 ward_agglomerative(&z, cfg.k)
             };
-            let (acc, nmi_v) = match &cfg.trace.y_true {
-                Some(y) => (
-                    Some(adec_metrics::accuracy(y, &eval_labels)),
-                    Some(adec_metrics::nmi(y, &eval_labels)),
-                ),
-                None => (None, None),
-            };
-            trace.points.push(TracePoint {
-                iter: round * cfg.steps_per_round,
-                acc,
-                nmi: nmi_v,
-                delta_fr: None,
-                delta_fd: None,
-                kl_loss: 0.0,
-            });
+            trace.push_scores(round * cfg.steps_per_round, &cfg.trace, &eval_labels);
         }
 
         for _ in 0..cfg.steps_per_round {

@@ -15,6 +15,9 @@
 //! * [`adec`] — the paper's ADEC (eqs. 10–12, Algorithm 1): encoder,
 //!   decoder, and discriminator trained *separately*, with M auxiliary
 //!   decoder catch-up iterations.
+//!
+//!   DEC, IDEC, DCN and ADEC share one guarded, checkpointed loop
+//!   driver (`cluster_loop`); each supplies only its targets and step.
 //! * [`lite`] — fully-connected "lite" variants of further Table-1 deep
 //!   baselines (AE+k-means, AE+FINCH, DeepCluster, DEPICT, SR-k-means).
 //! * [`jule`] / [`vade`] — reduced variants of JULE (agglomerative +
@@ -52,6 +55,7 @@
 pub mod adec;
 pub mod archspec;
 pub mod autoencoder;
+mod cluster_loop;
 pub mod dcn;
 pub mod dec;
 pub mod guard;

@@ -17,7 +17,7 @@
 
 use crate::autoencoder::Autoencoder;
 use crate::dec::{init_centroids, label_change};
-use crate::trace::{ClusterOutput, TraceConfig, TracePoint, TrainTrace};
+use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::{finch, kmeans, KMeansConfig};
 use adec_nn::{
     hard_labels, soft_assignment, target_distribution, Activation, Mlp, Optimizer, ParamId,
@@ -75,24 +75,6 @@ impl LiteConfig {
     }
 }
 
-fn record_acc(trace: &mut TrainTrace, iter: usize, cfg: &TraceConfig, y_pred: &[usize]) {
-    let (acc, nmi_v) = match &cfg.y_true {
-        Some(y) => (
-            Some(adec_metrics::accuracy(y, y_pred)),
-            Some(adec_metrics::nmi(y, y_pred)),
-        ),
-        None => (None, None),
-    };
-    trace.points.push(TracePoint {
-        iter,
-        acc,
-        nmi: nmi_v,
-        delta_fr: None,
-        delta_fd: None,
-        kl_loss: 0.0,
-    });
-}
-
 /// DeepCluster-lite: alternate (a) k-means on the embedding to produce
 /// pseudo-labels with (b) encoder + linear-head classification training on
 /// those labels.
@@ -125,7 +107,7 @@ pub fn deepcluster_lite(
     for round in 0..cfg.rounds {
         let z = ae.embed(store, data);
         let new_labels = kmeans(&z, &KMeansConfig::fast(cfg.k), rng).labels;
-        record_acc(&mut trace, round * cfg.steps_per_round, &cfg.trace, &new_labels);
+        trace.push_scores(round * cfg.steps_per_round, &cfg.trace, &new_labels);
         if round > 0 && label_change(&labels, &new_labels) < 0.001 {
             converged = true;
             break;
@@ -241,7 +223,7 @@ pub fn depict_lite(
             let probs = soft_probs(store);
             p_full = target_distribution(&probs);
             let y_pred = hard_labels(&probs);
-            record_acc(&mut trace, i, &cfg.trace, &y_pred);
+            trace.push_scores(i, &cfg.trace, &y_pred);
             if let Some(prev) = &y_prev {
                 if label_change(prev, &y_pred) < 0.001 {
                     converged = true;
@@ -326,7 +308,7 @@ pub fn sr_kmeans_lite(
                 }
             }
             let y_pred: Vec<usize> = (0..s.rows()).map(|r| s.row_argmax(r)).collect();
-            record_acc(&mut trace, i, &cfg.trace, &y_pred);
+            trace.push_scores(i, &cfg.trace, &y_pred);
             if let Some(prev) = &y_prev {
                 if label_change(prev, &y_pred) < 0.001 {
                     converged = true;

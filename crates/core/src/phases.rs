@@ -4,9 +4,10 @@
 //! The trainers in [`crate::pretrain`], [`crate::dec`], [`crate::idec`],
 //! [`crate::dcn`], and [`crate::adec`] each build their step tapes inside
 //! a training loop, where a miswired graph only surfaces as a silently
-//! absent gradient or a mid-batch shape assert. [`phase_tapes`] constructs
-//! the *same* graphs — same forward calls, same loss composition, same
-//! frozen/detached boundaries — against synthetic data, pairs each with a
+//! absent gradient or a mid-batch shape assert. [`phase_tapes`] builds the
+//! same graphs against synthetic data — the clustering phases by calling
+//! the very graph builders the trainers' steps call, the two pretraining
+//! phases by mirroring `pretrain.rs` — pairs each with a
 //! [`PhaseManifest`] declaring which parameters the phase must update,
 //! which are intentionally frozen, and which are intentionally bound more
 //! than once (weight sharing), and hands them to
@@ -29,8 +30,10 @@
 //! | `adec.discriminator` | eq. 12 | discriminator | encoder+decoder (detached) |
 
 use crate::autoencoder::{ArchPreset, Autoencoder};
+use crate::idec::IdecConfig;
+use crate::{adec, dcn, dec, idec};
 use adec_analysis::{analyze_tape, PhaseManifest, Report};
-use adec_nn::{Activation, Mlp, ParamId, ParamStore, Tape, TapeIr};
+use adec_nn::{Activation, Mlp, ParamId, ParamStore, Tape, TapeIr, Var};
 use adec_tensor::{Matrix, SeedRng};
 
 /// One phase's exported graph plus the manifest it must satisfy.
@@ -59,6 +62,17 @@ impl PhaseTape {
 /// the form [`PhaseManifest`] builders consume.
 fn roles(store: &ParamStore, ids: &[ParamId]) -> Vec<(usize, String)> {
     ids.iter().map(|&id| (id.index(), store.name(id).to_string())).collect()
+}
+
+/// Builds one step graph on a fresh tape and pairs it with its manifest.
+fn audit(store: &ParamStore, manifest: PhaseManifest, build: impl FnOnce(&mut Tape) -> Var) -> PhaseTape {
+    let mut tape = Tape::new();
+    let loss = build(&mut tape);
+    PhaseTape {
+        ir: tape.export_ir(store),
+        loss: loss.index(),
+        manifest,
+    }
 }
 
 /// Builds every shipped trainer's per-phase tapes against synthetic data.
@@ -108,9 +122,7 @@ pub fn phase_tapes(
     let alphas: Vec<f32> = (0..batch).map(|_| rng.uniform(0.0, 0.5)).collect();
     let inv: Vec<f32> = alphas.iter().map(|a| 1.0 - a).collect();
     let alpha = 1.0f32; // Student-t dof, AdecConfig::paper
-    let lambda = 0.5f32; // ACAI λ, PretrainConfig::acai_paper
-    let gamma = 0.1f32; // IDEC reconstruction/KL trade-off
-    let b = batch as f32;
+    let lambda = 0.5f32; // ACAI λ, PretrainConfig::acai_paper; DcnConfig::fast λ
 
     let mut phases = Vec::new();
 
@@ -179,156 +191,86 @@ pub fn phase_tapes(
     }
 
     // ---- dec.kl: DEC KL step (dec.rs) ----
-    {
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let mu = tape.param(&store, mu_id);
-        let kl = tape.dec_kl(z, mu, &p_b, alpha);
-        let loss = tape.scale(kl, 1.0 / b);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("dec.kl")
-                .update_all(roles(&store, &enc_ids))
-                .update(mu_id.index(), store.name(mu_id))
-                // DEC abandons the decoder after pretraining.
-                .freeze_all(roles(&store, &dec_ids)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("dec.kl")
+            .update_all(roles(&store, &enc_ids))
+            .update(mu_id.index(), store.name(mu_id))
+            // DEC abandons the decoder after pretraining.
+            .freeze_all(roles(&store, &dec_ids)),
+        |tape| dec::kl_graph(tape, &ae, &store, &x, mu_id, &p_b, alpha),
+    ));
 
     // ---- idec.step: IDEC joint step (idec.rs) ----
-    {
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let xhat = ae.decoder.forward(&mut tape, &store, z);
-        let target = tape.leaf(x.clone());
-        let rec = tape.mse(xhat, target);
-        let mu = tape.param(&store, mu_id);
-        let kl = tape.dec_kl(z, mu, &p_b, alpha);
-        let kl_mean = tape.scale(kl, gamma / b);
-        let loss = tape.add(rec, kl_mean);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("idec.step")
-                .update_all(roles(&store, &ae_ids))
-                .update(mu_id.index(), store.name(mu_id)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("idec.step")
+            .update_all(roles(&store, &ae_ids))
+            .update(mu_id.index(), store.name(mu_id)),
+        |tape| idec::step_graph(tape, &ae, &store, &x, mu_id, &p_b, &IdecConfig::paper(k)),
+    ));
 
     // ---- dcn.step: DCN network step (dcn.rs) ----
-    {
-        let targets = Matrix::randn(batch, latent, 0.0, 0.1, &mut rng);
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let xhat = ae.decoder.forward(&mut tape, &store, z);
-        let x_target = tape.leaf(x.clone());
-        let rec = tape.mse(xhat, x_target);
-        let t = tape.leaf(targets);
-        let km = tape.mse(z, t);
-        let km_scaled = tape.scale(km, lambda / 2.0);
-        let loss = tape.add(rec, km_scaled);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("dcn.step")
-                .update_all(roles(&store, &ae_ids))
-                // DCN updates centroids with its closed-form per-sample
-                // rule outside the tape.
-                .freeze(mu_id.index(), store.name(mu_id)),
-        });
-    }
+    let targets = Matrix::randn(batch, latent, 0.0, 0.1, &mut rng);
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("dcn.step")
+            .update_all(roles(&store, &ae_ids))
+            // DCN updates centroids with its closed-form per-sample
+            // rule outside the tape.
+            .freeze(mu_id.index(), store.name(mu_id)),
+        |tape| dcn::step_graph(tape, &ae, &store, &x, targets, lambda),
+    ));
 
     // ---- adec.encoder.kl: clustering gradient pass (adec.rs, eq. 10) ----
-    {
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let mu = tape.param(&store, mu_id);
-        let kl = tape.dec_kl(z, mu, &p_b, alpha);
-        let loss = tape.scale(kl, 1.0 / b);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("adec.encoder.kl")
-                .update_all(roles(&store, &enc_ids))
-                .update(mu_id.index(), store.name(mu_id))
-                .freeze_all(roles(&store, &dec_ids))
-                .freeze_all(roles(&store, &disc_ids)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("adec.encoder.kl")
+            .update_all(roles(&store, &enc_ids))
+            .update(mu_id.index(), store.name(mu_id))
+            .freeze_all(roles(&store, &dec_ids))
+            .freeze_all(roles(&store, &disc_ids)),
+        |tape| dec::kl_graph(tape, &ae, &store, &x, mu_id, &p_b, alpha),
+    ));
 
     // ---- adec.encoder.adv: adversarial regularizer pass (adec.rs) ----
-    {
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let xhat = ae.decoder.forward(&mut tape, &store, z);
-        let logits = discriminator.forward(&mut tape, &store, xhat);
-        // Non-saturating form (the shipped default): E[softplus(−s)].
-        let neg = tape.scale(logits, -1.0);
-        let sp = tape.softplus(neg);
-        let loss = tape.mean_all(sp);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("adec.encoder.adv")
-                .update_all(roles(&store, &enc_ids))
-                // Decoder and discriminator carry gradient but only the
-                // encoder's is applied; centroids are not in this term.
-                .freeze_all(roles(&store, &dec_ids))
-                .freeze_all(roles(&store, &disc_ids))
-                .freeze(mu_id.index(), store.name(mu_id)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("adec.encoder.adv")
+            .update_all(roles(&store, &enc_ids))
+            // Decoder and discriminator carry gradient but only the
+            // encoder's is applied; centroids are not in this term.
+            .freeze_all(roles(&store, &dec_ids))
+            .freeze_all(roles(&store, &disc_ids))
+            .freeze(mu_id.index(), store.name(mu_id)),
+        // The non-saturating form, the shipped default.
+        |tape| adec::adversarial_graph(tape, &ae, &discriminator, &store, &x, false),
+    ));
 
     // ---- adec.decoder: reconstruction catch-up (adec.rs, eq. 11) ----
-    {
-        let z = ae.encoder.infer(&store, &x); // detached
-        let mut tape = Tape::new();
-        let zv = tape.leaf(z);
-        let xhat = ae.decoder.forward(&mut tape, &store, zv);
-        let target = tape.leaf(x.clone());
-        let loss = tape.mse(xhat, target);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("adec.decoder")
-                .update_all(roles(&store, &dec_ids))
-                .freeze_all(roles(&store, &enc_ids))
-                .freeze_all(roles(&store, &disc_ids))
-                .freeze(mu_id.index(), store.name(mu_id)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("adec.decoder")
+            .update_all(roles(&store, &dec_ids))
+            .freeze_all(roles(&store, &enc_ids))
+            .freeze_all(roles(&store, &disc_ids))
+            .freeze(mu_id.index(), store.name(mu_id)),
+        |tape| adec::decoder_graph(tape, &ae, &store, &x),
+    ));
 
     // ---- adec.discriminator: GAN value ascent (adec.rs, eq. 12) ----
-    {
-        let fake = ae.reconstruct(&store, &x);
-        let mut tape = Tape::new();
-        let rv = tape.leaf(x.clone());
-        let r_logits = discriminator.forward(&mut tape, &store, rv);
-        let ones = Matrix::full(batch, 1, 0.9);
-        let l_real = tape.bce_with_logits(r_logits, &ones);
-        let fv = tape.leaf(fake);
-        let f_logits = discriminator.forward(&mut tape, &store, fv);
-        let zeros = Matrix::zeros(batch, 1);
-        let l_fake = tape.bce_with_logits(f_logits, &zeros);
-        let loss = tape.add(l_real, l_fake);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("adec.discriminator")
-                .update_all(roles(&store, &disc_ids))
-                .freeze_all(roles(&store, &ae_ids))
-                .freeze(mu_id.index(), store.name(mu_id))
-                // The discriminator scores real and fake batches on the
-                // same tape.
-                .share_all(roles(&store, &disc_ids)),
-        });
-    }
+    let fake = ae.reconstruct(&store, &x);
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("adec.discriminator")
+            .update_all(roles(&store, &disc_ids))
+            .freeze_all(roles(&store, &ae_ids))
+            .freeze(mu_id.index(), store.name(mu_id))
+            // The discriminator scores real and fake batches on the
+            // same tape.
+            .share_all(roles(&store, &disc_ids)),
+        |tape| adec::discriminator_graph(tape, &discriminator, &store, &x, &fake),
+    ));
 
     phases
 }

@@ -35,6 +35,14 @@ impl TraceConfig {
             probe_size: 128,
         }
     }
+
+    /// ACC and NMI of `labels` against the ground truth, when there is one.
+    pub(crate) fn scores(&self, labels: &[usize]) -> (Option<f32>, Option<f32>) {
+        match &self.y_true {
+            Some(y_true) => (Some(accuracy(y_true, labels)), Some(nmi(y_true, labels))),
+            None => (None, None),
+        }
+    }
 }
 
 /// One recorded interval.
@@ -62,6 +70,20 @@ pub struct TrainTrace {
 }
 
 impl TrainTrace {
+    /// Records a point with only the ACC/NMI of `labels` (no loss, no
+    /// gradient probes), for trainers that track nothing else.
+    pub(crate) fn push_scores(&mut self, iter: usize, cfg: &TraceConfig, labels: &[usize]) {
+        let (acc, nmi) = cfg.scores(labels);
+        self.points.push(TracePoint {
+            iter,
+            acc,
+            nmi,
+            delta_fr: None,
+            delta_fd: None,
+            kl_loss: 0.0,
+        });
+    }
+
     /// Series of `(iter, acc)` pairs (only points with ground truth).
     pub fn acc_series(&self) -> Vec<(usize, f32)> {
         self.points.iter().filter_map(|p| p.acc.map(|a| (p.iter, a))).collect()

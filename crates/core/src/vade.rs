@@ -19,7 +19,7 @@
 
 use crate::autoencoder::{arch_dims, ArchPreset};
 use crate::dec::label_change;
-use crate::trace::{ClusterOutput, TraceConfig, TracePoint, TrainTrace};
+use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::{gmm, GmmConfig};
 use adec_nn::{Activation, Adam, Mlp, Optimizer, ParamId, ParamStore, Tape, Var};
 use adec_tensor::{Matrix, SeedRng};
@@ -196,21 +196,7 @@ pub fn run(
             let z = model.latent_means(store, data);
             fitted = gmm::fit(&z, &GmmConfig::new(cfg.k), rng);
             let y_pred = fitted.labels.clone();
-            let (acc, nmi_v) = match &cfg.trace.y_true {
-                Some(y) => (
-                    Some(adec_metrics::accuracy(y, &y_pred)),
-                    Some(adec_metrics::nmi(y, &y_pred)),
-                ),
-                None => (None, None),
-            };
-            trace.points.push(TracePoint {
-                iter: i,
-                acc,
-                nmi: nmi_v,
-                delta_fr: None,
-                delta_fd: None,
-                kl_loss: 0.0,
-            });
+            trace.push_scores(i, &cfg.trace, &y_pred);
             if let Some(prev) = &y_prev {
                 if label_change(prev, &y_pred) < 0.001 {
                     converged = true;

@@ -154,70 +154,143 @@ fn kill_fault_aborts_with_structured_error() {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Kill + resume replays the uninterrupted trajectory bitwise.
+// (c) Kill + resume replays the uninterrupted trajectory bitwise, for every
+//     trainer on the shared clustering loop.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn kill_and_resume_is_bitwise_identical() {
-    let dir_a = tmp_dir("ref");
-    let dir_b = tmp_dir("killed");
+#[derive(Clone, Copy, Debug)]
+enum Trainer {
+    Dec,
+    Idec,
+    Dcn,
+    Adec,
+}
+
+impl Trainer {
+    /// The checkpoint phase (and file stem) the trainer writes.
+    fn phase(self) -> &'static str {
+        match self {
+            Trainer::Dec => "dec",
+            Trainer::Idec => "idec",
+            Trainer::Dcn => "dcn",
+            Trainer::Adec => "adec",
+        }
+    }
+
+    /// Runs the trainer for 240 iterations (refresh points at 0 and 140).
+    fn run(
+        self,
+        session: &mut Session,
+        k: usize,
+        faults: FaultPlan,
+        durability: DurabilityConfig,
+    ) -> Result<ClusterOutput, TrainError> {
+        match self {
+            Trainer::Dec => session.run_dec(&DecConfig {
+                durability,
+                ..dec_cfg(k, faults)
+            }),
+            Trainer::Idec => session.run_idec(&IdecConfig {
+                max_iter: 240,
+                faults,
+                durability,
+                ..IdecConfig::fast(k)
+            }),
+            Trainer::Dcn => session.run_dcn(&DcnConfig {
+                max_iter: 240,
+                faults,
+                durability,
+                ..DcnConfig::fast(k)
+            }),
+            Trainer::Adec => session.run_adec(&AdecConfig {
+                max_iter: 240,
+                // Blocks of 3 put the refresh at 140 mid-block (140 mod 6
+                // = 2), so a resume must restore the block counter too.
+                aux_iterations: 3,
+                faults,
+                durability,
+                ..AdecConfig::fast(k)
+            }),
+        }
+    }
+}
+
+/// Kills `trainer` at iteration 145, resumes it in a fresh session from
+/// the checkpoint written at 140, and requires the uninterrupted run's
+/// labels, iteration count and final checkpoint bytes.
+fn kill_and_resume_is_bitwise_identical(trainer: Trainer) {
+    let phase = trainer.phase();
+    let dir_a = tmp_dir(&format!("ref_{phase}"));
+    let dir_b = tmp_dir(&format!("killed_{phase}"));
+    let rolling = |dir: &PathBuf, resume: Option<Checkpoint>| DurabilityConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        resume,
+    };
     let k;
     let reference = {
         let (ds, mut session) = pretrained(39);
         k = ds.n_classes;
-        let cfg = DecConfig {
-            durability: DurabilityConfig {
-                checkpoint_dir: Some(dir_a.clone()),
-                checkpoint_every: 1,
-                resume: None,
-            },
-            ..dec_cfg(k, FaultPlan::default())
-        };
-        session.run_dec(&cfg).unwrap()
+        trainer
+            .run(&mut session, k, FaultPlan::default(), rolling(&dir_a, None))
+            .unwrap()
     };
 
     // Same seed, killed mid-run.
     let (_ds, mut session) = pretrained(39);
-    let cfg = DecConfig {
-        durability: DurabilityConfig {
-            checkpoint_dir: Some(dir_b.clone()),
-            checkpoint_every: 1,
-            resume: None,
-        },
-        ..dec_cfg(k, FaultPlan::single(FaultKind::Kill, 145))
-    };
-    assert!(matches!(
-        session.run_dec(&cfg).unwrap_err(),
-        TrainError::Killed { .. }
-    ));
-    let ckpt_path = dir_b.join("dec.ckpt");
+    let killed = trainer.run(
+        &mut session,
+        k,
+        FaultPlan::single(FaultKind::Kill, 145),
+        rolling(&dir_b, None),
+    );
+    assert!(
+        matches!(killed.unwrap_err(), TrainError::Killed { iter: 145, .. }),
+        "{phase}: expected a kill at 145"
+    );
+    let ckpt_path = dir_b.join(format!("{phase}.ckpt"));
     let ckpt = Checkpoint::load(&ckpt_path).unwrap();
+    assert_eq!(ckpt.iter, 140, "{phase}: resuming from the wrong checkpoint");
 
     // Fresh session, resume from the mid-run checkpoint. The checkpoint
-    // restores weights, optimizer moments, and RNG, so the continuation
-    // must reproduce the reference run exactly — including its final
-    // checkpoint bytes.
+    // restores weights, optimizer moments, RNG and the trainer's loop
+    // state, so the continuation must reproduce the reference run exactly
+    // — including its final checkpoint bytes.
     let (_ds, mut session) = pretrained(39);
-    let cfg = DecConfig {
-        durability: DurabilityConfig {
-            checkpoint_dir: Some(dir_b.clone()),
-            checkpoint_every: 1,
-            resume: Some(ckpt),
-        },
-        ..dec_cfg(k, FaultPlan::default())
-    };
-    let resumed = session.run_dec(&cfg).unwrap();
+    let resumed = trainer
+        .run(&mut session, k, FaultPlan::default(), rolling(&dir_b, Some(ckpt)))
+        .unwrap();
 
-    assert_eq!(reference.labels, resumed.labels);
-    assert_eq!(reference.iterations, resumed.iterations);
-    assert_eq!(reference.converged, resumed.converged);
+    assert_eq!(reference.labels, resumed.labels, "{phase}: labels differ");
+    assert_eq!(reference.iterations, resumed.iterations, "{phase}: iterations differ");
+    assert_eq!(reference.converged, resumed.converged, "{phase}: convergence differs");
     assert_eq!(
-        std::fs::read(dir_a.join("dec.ckpt")).unwrap(),
+        std::fs::read(dir_a.join(format!("{phase}.ckpt"))).unwrap(),
         std::fs::read(&ckpt_path).unwrap(),
-        "final checkpoint bytes differ after resume"
+        "{phase}: final checkpoint bytes differ after resume"
     );
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn dec_kill_and_resume_is_bitwise_identical() {
+    kill_and_resume_is_bitwise_identical(Trainer::Dec);
+}
+
+#[test]
+fn idec_kill_and_resume_is_bitwise_identical() {
+    kill_and_resume_is_bitwise_identical(Trainer::Idec);
+}
+
+#[test]
+fn dcn_kill_and_resume_is_bitwise_identical() {
+    kill_and_resume_is_bitwise_identical(Trainer::Dcn);
+}
+
+#[test]
+fn adec_kill_and_resume_is_bitwise_identical() {
+    kill_and_resume_is_bitwise_identical(Trainer::Adec);
 }
 
 // ---------------------------------------------------------------------------
