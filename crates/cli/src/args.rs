@@ -188,8 +188,6 @@ pub struct ServeArgs {
     pub checkpoint: String,
     /// Port to bind on 127.0.0.1 (0 = ephemeral; the bound port is printed).
     pub port: u16,
-    /// Worker threads answering requests.
-    pub workers: usize,
     /// Bound on the accepted-but-unserved connection queue.
     pub max_inflight: usize,
     /// Per-request compute budget in milliseconds.
@@ -198,7 +196,7 @@ pub struct ServeArgs {
     pub read_deadline_ms: u64,
     /// Student-t degrees of freedom for the soft assignment.
     pub alpha: f32,
-    /// Supervised replica count (0 = one replica per worker thread).
+    /// Supervised replica workers answering requests.
     pub replicas: usize,
     /// Checkpoint path to poll for automatic hot reload.
     pub watch_checkpoint: Option<String>,
@@ -218,12 +216,11 @@ impl Default for ServeArgs {
         ServeArgs {
             checkpoint: String::new(),
             port: 8423,
-            workers: 2,
             max_inflight: 64,
             deadline_ms: 2_000,
             read_deadline_ms: 2_000,
             alpha: 1.0,
-            replicas: 0,
+            replicas: 2,
             watch_checkpoint: None,
             wedge_budget_ms: 0,
             drift_policy: "observe".to_string(),
@@ -243,12 +240,11 @@ pub fn serve_usage() -> String {
      OPTIONS:\n\
        --checkpoint <PATH>      trained checkpoint to load (required)\n\
        --port <N>               port on 127.0.0.1 (default 8423; 0 = ephemeral)\n\
-       --workers <N>            worker threads             (default 2)\n\
        --max-inflight <N>       queue bound before 503     (default 64)\n\
        --deadline-ms <N>        per-request compute budget (default 2000)\n\
        --read-deadline-ms <N>   per-socket read budget     (default 2000)\n\
        --alpha <X>              Student-t dof for q_ij     (default 1.0)\n\
-       --replicas <N>           supervised replica workers (default: --workers)\n\
+       --replicas <N>           supervised replica workers (default 2)\n\
        --watch-checkpoint <P>   poll P (mtime+checksum) and hot reload on change\n\
        --wedge-budget-ms <N>    busy budget before a replica is superseded\n\
                                 (default 0 = read+compute deadlines + 2000)\n\
@@ -295,14 +291,6 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeArgs, ParseError> {
                 args.port = v
                     .parse()
                     .map_err(|_| ParseError(format!("invalid port '{v}'")))?;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                args.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("invalid worker count '{v}'")))?;
             }
             "--max-inflight" => {
                 let v = value("--max-inflight")?;
@@ -1030,19 +1018,18 @@ mod tests {
         let args = parse_serve(&strs(&["--checkpoint", "dec.ckpt"])).unwrap();
         assert_eq!(args.checkpoint, "dec.ckpt");
         assert_eq!(args.port, 8423);
-        assert_eq!(args.workers, 2);
         assert_eq!(args.max_inflight, 64);
         assert_eq!(args.deadline_ms, 2_000);
         assert_eq!(args.read_deadline_ms, 2_000);
 
-        assert_eq!(args.replicas, 0);
+        assert_eq!(args.replicas, 2);
         assert_eq!(args.watch_checkpoint, None);
         assert_eq!(args.wedge_budget_ms, 0);
         assert_eq!(args.drift_policy, "observe");
         assert_eq!(args.drift_window, 256);
 
         let full = parse_serve(&strs(&[
-            "--checkpoint", "x.ckpt", "--port", "0", "--workers", "4",
+            "--checkpoint", "x.ckpt", "--port", "0",
             "--max-inflight", "8", "--deadline-ms", "100", "--read-deadline-ms", "250",
             "--alpha", "2.0", "--replicas", "4", "--watch-checkpoint", "watch.ckpt",
             "--wedge-budget-ms", "400", "--drift-policy", "gate", "--drift-window", "64",
@@ -1050,7 +1037,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(full.port, 0);
-        assert_eq!(full.workers, 4);
         assert_eq!(full.max_inflight, 8);
         assert_eq!(full.deadline_ms, 100);
         assert_eq!(full.read_deadline_ms, 250);
@@ -1069,8 +1055,8 @@ mod tests {
         assert!(parse_serve(&[]).unwrap_err().0.contains("--checkpoint is required"));
         assert!(parse_serve(&strs(&["--checkpoint", "x", "--port", "banana"]))
             .unwrap_err().0.contains("invalid port"));
-        assert!(parse_serve(&strs(&["--checkpoint", "x", "--workers", "0"]))
-            .unwrap_err().0.contains("invalid worker count"));
+        assert!(parse_serve(&strs(&["--checkpoint", "x", "--workers", "2"]))
+            .unwrap_err().0.contains("unknown flag '--workers'"));
         assert!(parse_serve(&strs(&["--checkpoint", "x", "--max-inflight", "0"]))
             .unwrap_err().0.contains("invalid queue bound"));
         assert!(parse_serve(&strs(&["--checkpoint", "x", "--read-deadline-ms", "0"]))

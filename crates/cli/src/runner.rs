@@ -153,7 +153,6 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
         .unwrap_or(adec_serve::DriftPolicy::Observe);
     let config = adec_serve::ServerConfig {
         port: args.port,
-        workers: args.workers,
         replicas: args.replicas,
         max_inflight: args.max_inflight,
         deadline_ms: args.deadline_ms,

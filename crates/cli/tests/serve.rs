@@ -5,8 +5,9 @@
 // Test code: unwraps are the assertions themselves here.
 #![allow(clippy::unwrap_used, clippy::panic)]
 
+use adec_loadgen::client::{get, post};
+use adec_loadgen::csv_rows;
 use adec_nn::{Activation, Checkpoint, Mlp, ParamStore};
-use adec_serve::chaos::{get, post, sample_body};
 use adec_tensor::{Matrix, SeedRng};
 use std::io::{BufRead, BufReader};
 use std::net::{Ipv4Addr, SocketAddr};
@@ -83,16 +84,22 @@ fn serve_binary_serves_and_drains_to_exit_zero() {
     write_checkpoint(&ckpt, "dec", true);
 
     let (mut child, addr) = spawn_serve(&ckpt, &[]);
-    let (status, body) = get(addr, "/readyz").unwrap().unwrap();
+    let (status, body) = get(addr, "/readyz").unwrap();
     assert_eq!(status, 200);
     assert!(String::from_utf8(body).unwrap().contains(r#""mode":"full""#));
 
-    let (status, resp) = post(addr, "/assign", &sample_body(INPUT_DIM, 3, 5)).unwrap().unwrap();
+    let (status, resp) = post(
+        addr,
+        "/assign",
+        &csv_rows(INPUT_DIM, 3, &mut SeedRng::new(5)),
+    )
+    .unwrap()
+    .unwrap();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
 
     // Hostile input mid-run must not kill the process.
     let _ = post(addr, "/assign", b"garbage,that,is,not,floats,!\n");
-    assert_eq!(get(addr, "/healthz").unwrap().unwrap().0, 200);
+    assert_eq!(get(addr, "/healthz").unwrap().0, 200);
 
     assert_eq!(post(addr, "/shutdown", b"").unwrap().unwrap().0, 200);
     let status = wait_with_deadline(&mut child, 30);

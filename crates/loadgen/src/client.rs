@@ -8,15 +8,20 @@
 //! scheduled instant**, that wait is charged to the server, exactly as a
 //! real user would experience it (no coordinated omission).
 //!
-//! Workers speak the same minimal HTTP/1.1 subset as the chaos drill:
-//! write a request, read to EOF, parse status + headers + body. The serve
-//! contract is one-request-per-connection (`connection: close` on every
-//! response), so `--conn reuse` cannot actually hold a socket open; it
-//! *tries*, detects the advertised close, and reports how many times reuse
-//! was denied — documenting the contract and ready for a future
-//! keep-alive serve path.
+//! Workers speak a minimal HTTP/1.1 subset: write a request, read to
+//! EOF, parse status + headers + body. The serve contract is
+//! one-request-per-connection (`connection: close` on every response), so
+//! `--conn reuse` cannot actually hold a socket open; it *tries*, detects
+//! the advertised close, and reports how many times reuse was denied —
+//! documenting the contract and ready for a future keep-alive serve path.
+//!
+//! This is the workspace's one HTTP client: the chaos drill, the
+//! integration tests and the benchmark harness all go through
+//! [`exchange`], [`get`], [`post`] and [`scrape_metrics`].
 
 use crate::schedule::{PayloadKind, Schedule};
+use adec_obs::json::Json;
+use adec_obs::prom::{check_exposition, Exposition};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::mpsc;
@@ -231,8 +236,8 @@ fn execute(job: &Job, config: &ClientConfig) -> RequestOutcome {
     let raw = match job.kind {
         PayloadKind::Slowloris => slowloris_exchange(config),
         _ => {
-            let payload = render_http(job.index, &job.body);
-            plain_exchange(config.addr, &payload)
+            let rid = format!("load-{}", job.index);
+            exchange(config.addr, &render_post("/assign", Some(&rid), &job.body)).ok()
         }
     };
     let done = Instant::now();
@@ -259,15 +264,16 @@ fn execute(job: &Job, config: &ClientConfig) -> RequestOutcome {
     }
 }
 
-/// Renders a full `POST /assign` request for a body, stamped with the
-/// schedule-slot request id (`load-<index>`) the server echoes back and
-/// attaches to its trace exemplars.
-fn render_http(index: usize, body: &[u8]) -> Vec<u8> {
-    let mut payload = format!(
-        "POST /assign HTTP/1.1\r\nhost: adec-load\r\nx-request-id: load-{index}\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
+/// Renders a full `POST` request declaring its body length. Schedule
+/// jobs stamp `request_id` with their slot (`load-<index>`); the server
+/// echoes it back and attaches it to its trace exemplars.
+pub fn render_post(path: &str, request_id: Option<&str>, body: &[u8]) -> Vec<u8> {
+    let mut head = format!("POST {path} HTTP/1.1\r\nhost: adec-load\r\n");
+    if let Some(rid) = request_id {
+        head.push_str(&format!("x-request-id: {rid}\r\n"));
+    }
+    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+    let mut payload = head.into_bytes();
     payload.extend_from_slice(body);
     payload
 }
@@ -280,10 +286,12 @@ fn header_value(head: &str, name: &str) -> Option<String> {
         .map(|(_, v)| v.trim().to_string())
 }
 
-/// Connect, write (tolerating mid-write resets — an oversized body is
-/// legitimately cut off by the 413 path), read to EOF.
-fn plain_exchange(addr: SocketAddr, payload: &[u8]) -> Option<Vec<u8>> {
-    let mut stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT).ok()?;
+/// One request/response exchange: connect, write `payload` (tolerating
+/// mid-write resets — an oversized body is legitimately cut off by the
+/// 413 path), read to EOF. Returns the raw response bytes, possibly empty
+/// when the server just closed; only a failed connect is an error.
+pub fn exchange(addr: SocketAddr, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+    let mut stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)?;
     let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
     let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
     // A server that already answered (413/431) may reset the upload;
@@ -292,7 +300,7 @@ fn plain_exchange(addr: SocketAddr, payload: &[u8]) -> Option<Vec<u8>> {
     let _ = stream.shutdown(Shutdown::Write);
     let mut out = Vec::new();
     let _ = stream.read_to_end(&mut out);
-    Some(out)
+    Ok(out)
 }
 
 /// Drips a partial request head slower than any sane read deadline; the
@@ -313,7 +321,7 @@ fn slowloris_exchange(config: &ClientConfig) -> Option<Vec<u8>> {
 }
 
 /// Splits a raw response into (status, lowercased head, body).
-fn split_response(raw: &[u8]) -> Option<(u16, String, Vec<u8>)> {
+pub fn split_response(raw: &[u8]) -> Option<(u16, String, Vec<u8>)> {
     let sep = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(raw.get(..sep)?).ok()?.to_ascii_lowercase();
     let status: u16 = head
@@ -349,25 +357,46 @@ fn classify_busy(body: &[u8]) -> BusyClass {
 }
 
 /// GETs a path (readiness probes, metrics scrapes) and returns
-/// (status, body).
+/// (status, body); `None` when no HTTP response came back.
 pub fn get(addr: SocketAddr, path: &str) -> Option<(u16, Vec<u8>)> {
     let payload = format!("GET {path} HTTP/1.1\r\nhost: adec-load\r\n\r\n");
-    let raw = plain_exchange(addr, payload.as_bytes())?;
+    let raw = exchange(addr, payload.as_bytes()).ok()?;
     split_response(&raw).map(|(s, _, b)| (s, b))
 }
 
-/// Probes `/readyz` for the model's accepted input width (the field is a
-/// bare integer the service itself rendered; no JSON parser needed).
-pub fn discover_input_dim(addr: SocketAddr) -> Option<usize> {
-    let (status, body) = get(addr, "/readyz")?;
+/// POSTs a body to a path and returns (status, body): `Err` when the
+/// connect failed, `Ok(None)` when the server closed without a response.
+pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> std::io::Result<Option<(u16, Vec<u8>)>> {
+    let raw = exchange(addr, &render_post(path, None, body))?;
+    Ok(split_response(&raw).map(|(s, _, b)| (s, b)))
+}
+
+/// Parses a response body as JSON (`None` unless it is UTF-8 JSON).
+pub fn json_body(body: &[u8]) -> Option<Json> {
+    Json::parse(std::str::from_utf8(body).ok()?).ok()
+}
+
+/// Scrapes `/metrics` and validates it with the strict exposition parser.
+///
+/// # Errors
+///
+/// A one-line reason when the scrape is unreachable, not a 200, or not
+/// a valid exposition.
+pub fn scrape_metrics(addr: SocketAddr) -> Result<Exposition, String> {
+    let (status, body) = get(addr, "/metrics").ok_or("/metrics unreachable")?;
     if status != 200 {
-        return None;
+        return Err(format!("/metrics answered {status}, want 200"));
     }
-    let text = std::str::from_utf8(&body).ok()?;
-    let key = "\"input_dim\":";
-    let start = text.find(key)? + key.len();
-    let digits: String = text.get(start..)?.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    let text = std::str::from_utf8(&body).map_err(|_| "/metrics body is not UTF-8".to_string())?;
+    check_exposition(text).map_err(|e| format!("exposition rejected: {e}"))
+}
+
+/// Probes `/readyz` for the model's accepted input width.
+pub fn discover_input_dim(addr: SocketAddr) -> Option<usize> {
+    let (200, body) = get(addr, "/readyz")? else {
+        return None;
+    };
+    usize::try_from(json_body(&body)?.get("input_dim")?.as_u64()?).ok()
 }
 
 #[cfg(test)]
@@ -420,12 +449,17 @@ mod tests {
 
     #[test]
     fn http_rendering_declares_length_and_stamps_request_id() {
-        let p = render_http(7, b"1,2,3\n");
+        let p = render_post("/assign", Some("load-7"), b"1,2,3\n");
         let text = String::from_utf8(p).unwrap();
         assert!(text.starts_with("POST /assign HTTP/1.1\r\n"));
         assert!(text.contains("x-request-id: load-7\r\n"));
         assert!(text.contains("content-length: 6\r\n"));
         assert!(text.ends_with("\r\n\r\n1,2,3\n"));
+        let bare = String::from_utf8(render_post("/reload", None, b"")).unwrap();
+        assert_eq!(
+            bare,
+            "POST /reload HTTP/1.1\r\nhost: adec-load\r\ncontent-length: 0\r\n\r\n"
+        );
     }
 
     #[test]

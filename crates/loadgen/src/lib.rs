@@ -32,7 +32,9 @@ pub use client::{run_schedule, ClientConfig, ConnStrategy, RequestOutcome, Tier}
 pub use report::{
     LoadReport, OutcomeCounts, Reconcile, ServerSide, Timing, TraceCheck, REPORT_SCHEMA,
 };
-pub use schedule::{Arrival, PayloadKind, PayloadMix, PlannedRequest, Schedule, ScheduleConfig};
+pub use schedule::{
+    csv_body, csv_rows, Arrival, PayloadKind, PayloadMix, PlannedRequest, Schedule, ScheduleConfig,
+};
 pub use stats::{quantile_from_buckets, LatencySummary, LOAD_LATENCY_BUCKETS};
 
 use adec_obs::Registry;
@@ -113,12 +115,7 @@ struct ServerScrape {
 /// harness cross-checks. `None` when the scrape fails — reconciliation
 /// then reports itself unchecked rather than guessing.
 fn scrape_served(addr: SocketAddr) -> Option<ServerScrape> {
-    let (status, body) = client::get(addr, "/metrics")?;
-    if status != 200 {
-        return None;
-    }
-    let text = std::str::from_utf8(&body).ok()?;
-    let exposition = adec_obs::prom::check_exposition(text).ok()?;
+    let exposition = client::scrape_metrics(addr).ok()?;
     Some(ServerScrape {
         served: exposition.sample("adec_serve_served_total")?,
         depth_sum: exposition.sample("adec_serve_queue_depth_sum").unwrap_or(0.0),
@@ -212,9 +209,9 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, LoadError> {
 /// its own body, so the expected delta is `client 200s + 1`; the
 /// after-scrape's increment lands outside its own body the same way.
 ///
-/// The counter is process-global on the server side, so the check is only
-/// exact when nothing else talks to the server during the run — which is
-/// precisely the regime CI runs in.
+/// The counter belongs to the one server instance under test, so the
+/// check is exact whenever nothing else talks to *that* server during the
+/// run — which is precisely the regime CI runs in.
 fn reconcile(before: Option<ServerScrape>, after: Option<ServerScrape>, ok_200: u64) -> Reconcile {
     let (Some(before), Some(after)) = (before, after) else {
         return Reconcile::unchecked("metrics scrape unavailable; counts not cross-checked");

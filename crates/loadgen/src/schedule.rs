@@ -309,9 +309,9 @@ impl Schedule {
     }
 }
 
-/// Renders the body for one scheduled request. Valid rows use the same
-/// value range as the chaos drill (`[-2, 2)`, well inside the magnitude
-/// bound) so a valid payload can never trip the 400 validators.
+/// Renders the body for one scheduled request. Valid rows come from
+/// [`csv_rows`] (values in `[-2, 2)`, well inside the magnitude bound) so
+/// a valid payload can never trip the 400 validators.
 fn render_body(kind: PayloadKind, config: &ScheduleConfig, rng: &mut SeedRng) -> Vec<u8> {
     match kind {
         PayloadKind::ValidSingle => csv_rows(config.input_dim, 1, rng),
@@ -339,16 +339,25 @@ fn render_body(kind: PayloadKind, config: &ScheduleConfig, rng: &mut SeedRng) ->
     }
 }
 
-/// A deterministic CSV batch, one row per line.
-fn csv_rows(cols: usize, rows: usize, rng: &mut SeedRng) -> Vec<u8> {
-    let mut out = String::with_capacity(rows * cols * 8);
-    for _ in 0..rows {
-        for c in 0..cols {
+/// `rows` deterministic rows of `cols` features in `[-2, 2)`, drawn
+/// row-major from `rng` and rendered by [`csv_body`].
+pub fn csv_rows(cols: usize, rows: usize, rng: &mut SeedRng) -> Vec<u8> {
+    let values: Vec<f32> = (0..rows * cols)
+        .map(|_| rng.below(4000) as f32 / 1000.0 - 2.0)
+        .collect();
+    csv_body(values.chunks(cols.max(1)))
+}
+
+/// Renders feature rows as an `/assign` CSV body: comma-separated
+/// shortest-roundtrip floats, one row per line.
+pub fn csv_body<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> Vec<u8> {
+    let mut out = String::new();
+    for row in rows {
+        for (c, v) in row.iter().enumerate() {
             if c > 0 {
                 out.push(',');
             }
-            let v = rng.below(4000) as f32 / 1000.0 - 2.0;
-            out.push_str(&format!("{v}"));
+            out.push_str(&v.to_string());
         }
         out.push('\n');
     }
@@ -470,6 +479,19 @@ mod tests {
                 .unwrap_err()
                 .contains("zero total weight")
         );
+    }
+
+    #[test]
+    fn csv_bodies_are_deterministic_and_render_rows() {
+        let a = csv_rows(4, 3, &mut SeedRng::new(9));
+        assert_eq!(a, csv_rows(4, 3, &mut SeedRng::new(9)));
+        let text = String::from_utf8(a).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        for line in text.lines() {
+            assert_eq!(line.split(',').count(), 4);
+        }
+        let rows: [&[f32]; 2] = [&[1.0, -0.5, 0.25], &[2.0, 0.0, -1.5]];
+        assert_eq!(csv_body(rows), b"1,-0.5,0.25\n2,0,-1.5\n");
     }
 
     #[test]

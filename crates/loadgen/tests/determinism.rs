@@ -3,11 +3,10 @@
 //! reports modulo timing — the property the CI ratchet leans on when it
 //! diffs a fresh `BENCH_serve.json` against the committed snapshot.
 //!
-//! This is deliberately the ONLY test in this binary: the reconciliation
-//! check compares the server's process-global served counter against the
-//! client's counts, so no other test may talk to the server while it runs
-//! (test binaries execute sequentially under `cargo test`; tests *within*
-//! a binary do not).
+//! The reconciliation check compares the served counter of the one
+//! server under test against the client's counts. Each server owns its
+//! counters, so other servers in the same process cannot disturb it; only
+//! traffic to this server's own address could.
 
 // Test code: unwraps are the assertions themselves here.
 #![allow(clippy::unwrap_used, clippy::panic)]
@@ -48,7 +47,7 @@ fn same_seed_same_schedule_and_deterministic_report() {
         sample_model(21),
         ServerConfig {
             port: 0,
-            workers: 2,
+            replicas: 2,
             max_inflight: 8,
             deadline_ms: 5_000,
             read_deadline_ms: 400,

@@ -123,8 +123,9 @@ struct Metrics {
 }
 
 /// A set of named metrics. Most code uses the process-global instance via
-/// [`counter`] / [`histogram`] / [`global`]; separate instances exist for
-/// tests that need isolation.
+/// [`counter`] / [`histogram`] / [`global`]; a separate instance holds
+/// metrics owned by one component (each `adec serve` server keeps its
+/// counters in its own) or isolates a test.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<Metrics>,

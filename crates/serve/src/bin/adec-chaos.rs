@@ -169,7 +169,7 @@ fn main() {
     // Wait for readiness: the server may still be loading the checkpoint.
     let ready_by = Instant::now() + Duration::from_secs(30);
     loop {
-        if chaos::discover_input_dim(addr).is_some() {
+        if adec_loadgen::client::discover_input_dim(addr).is_some() {
             break;
         }
         if Instant::now() > ready_by {

@@ -24,15 +24,43 @@
 //! - **metrics** — after all of the above, `GET /metrics` must return a
 //!   body that passes the strict Prometheus exposition parser, report
 //!   zero caught panics, and show the latency histogram populated.
+//!
+//! Requests go through the load harness's client ([`adec_loadgen::client`]);
+//! only the scenarios that need byte-level control of the socket (the
+//! slow-loris drip, the mid-body reset and the fault injector) open raw
+//! `TcpStream`s.
 
+use adec_loadgen::client::{self, json_body};
+use adec_loadgen::{csv_body, csv_rows};
+use adec_obs::json::Json;
+use adec_obs::prom::Exposition;
 use adec_tensor::SeedRng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// How long the client waits for any single response before declaring the
-/// server wedged. Generous: CI machines stall.
+pub use adec_loadgen::client::post;
+
+/// How long a raw socket waits on the server before declaring it wedged.
+/// Generous: CI machines stall.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The `/statz` event counters, in `/statz` order; `/metrics` exports
+/// each as `adec_serve_<key>_total`.
+pub const STATZ_COUNTERS: [&str; 12] = [
+    "served",
+    "rejected_busy",
+    "client_errors",
+    "disconnects",
+    "deadline_expired",
+    "caught_panics",
+    "served_full",
+    "served_no_decoder",
+    "served_centroid_only",
+    "respawns",
+    "reloads",
+    "reloads_refused",
+];
 
 /// One scenario's verdict.
 #[derive(Debug, Clone)]
@@ -72,96 +100,51 @@ impl DrillReport {
     }
 }
 
-/// A raw HTTP exchange: connect, send `payload`, read until EOF.
-/// Returns the response bytes (possibly empty if the server just closed).
-fn exchange(addr: SocketAddr, payload: &[u8]) -> std::io::Result<Vec<u8>> {
-    let mut stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.write_all(payload)?;
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut out = Vec::new();
-    let _ = stream.read_to_end(&mut out);
-    Ok(out)
+/// Sends raw bytes and returns the status of whatever came back.
+fn raw_status(addr: SocketAddr, payload: &[u8]) -> Option<u16> {
+    let raw = client::exchange(addr, payload).ok()?;
+    client::split_response(&raw).map(|(status, _, _)| status)
 }
 
-/// Extracts the status code from a raw HTTP/1.1 response.
-fn status_of(response: &[u8]) -> Option<u16> {
-    let text = std::str::from_utf8(response.get(..response.len().min(64))?).ok()?;
-    let mut parts = text.split(' ');
-    if !parts.next()?.starts_with("HTTP/1.") {
-        return None;
+/// A nonnegative integer field of a parsed JSON object.
+fn json_usize(doc: &Json, key: &str) -> Option<usize> {
+    usize::try_from(doc.get(key)?.as_u64()?).ok()
+}
+
+/// A boolean field of a parsed JSON object.
+fn json_bool(doc: &Json, key: &str) -> Option<bool> {
+    match doc.get(key)? {
+        Json::Bool(b) => Some(*b),
+        _ => None,
     }
-    parts.next()?.parse().ok()
 }
 
-/// Splits a response into (status, body).
-fn parse_response(response: &[u8]) -> Option<(u16, Vec<u8>)> {
-    let status = status_of(response)?;
-    let sep = response.windows(4).position(|w| w == b"\r\n\r\n")?;
-    Some((status, response.get(sep + 4..).unwrap_or(&[]).to_vec()))
-}
-
-/// GETs a path and returns (status, body).
-pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<Option<(u16, Vec<u8>)>> {
-    let payload = format!("GET {path} HTTP/1.1\r\nhost: chaos\r\n\r\n");
-    Ok(parse_response(&exchange(addr, payload.as_bytes())?))
-}
-
-/// POSTs a body to a path and returns (status, body).
-pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> std::io::Result<Option<(u16, Vec<u8>)>> {
-    let mut payload = format!(
-        "POST {path} HTTP/1.1\r\nhost: chaos\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    payload.extend_from_slice(body);
-    Ok(parse_response(&exchange(addr, &payload)?))
-}
-
-/// Pulls `input_dim` out of a `/readyz` JSON body without a JSON parser:
-/// the field is a bare integer the service itself rendered.
-fn extract_int_field(body: &[u8], field: &str) -> Option<usize> {
-    let text = std::str::from_utf8(body).ok()?;
-    let key = format!("\"{field}\":");
-    let start = text.find(&key)? + key.len();
-    let digits: String = text
-        .get(start..)?
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Probes `/readyz` for the model's accepted input width.
-pub fn discover_input_dim(addr: SocketAddr) -> Option<usize> {
-    let (status, body) = get(addr, "/readyz").ok()??;
-    if status != 200 {
-        return None;
-    }
-    extract_int_field(&body, "input_dim")
-}
-
-/// A deterministic CSV batch in the model's input width.
-pub fn sample_body(input_dim: usize, rows: usize, seed: u64) -> Vec<u8> {
-    let mut rng = SeedRng::new(seed);
-    let mut out = String::new();
-    for _ in 0..rows {
-        for c in 0..input_dim {
-            if c > 0 {
-                out.push(',');
-            }
-            // Values in [-2, 2): well inside the magnitude bound.
-            let v = rng.below(4000) as f32 / 1000.0 - 2.0;
-            out.push_str(&format!("{v}"));
+/// Checks one server's counters across two scrapes taken back to back:
+/// `statz` first, then `metrics`. Every event counter must agree exactly,
+/// except `served`, which `/metrics` reports higher by exactly one — the
+/// `/statz` request itself.
+///
+/// # Errors
+///
+/// The first counter that is missing or disagrees.
+fn check_counter_agreement(statz: &Json, metrics: &Exposition) -> Result<(), String> {
+    for key in STATZ_COUNTERS {
+        let want = statz
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("/statz has no {key}"))?
+            + u64::from(key == "served");
+        let name = format!("adec_serve_{key}_total");
+        let got = metrics.sample(&name);
+        if got != Some(want as f64) {
+            return Err(format!("{name}={got:?} but /statz implies {want}"));
         }
-        out.push('\n');
     }
-    out.into_bytes()
+    Ok(())
 }
 
 fn healthz_alive(addr: SocketAddr) -> bool {
-    matches!(get(addr, "/healthz"), Ok(Some((200, _))))
+    matches!(client::get(addr, "/healthz"), Some((200, _)))
 }
 
 fn result(name: &'static str, passed: bool, detail: String) -> ScenarioResult {
@@ -197,7 +180,7 @@ pub fn run_drill(
     let mut rng = SeedRng::new(seed);
 
     // -- readiness + discovery ------------------------------------------
-    let input_dim = discover_input_dim(addr);
+    let input_dim = client::discover_input_dim(addr);
     scenarios.push(result(
         "readyz-discovery",
         input_dim.is_some(),
@@ -214,7 +197,7 @@ pub fn run_drill(
         // Terminate the head so the server must judge the bytes, not wait.
         let mut payload = noise;
         payload.extend_from_slice(b"\r\n\r\n");
-        match exchange(addr, &payload).ok().and_then(|r| status_of(&r)) {
+        match raw_status(addr, &payload) {
             Some(400) | Some(431) => {}
             other => {
                 garbage_ok = false;
@@ -226,21 +209,13 @@ pub fn run_drill(
     scenarios.push(with_liveness("garbage", addr, garbage_ok, garbage_detail));
 
     // -- truncations -----------------------------------------------------
-    let full = {
-        let body = sample_body(input_dim, 2, seed ^ 1);
-        let mut p = format!(
-            "POST /assign HTTP/1.1\r\nhost: chaos\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        p.extend_from_slice(&body);
-        p
-    };
+    let body = csv_rows(input_dim, 2, &mut SeedRng::new(seed ^ 1));
+    let full = client::render_post("/assign", None, &body);
     let mut trunc_ok = true;
     let mut trunc_detail = format!("{} prefixes survived", full.len().min(24) + 3);
     for cut in (0..full.len().min(24)).chain([full.len() / 2, full.len().saturating_sub(1), full.len().saturating_sub(3)]) {
         let prefix = full.get(..cut).unwrap_or(&full);
-        if exchange(addr, prefix).is_err() {
+        if client::exchange(addr, prefix).is_err() {
             trunc_ok = false;
             trunc_detail = format!("connect failed at cut={cut}");
             break;
@@ -251,7 +226,7 @@ pub fn run_drill(
     // -- huge head -------------------------------------------------------
     let mut huge_head = b"GET /assign HTTP/1.1\r\npad: ".to_vec();
     huge_head.extend(std::iter::repeat(b'x').take(64 * 1024));
-    let head_status = exchange(addr, &huge_head).ok().and_then(|r| status_of(&r));
+    let head_status = raw_status(addr, &huge_head);
     scenarios.push(with_liveness(
         "huge-head",
         addr,
@@ -261,7 +236,7 @@ pub fn run_drill(
 
     // -- huge body (honest content-length, rejected pre-upload) ----------
     let huge_decl = b"POST /assign HTTP/1.1\r\nhost: chaos\r\ncontent-length: 999999999\r\n\r\n";
-    let body_status = exchange(addr, huge_decl).ok().and_then(|r| status_of(&r));
+    let body_status = raw_status(addr, huge_decl);
     scenarios.push(with_liveness(
         "huge-body",
         addr,
@@ -283,7 +258,7 @@ pub fn run_drill(
         }
         let mut out = Vec::new();
         let _ = stream.read_to_end(&mut out);
-        Ok(status_of(&out))
+        Ok(client::split_response(&out).map(|(status, _, _)| status))
     })();
     let slow_pass = matches!(slow, Ok(Some(408)) | Ok(None));
     scenarios.push(with_liveness(
@@ -315,11 +290,7 @@ pub fn run_drill(
     // -- flood -----------------------------------------------------------
     let flood_n = max_inflight * 2 + 8;
     let flood_threads: Vec<_> = (0..flood_n)
-        .map(|_| {
-            std::thread::spawn(move || {
-                get(addr, "/healthz").ok().flatten().map(|(s, _)| s)
-            })
-        })
+        .map(|_| std::thread::spawn(move || client::get(addr, "/healthz").map(|(s, _)| s)))
         .collect();
     let mut ok200 = 0usize;
     let mut busy503 = 0usize;
@@ -343,9 +314,9 @@ pub fn run_drill(
     ));
 
     // -- determinism -----------------------------------------------------
-    let body = sample_body(input_dim, 16, seed ^ 2);
-    let first = post(addr, "/assign", &body).ok().flatten();
-    let second = post(addr, "/assign", &body).ok().flatten();
+    let body = csv_rows(input_dim, 16, &mut SeedRng::new(seed ^ 2));
+    let first = client::post(addr, "/assign", &body).ok().flatten();
+    let second = client::post(addr, "/assign", &body).ok().flatten();
     let det_pass = match (&first, &second) {
         (Some((200, a)), Some((200, b))) => a == b,
         _ => false,
@@ -373,15 +344,12 @@ pub fn run_drill(
     // contract under fire: valid traffic keeps being answered, every 503
     // carries Retry-After, no unexplained statuses, and (checked by the
     // metrics scenario that follows) zero caught panics.
-    let panics_before = get(addr, "/metrics")
-        .ok()
-        .flatten()
-        .and_then(|(_, body)| {
-            let text = std::str::from_utf8(&body).ok()?.to_string();
-            adec_obs::prom::check_exposition(&text)
-                .ok()?
-                .sample("adec_serve_caught_panics_total")
-        });
+    let caught_panics = || {
+        client::scrape_metrics(addr)
+            .ok()
+            .and_then(|exp| exp.sample("adec_serve_caught_panics_total"))
+    };
+    let panics_before = caught_panics();
     let stop_faults = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let injector = {
         let stop = std::sync::Arc::clone(&stop_faults);
@@ -391,7 +359,7 @@ pub fn run_drill(
                 let n = 1 + fault_rng.below(120);
                 let mut noise: Vec<u8> = (0..n).map(|_| fault_rng.below(256) as u8).collect();
                 noise.extend_from_slice(b"\r\n\r\n");
-                let _ = exchange(addr, &noise);
+                let _ = client::exchange(addr, &noise);
                 // A mid-body reset between garbage bursts.
                 if let Ok(mut s) = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT) {
                     let _ = s.write_all(
@@ -420,15 +388,7 @@ pub fn run_drill(
     let load_outcome = adec_loadgen::run_load(&load_config);
     stop_faults.store(true, std::sync::atomic::Ordering::Relaxed);
     let _ = injector.join();
-    let panics_after = get(addr, "/metrics")
-        .ok()
-        .flatten()
-        .and_then(|(_, body)| {
-            let text = std::str::from_utf8(&body).ok()?.to_string();
-            adec_obs::prom::check_exposition(&text)
-                .ok()?
-                .sample("adec_serve_caught_panics_total")
-        });
+    let panics_after = caught_panics();
     let (load_pass, load_detail) = match load_outcome {
         Ok(report) => {
             let o = &report.outcomes;
@@ -466,32 +426,28 @@ pub fn run_drill(
     // The drill just battered the server; its scrape must still be valid
     // exposition format, prove no worker panicked, and show the request
     // latency histogram actually collecting.
-    let metrics = get(addr, "/metrics").ok().flatten();
-    let (metrics_pass, metrics_detail) = match metrics {
-        Some((200, body)) => match std::str::from_utf8(&body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(adec_obs::prom::check_exposition)
-        {
-            Ok(exp) => {
-                let panics = exp.sample("adec_serve_caught_panics_total");
-                let latency_count = exp.sample("adec_serve_request_seconds_count");
-                if panics != Some(0.0) {
-                    (false, format!("caught_panics_total={panics:?}, want 0"))
-                } else if !latency_count.is_some_and(|c| c > 0.0) {
-                    (false, format!("request_seconds_count={latency_count:?}, want > 0"))
-                } else {
-                    (
-                        true,
-                        format!(
-                            "valid exposition, 0 panics, {} timed requests",
-                            latency_count.unwrap_or(0.0)
-                        ),
-                    )
-                }
+    let (metrics_pass, metrics_detail) = match client::scrape_metrics(addr) {
+        Ok(exp) => {
+            let panics = exp.sample("adec_serve_caught_panics_total");
+            let latency_count = exp.sample("adec_serve_request_seconds_count");
+            if panics != Some(0.0) {
+                (false, format!("caught_panics_total={panics:?}, want 0"))
+            } else if !latency_count.is_some_and(|c| c > 0.0) {
+                (
+                    false,
+                    format!("request_seconds_count={latency_count:?}, want > 0"),
+                )
+            } else {
+                (
+                    true,
+                    format!(
+                        "valid exposition, 0 panics, {} timed requests",
+                        latency_count.unwrap_or(0.0)
+                    ),
+                )
             }
-            Err(err) => (false, format!("exposition rejected: {err}")),
-        },
-        other => (false, format!("answered {:?}, want 200", other.map(|(s, _)| s))),
+        }
+        Err(err) => (false, err),
     };
     scenarios.push(with_liveness("metrics", addr, metrics_pass, metrics_detail));
 
@@ -518,24 +474,19 @@ pub struct FleetDrillConfig {
     pub wedge_budget_ms: u64,
 }
 
-/// Scrapes one counter/gauge sample from `/metrics` through the strict
-/// exposition parser.
-fn scrape_sample(addr: SocketAddr, name: &str) -> Option<f64> {
-    let (status, body) = get(addr, "/metrics").ok()??;
-    if status != 200 {
-        return None;
-    }
-    let text = std::str::from_utf8(&body).ok()?.to_string();
-    adec_obs::prom::check_exposition(&text).ok()?.sample(name)
+/// The respawn counter, scraped from `/metrics`.
+fn respawns(addr: SocketAddr) -> Option<f64> {
+    client::scrape_metrics(addr)
+        .ok()?
+        .sample("adec_serve_respawns_total")
 }
 
 /// The live model version, straight from `/readyz`.
 fn model_version_of(addr: SocketAddr) -> Option<usize> {
-    let (status, body) = get(addr, "/readyz").ok()??;
-    if status != 200 {
+    let (200, body) = client::get(addr, "/readyz")? else {
         return None;
-    }
-    extract_int_field(&body, "model_version")
+    };
+    json_usize(&json_body(&body)?, "model_version")
 }
 
 /// Replaces `path`'s contents atomically (temp file + rename in-dir), so a
@@ -556,6 +507,16 @@ struct PoundTally {
 }
 
 impl PoundTally {
+    /// Tallies one `/assign` answer.
+    fn record(&mut self, answer: std::io::Result<Option<(u16, Vec<u8>)>>) {
+        match answer {
+            Ok(Some((200, _))) => self.ok_200 += 1,
+            Ok(Some((503, _))) => self.busy_503 += 1,
+            Ok(Some(_)) => self.other += 1,
+            _ => self.no_response += 1,
+        }
+    }
+
     fn merge(&mut self, other: PoundTally) {
         self.ok_200 += other.ok_200;
         self.busy_503 += other.busy_503;
@@ -587,16 +548,11 @@ fn pound_assign(
 ) -> PoundTally {
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let body = sample_body(input_dim, 4, seed ^ (t as u64)); // lint:allow(as-narrowing)
+            let body = csv_rows(input_dim, 4, &mut SeedRng::new(seed ^ (t as u64))); // lint:allow(as-narrowing)
             std::thread::spawn(move || {
                 let mut tally = PoundTally::default();
                 for _ in 0..per_thread {
-                    match post(addr, "/assign", &body) {
-                        Ok(Some((200, _))) => tally.ok_200 += 1,
-                        Ok(Some((503, _))) => tally.busy_503 += 1,
-                        Ok(Some(_)) => tally.other += 1,
-                        _ => tally.no_response += 1,
-                    }
+                    tally.record(client::post(addr, "/assign", &body));
                 }
                 tally
             })
@@ -616,7 +572,7 @@ fn pound_assign(
 fn wait_for_respawns(addr: SocketAddr, floor: f64, need: f64, budget: Duration) -> Option<f64> {
     let deadline = std::time::Instant::now() + budget;
     loop {
-        let seen = scrape_sample(addr, "adec_serve_respawns_total");
+        let seen = respawns(addr);
         if seen.is_some_and(|v| v > floor + need) {
             return seen;
         }
@@ -648,7 +604,7 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     let seed = config.seed;
 
     // -- discovery -------------------------------------------------------
-    let input_dim = discover_input_dim(addr);
+    let input_dim = client::discover_input_dim(addr);
     let version0 = model_version_of(addr);
     scenarios.push(result(
         "fleet-discovery",
@@ -685,13 +641,17 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // Kill two replicas while valid traffic flows. In-flight requests must
     // all be answered (a kill lands between requests, never mid-request)
     // and the supervisor must respawn within its backoff budget.
-    let respawns_before = scrape_sample(addr, "adec_serve_respawns_total").unwrap_or(f64::NAN);
+    let respawns_before = respawns(addr).unwrap_or(f64::NAN);
     let kill_tally = {
         let pound = std::thread::spawn(move || pound_assign(addr, input_dim, seed ^ 0x1337, 4, 30));
         std::thread::sleep(Duration::from_millis(30));
-        let k0 = post(addr, "/chaos/kill-replica", b"0").ok().flatten();
+        let k0 = client::post(addr, "/chaos/kill-replica", b"0")
+            .ok()
+            .flatten();
         std::thread::sleep(Duration::from_millis(60));
-        let k1 = post(addr, "/chaos/kill-replica", b"1").ok().flatten();
+        let k1 = client::post(addr, "/chaos/kill-replica", b"1")
+            .ok()
+            .flatten();
         let mut tally = pound.join().unwrap_or_default();
         if !matches!(k0, Some((200, _))) || !matches!(k1, Some((200, _))) {
             tally.other += 1; // a failed kill order fails the scenario
@@ -714,8 +674,10 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // -- replica-wedge under load ---------------------------------------
     // Wedge one replica: the fleet keeps answering on the others, and the
     // supervisor supersedes the stuck worker within the wedge budget.
-    let respawns_before = scrape_sample(addr, "adec_serve_respawns_total").unwrap_or(f64::NAN);
-    let wedge_order = post(addr, "/chaos/wedge-replica", b"0").ok().flatten();
+    let respawns_before = respawns(addr).unwrap_or(f64::NAN);
+    let wedge_order = client::post(addr, "/chaos/wedge-replica", b"0")
+        .ok()
+        .flatten();
     let wedge_tally = pound_assign(addr, input_dim, seed ^ 0xd00f, 2, 10);
     let wedge_wait = Duration::from_millis(config.wedge_budget_ms.saturating_mul(2) + 5_000);
     let respawns_after = wait_for_respawns(addr, respawns_before, 0.5, wedge_wait);
@@ -740,7 +702,7 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     let reload_result = if write_atomic(&config.reload_path, &alt).is_ok() {
         let pound = std::thread::spawn(move || pound_assign(addr, input_dim, seed ^ 0xf1fe, 4, 25));
         std::thread::sleep(Duration::from_millis(40));
-        let reload = post(addr, "/reload", b"").ok().flatten();
+        let reload = client::post(addr, "/reload", b"").ok().flatten();
         let tally = pound.join().unwrap_or_default();
         Some((reload, tally))
     } else {
@@ -765,9 +727,9 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // -- post-swap determinism ------------------------------------------
     // A completed swap must leave the service deterministic on the new
     // weights: identical requests, byte-identical answers.
-    let det_body = sample_body(input_dim, 8, seed ^ 0xde7e);
-    let det_a = post(addr, "/assign", &det_body).ok().flatten();
-    let det_b = post(addr, "/assign", &det_body).ok().flatten();
+    let det_body = csv_rows(input_dim, 8, &mut SeedRng::new(seed ^ 0xde7e));
+    let det_a = client::post(addr, "/assign", &det_body).ok().flatten();
+    let det_b = client::post(addr, "/assign", &det_body).ok().flatten();
     let det_pass = matches!((&det_a, &det_b), (Some((200, a)), Some((200, b))) if a == b);
     scenarios.push(with_liveness(
         "post-swap-determinism",
@@ -784,9 +746,9 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // Reloading the *same* checkpoint bytes is a completed swap (the
     // version advances) but must not flip a single label or probability:
     // the "assignments" tail is bitwise identical.
-    let noop_before = post(addr, "/assign", &det_body).ok().flatten();
-    let noop_reload = post(addr, "/reload", b"").ok().flatten();
-    let noop_after = post(addr, "/assign", &det_body).ok().flatten();
+    let noop_before = client::post(addr, "/assign", &det_body).ok().flatten();
+    let noop_reload = client::post(addr, "/reload", b"").ok().flatten();
+    let noop_after = client::post(addr, "/assign", &det_body).ok().flatten();
     let v_noop = model_version_of(addr);
     let noop_pass = match (&noop_before, &noop_reload, &noop_after, v_after, v_noop) {
         (Some((200, a)), Some((200, _)), Some((200, b)), Some(va), Some(vn)) => {
@@ -813,7 +775,7 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // -- corrupt-reload --------------------------------------------------
     // A bit-flipped checkpoint must be refused with a typed 409 and leave
     // the live model bitwise untouched.
-    let before = post(addr, "/assign", &det_body).ok().flatten();
+    let before = client::post(addr, "/assign", &det_body).ok().flatten();
     let v_live = model_version_of(addr);
     let mut corrupt = alt.clone();
     let mid = corrupt.len() / 2;
@@ -821,11 +783,11 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
         *b ^= 0x40;
     }
     let corrupt_reload = if write_atomic(&config.reload_path, &corrupt).is_ok() {
-        post(addr, "/reload", b"").ok().flatten()
+        client::post(addr, "/reload", b"").ok().flatten()
     } else {
         None
     };
-    let after = post(addr, "/assign", &det_body).ok().flatten();
+    let after = client::post(addr, "/assign", &det_body).ok().flatten();
     let v_after_corrupt = model_version_of(addr);
     let corrupt_pass = match (&corrupt_reload, &before, &after) {
         (Some((409, rbody)), Some((200, a)), Some((200, b))) => {
@@ -858,7 +820,7 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
         adec_nn::checkpoint::reseal_checksum(&mut patched)
     });
     let mismatch_reload = if patched_ok && write_atomic(&config.reload_path, &patched).is_ok() {
-        post(addr, "/reload", b"").ok().flatten()
+        client::post(addr, "/reload", b"").ok().flatten()
     } else {
         None
     };
@@ -892,35 +854,34 @@ pub fn run_fleet_drill(addr: SocketAddr, config: &FleetDrillConfig) -> DrillRepo
     // -- fleet metrics audit ---------------------------------------------
     // After kills, wedges, swaps, and refused reloads: the exposition is
     // still strictly valid, no worker ever panicked, the fleet is whole,
-    // and the reload counters add up.
-    let metrics = get(addr, "/metrics").ok().flatten();
-    let (metrics_pass, metrics_detail) = match metrics {
-        Some((200, body)) => match std::str::from_utf8(&body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(adec_obs::prom::check_exposition)
-        {
-            Ok(exp) => {
-                let panics = exp.sample("adec_serve_caught_panics_total");
-                let live = exp.sample("adec_serve_replicas_live");
-                let reloads = exp.sample("adec_serve_reloads_total");
-                let refused = exp.sample("adec_serve_reloads_refused_total");
-                let generation = exp.sample("adec_serve_reload_generation");
-                let pass = panics == Some(0.0)
-                    && live.is_some_and(|v| v >= 1.0)
-                    && reloads.is_some_and(|v| v >= 2.0)
-                    && refused.is_some_and(|v| v >= 2.0)
-                    && generation == reloads;
-                (
-                    pass,
-                    format!(
-                        "panics={panics:?} replicas_live={live:?} reloads={reloads:?} \
-                         refused={refused:?} generation={generation:?}"
-                    ),
-                )
-            }
-            Err(err) => (false, format!("exposition rejected: {err}")),
-        },
-        other => (false, format!("answered {:?}, want 200", other.map(|(s, _)| s))),
+    // the reload counters add up, and `/statz` scraped just before agrees
+    // with `/metrics` on every counter (both read the one counter set).
+    let statz = client::get(addr, "/statz").and_then(|(_, body)| json_body(&body));
+    let (metrics_pass, metrics_detail) = match (client::scrape_metrics(addr), statz) {
+        (Ok(exp), Some(statz)) => {
+            let panics = exp.sample("adec_serve_caught_panics_total");
+            let live = exp.sample("adec_serve_replicas_live");
+            let reloads = exp.sample("adec_serve_reloads_total");
+            let refused = exp.sample("adec_serve_reloads_refused_total");
+            let generation = exp.sample("adec_serve_reload_generation");
+            let agreement = check_counter_agreement(&statz, &exp);
+            let pass = panics == Some(0.0)
+                && live.is_some_and(|v| v >= 1.0)
+                && reloads.is_some_and(|v| v >= 2.0)
+                && refused.is_some_and(|v| v >= 2.0)
+                && generation == reloads
+                && agreement.is_ok();
+            (
+                pass,
+                format!(
+                    "panics={panics:?} replicas_live={live:?} reloads={reloads:?} \
+                     refused={refused:?} generation={generation:?} statz agreement: {}",
+                    agreement.err().unwrap_or_else(|| "exact".to_string())
+                ),
+            )
+        }
+        (Err(err), _) => (false, err),
+        (_, None) => (false, "/statz unreachable or not JSON".to_string()),
     };
     scenarios.push(with_liveness("fleet-metrics", addr, metrics_pass, metrics_detail));
 
@@ -959,31 +920,6 @@ pub struct DriftDrillConfig {
 /// Number of stationary windows the no-false-alarm scenario streams.
 const STATIONARY_WINDOWS: usize = 6;
 
-/// A string field (`"field":"value"`) from a JSON-ish body.
-fn extract_str_field(body: &[u8], field: &str) -> Option<String> {
-    let text = std::str::from_utf8(body).ok()?;
-    let key = format!("\"{field}\":\"");
-    let start = text.find(&key)? + key.len();
-    let rest = text.get(start..)?;
-    let end = rest.find('"')?;
-    rest.get(..end).map(str::to_string)
-}
-
-/// A boolean field (`"field":true|false`) from a JSON-ish body.
-fn extract_bool_field(body: &[u8], field: &str) -> Option<bool> {
-    let text = std::str::from_utf8(body).ok()?;
-    let key = format!("\"{field}\":");
-    let start = text.find(&key)? + key.len();
-    let rest = text.get(start..)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// The fields of `GET /driftz` the drill asserts on.
 #[derive(Debug, Clone)]
 struct DriftzView {
@@ -999,36 +935,25 @@ struct DriftzView {
 
 /// Fetches and parses `/driftz`.
 fn driftz_view(addr: SocketAddr) -> Option<DriftzView> {
-    let (status, body) = get(addr, "/driftz").ok()??;
-    if status != 200 {
+    let (200, body) = client::get(addr, "/driftz")? else {
         return None;
-    }
+    };
+    let doc = json_body(&body)?;
     Some(DriftzView {
-        policy: extract_str_field(&body, "policy")?,
-        profile: extract_str_field(&body, "profile")?,
-        enabled: extract_bool_field(&body, "enabled")?,
-        window_rows: extract_int_field(&body, "window_rows")?,
-        windows: extract_int_field(&body, "windows")?,
-        alarms: extract_int_field(&body, "alarms")?,
-        clears: extract_int_field(&body, "clears")?,
-        alarmed: extract_bool_field(&body, "alarmed")?,
+        policy: doc.get("policy")?.as_str()?.to_string(),
+        profile: doc.get("profile")?.as_str()?.to_string(),
+        enabled: json_bool(&doc, "enabled")?,
+        window_rows: json_usize(&doc, "window_rows")?,
+        windows: json_usize(&doc, "windows")?,
+        alarms: json_usize(&doc, "alarms")?,
+        clears: json_usize(&doc, "clears")?,
+        alarmed: json_bool(&doc, "alarmed")?,
     })
 }
 
-/// Renders a matrix as the CSV `/assign` body format.
-fn csv_rows(x: &adec_tensor::Matrix) -> Vec<u8> {
-    let mut out = String::new();
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        for (c, v) in row.iter().enumerate() {
-            if c > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{v}"));
-        }
-        out.push('\n');
-    }
-    out.into_bytes()
+/// Renders a matrix as an `/assign` CSV body.
+fn matrix_body(x: &adec_tensor::Matrix) -> Vec<u8> {
+    csv_body((0..x.rows()).map(|r| x.row(r)))
 }
 
 /// Streams `windows` detector windows of rows from `sim` through
@@ -1044,13 +969,11 @@ fn pump_windows(
         let mut left = window_rows;
         while left > 0 {
             let take = left.min(32);
-            let batch = sim.next_batch(take);
-            match post(addr, "/assign", &csv_rows(&batch)) {
-                Ok(Some((200, _))) => tally.ok_200 += 1,
-                Ok(Some((503, _))) => tally.busy_503 += 1,
-                Ok(Some(_)) => tally.other += 1,
-                _ => tally.no_response += 1,
-            }
+            tally.record(client::post(
+                addr,
+                "/assign",
+                &matrix_body(&sim.next_batch(take)),
+            ));
             left -= take;
         }
     }
@@ -1088,7 +1011,7 @@ pub fn run_drift_drill(addr: SocketAddr, config: &DriftDrillConfig) -> DrillRepo
     // -- discovery -------------------------------------------------------
     // The sentinel is armed: profile present, window size as drilled, and
     // the served input dim matches the drill's base dataset.
-    let input_dim = discover_input_dim(addr);
+    let input_dim = client::discover_input_dim(addr);
     let view0 = driftz_view(addr);
     let discovery_pass = input_dim == Some(config.base.dim())
         && view0.as_ref().is_some_and(|v| {
@@ -1165,14 +1088,19 @@ pub fn run_drift_drill(addr: SocketAddr, config: &DriftDrillConfig) -> DrillRepo
     // named. Two more saturating windows first, so severity is past the
     // harder-degradation knee and the ladder choice is stable.
     pump_windows(addr, &mut shifted, w, 2);
-    let probe = csv_rows(&shifted.next_batch(4));
-    let assign = post(addr, "/assign", &probe).ok().flatten();
-    let ready = get(addr, "/readyz").ok().flatten();
+    let probe = matrix_body(&shifted.next_batch(4));
+    let assign = client::post(addr, "/assign", &probe).ok().flatten();
+    let ready = client::get(addr, "/readyz");
     let (mitigation_pass, mitigation_detail) = match (&assign, &ready) {
         (Some((200, body)), Some((ready_status, ready_body))) => {
-            let drift_field = extract_bool_field(body, "drift");
-            let mode = extract_str_field(body, "mode").unwrap_or_default();
-            let ready_alarmed = extract_bool_field(ready_body, "drift_alarmed");
+            let doc = json_body(body);
+            let drift_field = doc.as_ref().and_then(|d| json_bool(d, "drift"));
+            let mode = doc
+                .as_ref()
+                .and_then(|d| d.get("mode")?.as_str())
+                .unwrap_or_default()
+                .to_string();
+            let ready_alarmed = json_body(ready_body).and_then(|d| json_bool(&d, "drift_alarmed"));
             let pass = match policy.as_str() {
                 "observe" => drift_field.is_none() && mode == "full" && *ready_status == 200,
                 "degrade" => {
@@ -1214,12 +1142,12 @@ pub fn run_drift_drill(addr: SocketAddr, config: &DriftDrillConfig) -> DrillRepo
     let refit = std::fs::read(&config.refit_checkpoint);
     let reload = match &refit {
         Ok(bytes) if write_atomic(&config.reload_path, bytes).is_ok() => {
-            post(addr, "/reload", b"").ok().flatten()
+            client::post(addr, "/reload", b"").ok().flatten()
         }
         _ => None,
     };
     let view_cleared = driftz_view(addr);
-    let ready_after = get(addr, "/readyz").ok().flatten().map(|(s, _)| s);
+    let ready_after = client::get(addr, "/readyz").map(|(s, _)| s);
     let windows_at_recovery = view_cleared.as_ref().map_or(0, |v| v.windows);
     let alarms_at_recovery = view_cleared.as_ref().map_or(usize::MAX, |v| v.alarms);
     pump_windows(addr, &mut stationary, w, 2);
@@ -1247,93 +1175,29 @@ pub fn run_drift_drill(addr: SocketAddr, config: &DriftDrillConfig) -> DrillRepo
     // The exposition stays strictly valid and the drift gauges agree with
     // the drill's history: enabled, not alarmed now, at least one alarm
     // and one clear on the counters.
-    let metrics = get(addr, "/metrics").ok().flatten();
-    let (metrics_pass, metrics_detail) = match metrics {
-        Some((200, body)) => match std::str::from_utf8(&body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(adec_obs::prom::check_exposition)
-        {
-            Ok(exp) => {
-                let enabled = exp.sample("adec_serve_drift_enabled");
-                let alarmed = exp.sample("adec_serve_drift_alarmed");
-                let alarms = exp.sample("adec_serve_drift_alarms_total");
-                let clears = exp.sample("adec_serve_drift_clears_total");
-                let windows = exp.sample("adec_serve_drift_windows_total");
-                let pass = enabled == Some(1.0)
-                    && alarmed == Some(0.0)
-                    && alarms.is_some_and(|v| v >= 1.0)
-                    && clears.is_some_and(|v| v >= 1.0)
-                    && windows.is_some_and(|v| v >= (STATIONARY_WINDOWS + 2) as f64);
-                (
-                    pass,
-                    format!(
-                        "enabled={enabled:?} alarmed={alarmed:?} alarms={alarms:?} \
-                         clears={clears:?} windows={windows:?}"
-                    ),
-                )
-            }
-            Err(err) => (false, format!("exposition rejected: {err}")),
-        },
-        other => (false, format!("answered {:?}, want 200", other.map(|(s, _)| s))),
+    let (metrics_pass, metrics_detail) = match client::scrape_metrics(addr) {
+        Ok(exp) => {
+            let enabled = exp.sample("adec_serve_drift_enabled");
+            let alarmed = exp.sample("adec_serve_drift_alarmed");
+            let alarms = exp.sample("adec_serve_drift_alarms_total");
+            let clears = exp.sample("adec_serve_drift_clears_total");
+            let windows = exp.sample("adec_serve_drift_windows_total");
+            let pass = enabled == Some(1.0)
+                && alarmed == Some(0.0)
+                && alarms.is_some_and(|v| v >= 1.0)
+                && clears.is_some_and(|v| v >= 1.0)
+                && windows.is_some_and(|v| v >= (STATIONARY_WINDOWS + 2) as f64);
+            (
+                pass,
+                format!(
+                    "enabled={enabled:?} alarmed={alarmed:?} alarms={alarms:?} \
+                     clears={clears:?} windows={windows:?}"
+                ),
+            )
+        }
+        Err(err) => (false, err),
     };
     scenarios.push(with_liveness("drift-metrics", addr, metrics_pass, metrics_detail));
 
     DrillReport { scenarios }
-}
-
-#[cfg(test)]
-// Test code: unwraps are the assertions themselves here.
-#[allow(clippy::unwrap_used, clippy::panic)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn status_line_parsing() {
-        assert_eq!(status_of(b"HTTP/1.1 200 OK\r\n\r\n"), Some(200));
-        assert_eq!(status_of(b"HTTP/1.1 503 Busy\r\n"), Some(503));
-        assert_eq!(status_of(b"garbage"), None);
-        assert_eq!(status_of(b""), None);
-    }
-
-    #[test]
-    fn int_field_extraction() {
-        let body = br#"{"ready":true,"mode":"full","input_dim":64,"clusters":10}"#;
-        assert_eq!(extract_int_field(body, "input_dim"), Some(64));
-        assert_eq!(extract_int_field(body, "clusters"), Some(10));
-        assert_eq!(extract_int_field(body, "missing"), None);
-    }
-
-    #[test]
-    fn str_and_bool_field_extraction() {
-        let body = br#"{"policy":"gate","profile":"present","enabled":true,"alarmed":false}"#;
-        assert_eq!(extract_str_field(body, "policy").as_deref(), Some("gate"));
-        assert_eq!(extract_str_field(body, "profile").as_deref(), Some("present"));
-        assert_eq!(extract_str_field(body, "missing"), None);
-        assert_eq!(extract_bool_field(body, "enabled"), Some(true));
-        assert_eq!(extract_bool_field(body, "alarmed"), Some(false));
-        assert_eq!(extract_bool_field(body, "policy"), None);
-    }
-
-    #[test]
-    fn csv_rows_render_parseable_bodies() {
-        let m = adec_tensor::Matrix::from_vec(2, 3, vec![1.0, -0.5, 0.25, 2.0, 0.0, -1.5]);
-        let text = String::from_utf8(csv_rows(&m)).unwrap();
-        assert_eq!(text, "1,-0.5,0.25\n2,0,-1.5\n");
-    }
-
-    #[test]
-    fn sample_bodies_are_deterministic_and_parse() {
-        let a = sample_body(4, 3, 9);
-        let b = sample_body(4, 3, 9);
-        assert_eq!(a, b);
-        let text = String::from_utf8(a).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            assert_eq!(line.split(',').count(), 4);
-            for f in line.split(',') {
-                let v: f32 = f.parse().unwrap();
-                assert!(v.is_finite() && v.abs() <= 2.0);
-            }
-        }
-    }
 }

@@ -43,13 +43,14 @@ use crate::model::{AssignError, Assignment, ServeMode, MAX_FEATURE_MAGNITUDE};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::InferenceModel;
 use adec_nn::checkpoint::crc32;
+use adec_obs::json::escape;
 use adec_obs::trace::{self, TraceContext, TraceRing, TraceTree};
-use adec_obs::{counter, histogram, span_handle, Counter, Histogram, SpanHandle, DURATION_BUCKETS};
+use adec_obs::{Counter, Histogram, Registry, Span, DURATION_BUCKETS};
 use std::io::Read;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,10 +75,7 @@ const TRACEZ_EXEMPLARS: usize = 16;
 pub struct ServerConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral, report via [`ServerHandle::port`]).
     pub port: u16,
-    /// Worker threads answering requests (the fleet size when `replicas`
-    /// is 0; kept for back-compatibility with pre-fleet callers).
-    pub workers: usize,
-    /// Replica count; 0 means "one replica per `workers`".
+    /// Replica workers answering requests: the fleet size (>= 1).
     pub replicas: usize,
     /// Fleet-wide bound on accepted-but-unserved connections; beyond it
     /// the acceptor answers 503 + Retry-After.
@@ -113,8 +111,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             port: 0,
-            workers: 2,
-            replicas: 0,
+            replicas: 2,
             max_inflight: 32,
             deadline_ms: 2_000,
             read_deadline_ms: 2_000,
@@ -131,15 +128,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Replica count the fleet actually runs.
-    fn fleet_size(&self) -> usize {
-        if self.replicas > 0 {
-            self.replicas
-        } else {
-            self.workers
-        }
-    }
-
     /// Effective wedge budget (see [`ServerConfig::wedge_budget_ms`]).
     fn wedge_budget(&self) -> u64 {
         if self.wedge_budget_ms > 0 {
@@ -155,7 +143,7 @@ impl ServerConfig {
 pub enum ServeError {
     /// Could not bind/configure the listener.
     Bind(std::io::Error),
-    /// Invalid configuration (zero workers, zero queue).
+    /// Invalid configuration (zero replicas, zero queue).
     Config(String),
 }
 
@@ -170,38 +158,8 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Monotonic counters, readable while running via `GET /statz` and
-/// returned by [`ServerHandle::join`].
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Requests answered 200.
-    pub served: AtomicU64,
-    /// Connections refused with 503 at the accept gate.
-    pub rejected_busy: AtomicU64,
-    /// Requests answered with a 4xx/5xx protocol or validation error.
-    pub client_errors: AtomicU64,
-    /// Sockets that vanished before a full request arrived.
-    pub disconnects: AtomicU64,
-    /// Compute-deadline expiries (503 deadline).
-    pub deadline_expired: AtomicU64,
-    /// Worker panics caught and answered with 500 (should stay 0; the
-    /// counter exists so the chaos drill can *prove* it stayed 0).
-    pub caught_panics: AtomicU64,
-    /// `/assign` 200s answered at the full rung.
-    pub served_full: AtomicU64,
-    /// `/assign` 200s answered without reconstruction error.
-    pub served_no_decoder: AtomicU64,
-    /// `/assign` 200s answered as hard nearest-centroid only.
-    pub served_centroid_only: AtomicU64,
-    /// Replica workers respawned (or superseded) by the supervisor.
-    pub respawns: AtomicU64,
-    /// Completed hot reloads.
-    pub reloads: AtomicU64,
-    /// Refused hot reloads.
-    pub reloads_refused: AtomicU64,
-}
-
-/// Plain-value snapshot of [`Stats`].
+/// Plain-value snapshot of a server's counters, as `GET /statz` reports
+/// them and [`ServerHandle::join`] returns them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests answered 200.
@@ -228,33 +186,14 @@ pub struct ServeStats {
     pub reloads_refused: u64,
 }
 
-impl Stats {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            served: self.served.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            client_errors: self.client_errors.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            caught_panics: self.caught_panics.load(Ordering::Relaxed),
-            served_by_tier: [
-                self.served_full.load(Ordering::Relaxed),
-                self.served_no_decoder.load(Ordering::Relaxed),
-                self.served_centroid_only.load(Ordering::Relaxed),
-            ],
-            respawns: self.respawns.load(Ordering::Relaxed),
-            reloads: self.reloads.load(Ordering::Relaxed),
-            reloads_refused: self.reloads_refused.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Process-global mirrors of [`Stats`] plus request-level distributions,
-/// exported at `GET /metrics` in Prometheus text format. The per-instance
-/// [`Stats`] stays the source of truth for `/statz` and
-/// [`ServerHandle::join`]; these registry handles aggregate across every
-/// server instance in the process.
-struct ObsMetrics {
+/// One server's event counters and request histograms, held in its own
+/// [`Registry`]: the single place each count lives, read by `/statz`,
+/// `/metrics`, [`ServerHandle::stats`] and [`ServerHandle::join`] alike.
+/// The handles are resolved once at start, so the request path never
+/// takes the registry lock. Respawns and reload outcomes are not here:
+/// the replica slots and the model registry already count them.
+struct Metrics {
+    registry: Registry,
     served: Arc<Counter>,
     rejected_busy: Arc<Counter>,
     client_errors: Arc<Counter>,
@@ -264,39 +203,34 @@ struct ObsMetrics {
     served_full: Arc<Counter>,
     served_no_decoder: Arc<Counter>,
     served_centroid_only: Arc<Counter>,
-    respawns: Arc<Counter>,
-    reloads: Arc<Counter>,
-    reloads_refused: Arc<Counter>,
     /// Accept-to-response latency of every worker-handled request.
     request_seconds: Arc<Histogram>,
     /// Fleet-wide queued total observed at each successful admission.
     queue_depth: Arc<Histogram>,
-    /// `/assign` parse + forward-pass latency; a cached [`SpanHandle`]
-    /// so the per-request hot path never touches the registry lock.
-    assign_eval: SpanHandle,
+    /// `/assign` parse + forward-pass latency.
+    assign_eval: Arc<Histogram>,
 }
 
-impl ObsMetrics {
-    fn new() -> ObsMetrics {
-        ObsMetrics {
-            served: counter("adec_serve_served_total"),
-            rejected_busy: counter("adec_serve_rejected_busy_total"),
-            client_errors: counter("adec_serve_client_errors_total"),
-            disconnects: counter("adec_serve_disconnects_total"),
-            deadline_expired: counter("adec_serve_deadline_expired_total"),
-            caught_panics: counter("adec_serve_caught_panics_total"),
-            served_full: counter("adec_serve_served_full_total"),
-            served_no_decoder: counter("adec_serve_served_no_decoder_total"),
-            served_centroid_only: counter("adec_serve_served_centroid_only_total"),
-            respawns: counter("adec_serve_respawns_total"),
-            reloads: counter("adec_serve_reloads_total"),
-            reloads_refused: counter("adec_serve_reloads_refused_total"),
-            request_seconds: histogram("adec_serve_request_seconds", DURATION_BUCKETS),
-            queue_depth: histogram(
+impl Metrics {
+    fn new() -> Metrics {
+        let registry = Registry::new();
+        Metrics {
+            served: registry.counter("adec_serve_served_total"),
+            rejected_busy: registry.counter("adec_serve_rejected_busy_total"),
+            client_errors: registry.counter("adec_serve_client_errors_total"),
+            disconnects: registry.counter("adec_serve_disconnects_total"),
+            deadline_expired: registry.counter("adec_serve_deadline_expired_total"),
+            caught_panics: registry.counter("adec_serve_caught_panics_total"),
+            served_full: registry.counter("adec_serve_served_full_total"),
+            served_no_decoder: registry.counter("adec_serve_served_no_decoder_total"),
+            served_centroid_only: registry.counter("adec_serve_served_centroid_only_total"),
+            request_seconds: registry.histogram("adec_serve_request_seconds", DURATION_BUCKETS),
+            queue_depth: registry.histogram(
                 "adec_serve_queue_depth",
                 &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
             ),
-            assign_eval: span_handle("adec_serve_assign_eval"),
+            assign_eval: registry.histogram("adec_serve_assign_eval_seconds", DURATION_BUCKETS),
+            registry,
         }
     }
 }
@@ -314,8 +248,7 @@ struct Shared {
     /// view, refreshed every tick).
     replicas_live: AtomicUsize,
     shutting_down: AtomicBool,
-    stats: Stats,
-    obs: ObsMetrics,
+    metrics: Metrics,
     /// Drift sentinel; inert when the checkpoint carried no profile.
     drift: DriftSentinel,
     /// Tail-sampling ring of retained request traces; `None` when the
@@ -326,10 +259,29 @@ struct Shared {
 }
 
 impl Shared {
-    /// Bumps a per-instance counter and its process-global mirror together.
-    fn count(&self, local: &AtomicU64, global: &Counter) {
-        local.fetch_add(1, Ordering::Relaxed);
-        global.inc();
+    /// Point-in-time read of this server's one counter set.
+    fn stats(&self) -> ServeStats {
+        let m = &self.metrics;
+        ServeStats {
+            served: m.served.get(),
+            rejected_busy: m.rejected_busy.get(),
+            client_errors: m.client_errors.get(),
+            disconnects: m.disconnects.get(),
+            deadline_expired: m.deadline_expired.get(),
+            caught_panics: m.caught_panics.get(),
+            served_by_tier: [
+                m.served_full.get(),
+                m.served_no_decoder.get(),
+                m.served_centroid_only.get(),
+            ],
+            respawns: self
+                .replicas
+                .iter()
+                .map(|r| r.respawned.load(Ordering::Relaxed))
+                .sum(),
+            reloads: self.registry.generation(),
+            reloads_refused: self.registry.refused(),
+        }
     }
 
     /// Milliseconds since the server started (the busy-watermark clock).
@@ -352,18 +304,14 @@ impl Shared {
         }
     }
 
-    /// Stages + swaps `path`, mirroring the outcome into the counters. A
+    /// Stages + swaps `path` (the model registry counts the outcome). A
     /// successful swap re-arms the drift sentinel against the incoming
     /// checkpoint's profile: the refit model defines the new healthy
     /// regime, so stale evidence (and any latched alarm) is dropped.
     fn do_reload(&self, path: &std::path::Path) -> Result<Arc<ModelVersion>, crate::ReloadError> {
         let res = self.registry.reload(path);
-        match &res {
-            Ok(next) => {
-                self.count(&self.stats.reloads, &self.obs.reloads);
-                self.drift.reset(next.model.profile().cloned());
-            }
-            Err(_) => self.count(&self.stats.reloads_refused, &self.obs.reloads_refused),
+        if let Ok(next) = &res {
+            self.drift.reset(next.model.profile().cloned());
         }
         res
     }
@@ -384,11 +332,11 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] on zero workers/queue, [`ServeError::Bind`]
+    /// [`ServeError::Config`] on zero replicas/queue, [`ServeError::Bind`]
     /// when the port is unavailable.
     pub fn start(model: InferenceModel, config: ServerConfig) -> Result<ServerHandle, ServeError> {
-        if config.workers == 0 && config.replicas == 0 {
-            return Err(ServeError::Config("workers must be >= 1".into()));
+        if config.replicas == 0 {
+            return Err(ServeError::Config("replicas must be >= 1".into()));
         }
         if config.max_inflight == 0 {
             return Err(ServeError::Config("max-inflight must be >= 1".into()));
@@ -401,7 +349,7 @@ impl ServerHandle {
             .reload_path
             .as_ref()
             .map_or_else(|| "initial".to_string(), |p| p.display().to_string());
-        let fleet_size = config.fleet_size();
+        let fleet_size = config.replicas;
         let drift = DriftSentinel::new(
             config.drift.clone(),
             model.profile().cloned(),
@@ -416,8 +364,7 @@ impl ServerHandle {
             replicas_live: AtomicUsize::new(fleet_size),
             config,
             shutting_down: AtomicBool::new(false),
-            stats: Stats::default(),
-            obs: ObsMetrics::new(),
+            metrics: Metrics::new(),
             drift,
             traces,
             addr,
@@ -475,7 +422,7 @@ impl ServerHandle {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 
     /// The live model version number.
@@ -507,7 +454,7 @@ impl ServerHandle {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        self.shared.stats.snapshot()
+        self.shared.stats()
     }
 }
 
@@ -588,7 +535,6 @@ fn supervise_slot(
                 slot.handle = Some(handle);
                 slot.respawn_at = None;
                 replica.respawned.fetch_add(1, Ordering::Relaxed);
-                shared.count(&shared.stats.respawns, &shared.obs.respawns);
                 replica_event(
                     "serve.replica.respawn",
                     replica.id,
@@ -635,7 +581,6 @@ fn supervise_slot(
                 slot.handle = Some(handle);
                 slot.attempt += 1;
                 replica.respawned.fetch_add(1, Ordering::Relaxed);
-                shared.count(&shared.stats.respawns, &shared.obs.respawns);
                 replica_event(
                     "serve.replica.respawn",
                     replica.id,
@@ -697,7 +642,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         };
         let accepted_at = Instant::now();
         if shared.queued_total.load(Ordering::SeqCst) >= shared.config.max_inflight {
-            shared.count(&shared.stats.rejected_busy, &shared.obs.rejected_busy);
+            shared.metrics.rejected_busy.inc();
             let mut stream = stream;
             let _ = write_response(
                 &mut stream,
@@ -735,7 +680,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             q.push_back((stream, accepted_at, TraceContext::capture()));
         }
         let depth = shared.queued_total.fetch_add(1, Ordering::SeqCst) + 1;
-        shared.obs.queue_depth.observe(depth as f64);
+        shared.metrics.queue_depth.observe(depth as f64);
         target.wake.notify_one();
     }
 }
@@ -814,7 +759,7 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
             serve_connection(shared, replica, &mut stream, ctx);
         }));
         if outcome.is_err() {
-            shared.count(&shared.stats.caught_panics, &shared.obs.caught_panics);
+            shared.metrics.caught_panics.inc();
             trace::attr("status", "500");
             let _ = write_response(
                 &mut stream,
@@ -839,7 +784,7 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
         // Accept-to-response latency: includes queue wait by design, so
         // saturation shows up in the tail.
         shared
-            .obs
+            .metrics
             .request_seconds
             .observe(accepted_at.elapsed().as_secs_f64());
     }
@@ -887,11 +832,11 @@ fn serve_connection(shared: &Shared, replica: &Replica, stream: &mut TcpStream, 
         Ok(req) => req,
         Err(HttpError::Disconnected) => {
             trace::attr("status", "disconnect");
-            shared.count(&shared.stats.disconnects, &shared.obs.disconnects);
+            shared.metrics.disconnects.inc();
             return;
         }
         Err(err) => {
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
+            shared.metrics.client_errors.inc();
             if let Some(status) = err.status() {
                 trace::attr("status", &status.to_string());
                 let body = format!(r#"{{"error":"{}","detail":"{err}"}}"#, err.reason());
@@ -944,7 +889,7 @@ fn route(
     let draining = shared.shutting_down.load(Ordering::SeqCst);
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => {
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(stream, 200, &[], "text/plain", b"ok\n");
         }
         (Method::Get, "/readyz") => {
@@ -972,26 +917,28 @@ fn route(
             );
             let status = if ready { 200 } else { 503 };
             if ready {
-                shared.count(&shared.stats.served, &shared.obs.served);
+                shared.metrics.served.inc();
             } else {
-                shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
+                shared.metrics.client_errors.inc();
             }
             let _ = write_response(stream, status, &[], "application/json", body.as_bytes());
         }
         (Method::Get, "/driftz") => {
             let body = render_driftz(shared);
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(stream, 200, &[], "application/json", body.as_bytes());
         }
         (Method::Get, "/metrics") => {
-            // Prometheus scrape of the process-global registry, plus this
-            // instance's per-replica and per-model-version series. Like
-            // /healthz, this deliberately ignores the drain flag:
+            // Prometheus scrape: the process-global series (thread pool,
+            // kernels), then this instance's counters and histograms,
+            // then its per-replica, per-model-version and drift series.
+            // Like /healthz, this deliberately ignores the drain flag:
             // operators scrape right through a shutdown, so /metrics
             // stays 200 while /readyz is already 503.
             let mut body = adec_obs::prom::encode(&adec_obs::global().snapshot());
+            body.push_str(&render_instance_metrics(shared));
             body.push_str(&render_fleet_metrics(shared));
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(
                 stream,
                 200,
@@ -1001,7 +948,7 @@ fn route(
             );
         }
         (Method::Get, "/statz") => {
-            let s = shared.stats.snapshot();
+            let s = shared.stats();
             let mut body = format!(
                 r#"{{"served":{},"rejected_busy":{},"client_errors":{},"disconnects":{},"deadline_expired":{},"caught_panics":{},"served_full":{},"served_no_decoder":{},"served_centroid_only":{},"respawns":{},"reloads":{},"reloads_refused":{},"model_version":{},"reload_generation":{},"replicas_live":{},"replicas":["#,
                 s.served,
@@ -1037,7 +984,7 @@ fn route(
                 ));
             }
             body.push_str("]}");
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(stream, 200, &[], "application/json", body.as_bytes());
         }
         (Method::Get, p) if p == "/tracez" || p.starts_with("/tracez?") => {
@@ -1045,21 +992,14 @@ fn route(
                 .split_once('?')
                 .is_some_and(|(_, q)| q.split('&').any(|kv| kv == "format=chrome"));
             let body = render_tracez(shared, chrome);
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(stream, 200, &[], "application/json", body.as_bytes());
         }
         (_, p) if p == "/tracez" || p.starts_with("/tracez?") => {
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-            let _ = write_response(
-                stream,
-                405,
-                &[],
-                "application/json",
-                br#"{"error":"method-not-allowed"}"#,
-            );
+            refuse(shared, stream, 405, br#"{"error":"method-not-allowed"}"#);
         }
         (Method::Post, "/shutdown") => {
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let _ = write_response(
                 stream,
                 200,
@@ -1082,31 +1022,41 @@ fn route(
             "/healthz" | "/readyz" | "/driftz" | "/statz" | "/metrics" | "/shutdown" | "/assign"
             | "/reload" | "/chaos/kill-replica" | "/chaos/wedge-replica",
         ) => {
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-            let _ = write_response(
-                stream,
-                405,
-                &[],
-                "application/json",
-                br#"{"error":"method-not-allowed"}"#,
-            );
+            refuse(shared, stream, 405, br#"{"error":"method-not-allowed"}"#);
         }
         _ => {
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-            let _ = write_response(
-                stream,
-                404,
-                &[],
-                "application/json",
-                br#"{"error":"not-found"}"#,
-            );
+            refuse(shared, stream, 404, br#"{"error":"not-found"}"#);
         }
     }
 }
 
-/// This instance's fleet/registry series, appended to the registry-encoded
-/// exposition. Names are disjoint from the process-global counters so the
-/// strict parser never sees a duplicate `# TYPE`.
+/// Answers a JSON error and counts it as a client error.
+fn refuse(shared: &Shared, stream: &mut TcpStream, status: u16, body: &[u8]) {
+    shared.metrics.client_errors.inc();
+    let _ = write_response(stream, status, &[], "application/json", body);
+}
+
+/// This instance's event counters and histograms. Respawns and reload
+/// outcomes join the registry's own series here, read from the replica
+/// slots and the model registry that count them. No `adec_serve_` name
+/// lives on the process-global registry, so the strict parser never sees
+/// a duplicate `# TYPE`.
+fn render_instance_metrics(shared: &Shared) -> String {
+    let s = shared.stats();
+    let mut snap = shared.metrics.registry.snapshot();
+    snap.counters.extend([
+        ("adec_serve_respawns_total".to_string(), s.respawns),
+        ("adec_serve_reloads_total".to_string(), s.reloads),
+        (
+            "adec_serve_reloads_refused_total".to_string(),
+            s.reloads_refused,
+        ),
+    ]);
+    snap.counters.sort();
+    adec_obs::prom::encode(&snap)
+}
+
+/// This instance's fleet, model-version and drift series.
 fn render_fleet_metrics(shared: &Shared) -> String {
     let mut out = String::with_capacity(512);
     out.push_str("# TYPE adec_serve_model_version gauge\n");
@@ -1206,10 +1156,10 @@ fn render_tracez(shared: &Shared, chrome: bool) -> String {
         }
         body.push_str(&format!(
             r#"{{"request_id":"{}","trace_id":{},"status":"{}","tier":"{}","total_ms":{:.3},"stages":["#,
-            json_escape(t.attr("request_id").unwrap_or("")),
+            escape(t.attr("request_id").unwrap_or("")),
             t.trace_id,
-            json_escape(t.attr("status").unwrap_or("")),
-            json_escape(t.attr("tier").unwrap_or("")),
+            escape(t.attr("status").unwrap_or("")),
+            escape(t.attr("tier").unwrap_or("")),
             t.total_ns as f64 / 1e6, // lint:allow(as-narrowing)
         ));
         for (j, s) in t.stages().enumerate() {
@@ -1218,7 +1168,7 @@ fn render_tracez(shared: &Shared, chrome: bool) -> String {
             }
             body.push_str(&format!(
                 r#"{{"name":"{}","ms":{:.3}}}"#,
-                json_escape(&s.name),
+                escape(&s.name),
                 s.dur_ns as f64 / 1e6, // lint:allow(as-narrowing)
             ));
         }
@@ -1263,30 +1213,23 @@ fn render_driftz(shared: &Shared) -> String {
 /// are 409 (the live model is untouched); a draining server answers 503.
 fn handle_reload(shared: &Shared, stream: &mut TcpStream, draining: bool) {
     if draining {
-        shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-        let _ = write_response(
+        refuse(
+            shared,
             stream,
             503,
-            &[],
-            "application/json",
             br#"{"error":"draining","detail":"server is shutting down"}"#,
         );
         return;
     }
     let Some(path) = shared.config.reload_path.clone() else {
-        shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-        let _ = write_response(
-            stream,
-            409,
-            &[],
-            "application/json",
-            br#"{"error":"reload-unavailable","detail":"server started without a reload path"}"#,
-        );
+        let body =
+            br#"{"error":"reload-unavailable","detail":"server started without a reload path"}"#;
+        refuse(shared, stream, 409, body);
         return;
     };
     match shared.do_reload(&path) {
         Ok(next) => {
-            shared.count(&shared.stats.served, &shared.obs.served);
+            shared.metrics.served.inc();
             let body = format!(
                 r#"{{"reloaded":true,"model_version":{},"reload_generation":{}}}"#,
                 next.version,
@@ -1295,13 +1238,12 @@ fn handle_reload(shared: &Shared, stream: &mut TcpStream, draining: bool) {
             let _ = write_response(stream, 200, &[], "application/json", body.as_bytes());
         }
         Err(err) => {
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
             let body = format!(
                 r#"{{"error":"reload-refused","reason":"{}","detail":"{}"}}"#,
                 err.reason(),
-                json_escape(&err.to_string()),
+                escape(&err.to_string()),
             );
-            let _ = write_response(stream, 409, &[], "application/json", body.as_bytes());
+            refuse(shared, stream, 409, body.as_bytes());
         }
     }
 }
@@ -1319,15 +1261,14 @@ fn handle_chaos(shared: &Shared, stream: &mut TcpStream, request: &Request, op: 
     let text = std::str::from_utf8(&request.body).unwrap_or("").trim();
     let id: usize = if text.is_empty() { 0 } else { text.parse().unwrap_or(usize::MAX) };
     let Some(replica) = shared.replicas.get(id) else {
-        shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
         let body = format!(
             r#"{{"error":"bad-replica","detail":"fleet has {} replicas"}}"#,
             shared.replicas.len()
         );
-        let _ = write_response(stream, 400, &[], "application/json", body.as_bytes());
+        refuse(shared, stream, 400, body.as_bytes());
         return;
     };
-    shared.count(&shared.stats.served, &shared.obs.served);
+    shared.metrics.served.inc();
     let body = match op {
         ChaosOp::Kill => {
             replica.kill.store(true, Ordering::SeqCst);
@@ -1394,14 +1335,14 @@ fn handle_assign(
         trace::attr("shed", "true");
     }
     let want = model.input_dim();
-    let eval_timer = shared.obs.assign_eval.start();
+    let eval_timer = Span::on(Arc::clone(&shared.metrics.assign_eval));
     let eval_span = trace::span("eval");
     let rows = match parse_csv_body(&request.body, want) {
         Ok(rows) => rows,
         Err(msg) => {
             trace::attr("status", "400");
-            shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
-            let body = format!(r#"{{"error":"bad-body","detail":"{msg}"}}"#);
+            shared.metrics.client_errors.inc();
+            let body = format!(r#"{{"error":"bad-body","detail":"{}"}}"#, escape(&msg));
             let _ = write_response(stream, 400, &rid_header, "application/json", body.as_bytes());
             return;
         }
@@ -1410,7 +1351,7 @@ fn handle_assign(
     for chunk in rows.chunks(ASSIGN_CHUNK_ROWS) {
         if Instant::now() >= compute_deadline {
             trace::attr("status", "503");
-            shared.count(&shared.stats.deadline_expired, &shared.obs.deadline_expired);
+            shared.metrics.deadline_expired.inc();
             let _ = write_response(
                 stream,
                 503,
@@ -1426,7 +1367,7 @@ fn handle_assign(
             Ok(mut batch) => assignments.append(&mut batch),
             Err(err) => {
                 trace::attr("status", "400");
-                shared.count(&shared.stats.client_errors, &shared.obs.client_errors);
+                shared.metrics.client_errors.inc();
                 let body = format!(r#"{{"error":"bad-input","detail":"{err}"}}"#);
                 let _ = write_response(stream, 400, &rid_header, "application/json", body.as_bytes());
                 return;
@@ -1436,16 +1377,14 @@ fn handle_assign(
     drop(eval_span);
     drop(eval_timer);
     trace::attr("status", "200");
-    shared.count(&shared.stats.served, &shared.obs.served);
+    shared.metrics.served.inc();
     mv.count_served();
-    let (tier_local, tier_global) = match effective {
-        ServeMode::Full => (&shared.stats.served_full, &shared.obs.served_full),
-        ServeMode::NoDecoder => (&shared.stats.served_no_decoder, &shared.obs.served_no_decoder),
-        ServeMode::CentroidOnly => {
-            (&shared.stats.served_centroid_only, &shared.obs.served_centroid_only)
-        }
+    let tier = match effective {
+        ServeMode::Full => &shared.metrics.served_full,
+        ServeMode::NoDecoder => &shared.metrics.served_no_decoder,
+        ServeMode::CentroidOnly => &shared.metrics.served_centroid_only,
     };
-    shared.count(tier_local, tier_global);
+    tier.inc();
     // The response reports the rung it was *answered* at, so a client can
     // tell checkpoint degradation and load shedding apart from the mix of
     // modes it sees. The drift flag appears only above observe policy, so
@@ -1561,23 +1500,6 @@ fn render_assignments(
     out
 }
 
-/// Escapes a string for embedding in a hand-rolled JSON value.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Maps an [`AssignError`] to its response status (all client errors).
 pub fn assign_status(err: &AssignError) -> u16 {
     match err {
@@ -1645,14 +1567,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_control_and_quote_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn shed_tier_is_monotone_and_ordered() {
         // Exact ladder boundaries for cap = 8: ≤4 full, 5–6 no-decoder,
         // 7+ centroid-only.
@@ -1688,11 +1602,9 @@ mod tests {
     }
 
     #[test]
-    fn config_derives_fleet_size_and_wedge_budget() {
-        let mut c = ServerConfig { workers: 3, ..ServerConfig::default() };
-        assert_eq!(c.fleet_size(), 3);
-        c.replicas = 5;
-        assert_eq!(c.fleet_size(), 5);
+    fn config_derives_wedge_budget() {
+        let mut c = ServerConfig::default();
+        assert_eq!(c.replicas, 2, "two replicas unless told otherwise");
         assert_eq!(c.wedge_budget(), c.read_deadline_ms + c.deadline_ms + 2_000);
         c.wedge_budget_ms = 250;
         assert_eq!(c.wedge_budget(), 250);

@@ -74,7 +74,7 @@ fn rank(mode: &str) -> u8 {
 fn ladder_degrades_in_order_under_queue_pressure() {
     const CAP: usize = 8;
     let server = start_server(sample_model(33), |c| {
-        c.workers = 1;
+        c.replicas = 1;
         c.max_inflight = CAP;
         // The pin below holds the worker for this long; accepted requests
         // wait in the queue meanwhile, so the compute deadline (which

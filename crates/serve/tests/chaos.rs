@@ -17,7 +17,7 @@ fn chaos_drill_in_process() {
     let server = start_server(sample_model(21), |c| {
         c.max_inflight = max_inflight;
         c.read_deadline_ms = read_deadline_ms;
-        c.workers = 2;
+        c.replicas = 2;
     });
     let addr = server.addr();
 
@@ -32,16 +32,6 @@ fn chaos_drill_in_process() {
     assert_eq!(stats.caught_panics, 0, "worker panicked during the drill");
     assert!(stats.served > 0);
     assert!(stats.client_errors > 0, "drill should have produced typed client errors");
-
-    // Same guarantee, proven through the telemetry registry: the global
-    // panic counter (which /metrics exports) must agree that nothing blew.
-    let registry_panics = adec_obs::global()
-        .snapshot()
-        .counters
-        .iter()
-        .find(|(name, _)| name == "adec_serve_caught_panics_total")
-        .map(|&(_, v)| v);
-    assert_eq!(registry_panics, Some(0), "registry disagrees with Stats on panics");
 }
 
 #[test]

@@ -70,7 +70,7 @@ pub fn decoderless_checkpoint(seed: u64) -> Checkpoint {
 pub fn start_server(model: InferenceModel, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
         port: 0,
-        workers: 2,
+        replicas: 2,
         max_inflight: 8,
         deadline_ms: 5_000,
         read_deadline_ms: 500,
@@ -81,6 +81,11 @@ pub fn start_server(model: InferenceModel, tweak: impl FnOnce(&mut ServerConfig)
         Ok(h) => h,
         Err(e) => panic!("server failed to start: {e}"),
     }
+}
+
+/// A deterministic `/assign` body: `rows` CSV rows of `cols` features.
+pub fn sample_body(cols: usize, rows: usize, seed: u64) -> Vec<u8> {
+    adec_loadgen::csv_rows(cols, rows, &mut SeedRng::new(seed))
 }
 
 /// Full-mode model from the sample checkpoint.

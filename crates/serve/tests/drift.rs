@@ -13,10 +13,11 @@
 mod common;
 
 use adec_datagen::{Dataset, Modality, ShiftKind, ShiftSchedule, StreamSim};
+use adec_loadgen::client;
 use adec_nn::{soft_assignment, Checkpoint, ParamStore, ReferenceProfile};
 use adec_obs::json::Json;
 use adec_obs::{flush_sink, install_jsonl_sink, SinkOptions};
-use adec_serve::{chaos, DriftConfig, DriftPolicy, DriftSentinel, InferenceModel};
+use adec_serve::{DriftConfig, DriftPolicy, DriftSentinel, InferenceModel};
 use adec_tensor::{Matrix, SeedRng};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -96,13 +97,8 @@ fn post_rows(addr: SocketAddr, x: &Matrix) -> Vec<u8> {
     let mut start = 0;
     while start < x.rows() {
         let end = (start + 32).min(x.rows());
-        let mut body = String::new();
-        for r in start..end {
-            let cells: Vec<String> = x.row(r).iter().map(|v| format!("{v}")).collect();
-            body.push_str(&cells.join(","));
-            body.push('\n');
-        }
-        match chaos::post(addr, "/assign", body.as_bytes()) {
+        let body = adec_loadgen::csv_body((start..end).map(|r| x.row(r)));
+        match client::post(addr, "/assign", &body) {
             Ok(Some((200, resp))) => last = resp,
             other => panic!("/assign gave {other:?}"),
         }
@@ -113,8 +109,8 @@ fn post_rows(addr: SocketAddr, x: &Matrix) -> Vec<u8> {
 
 /// Fetches and parses `/driftz`.
 fn driftz(addr: SocketAddr) -> Json {
-    match chaos::get(addr, "/driftz") {
-        Ok(Some((200, body))) => {
+    match client::get(addr, "/driftz") {
+        Some((200, body)) => {
             let text = String::from_utf8(body).unwrap();
             Json::parse(&text).unwrap_or_else(|e| panic!("bad /driftz {text:?}: {e}"))
         }
@@ -242,8 +238,8 @@ fn gate_policy_lifecycle_and_events_over_http() {
     }
     let doc = wait_for_windows(addr, 2);
     assert_eq!(driftz_u64(&doc, "alarms"), 0, "stationary false alarm: {doc:?}");
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((200, _))) => {}
+    match client::get(addr, "/readyz") {
+        Some((200, _)) => {}
         other => panic!("stationary /readyz gave {other:?}"),
     }
 
@@ -262,8 +258,8 @@ fn gate_policy_lifecycle_and_events_over_http() {
     assert!(alarmed, "mean shift not detected within {DETECT_BOUND} windows");
 
     // Gate policy: readiness fails naming the alarm; responses stamped.
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((503, body))) => {
+    match client::get(addr, "/readyz") {
+        Some((503, body)) => {
             let text = String::from_utf8_lossy(&body);
             assert!(text.contains("\"drift_alarmed\":true"), "readyz body: {text}");
         }
@@ -274,15 +270,15 @@ fn gate_policy_lifecycle_and_events_over_http() {
     assert!(text.contains("\"drift\":true"), "alarmed /assign not stamped: {text}");
 
     // Refit reload (same profiled bytes) clears the latch and readiness.
-    match chaos::post(addr, "/reload", b"") {
+    match client::post(addr, "/reload", b"") {
         Ok(Some((200, _))) => {}
         other => panic!("/reload gave {other:?}"),
     }
     let doc = driftz(addr);
     assert!(!driftz_bool(&doc, "alarmed"), "reload left the latch set: {doc:?}");
     assert!(driftz_u64(&doc, "clears") >= 1, "no clear recorded: {doc:?}");
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((200, _))) => {}
+    match client::get(addr, "/readyz") {
+        Some((200, _)) => {}
         other => panic!("post-reload /readyz gave {other:?}"),
     }
 
@@ -361,8 +357,8 @@ fn profileless_checkpoint_serves_with_sentinel_disabled() {
     let doc = driftz(addr);
     assert!(!driftz_bool(&doc, "enabled"), "sentinel enabled without a profile: {doc:?}");
     assert_eq!(doc.get("profile").and_then(Json::as_str), Some("absent"));
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((200, body))) => {
+    match client::get(addr, "/readyz") {
+        Some((200, body)) => {
             let text = String::from_utf8_lossy(&body);
             assert!(text.contains("\"drift_profile\":\"absent\""), "readyz body: {text}");
         }
@@ -378,8 +374,8 @@ fn profileless_checkpoint_serves_with_sentinel_disabled() {
     let doc = driftz(addr);
     assert_eq!(driftz_u64(&doc, "windows"), 0);
     assert_eq!(driftz_u64(&doc, "pending_rows"), 0);
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((200, _))) => {}
+    match client::get(addr, "/readyz") {
+        Some((200, _)) => {}
         other => panic!("profile-less /readyz gave {other:?}"),
     }
 
@@ -468,8 +464,8 @@ fn degrade_policy_stamps_responses_but_keeps_readiness() {
     let body = post_rows(addr, &stationary.next_batch(4));
     let text = String::from_utf8_lossy(&body);
     assert!(text.contains("\"drift\":true"), "alarmed degrade-mode not stamped: {text}");
-    match chaos::get(addr, "/readyz") {
-        Ok(Some((200, _))) => {}
+    match client::get(addr, "/readyz") {
+        Some((200, _)) => {}
         other => panic!("degrade policy must not gate readiness, got {other:?}"),
     }
 

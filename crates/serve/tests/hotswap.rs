@@ -7,14 +7,14 @@
 
 mod common;
 
-use adec_serve::chaos;
+use adec_loadgen::client;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn assign(addr: SocketAddr, body: &[u8]) -> (u16, String) {
-    match chaos::post(addr, "/assign", body) {
+    match client::post(addr, "/assign", body) {
         Ok(Some((status, bytes))) => (status, String::from_utf8_lossy(&bytes).into_owned()),
         other => panic!("/assign gave {other:?}"),
     }
@@ -36,7 +36,7 @@ fn assignments_of(body: &str) -> &str {
 }
 
 fn reload(addr: SocketAddr) -> (u16, String) {
-    match chaos::post(addr, "/reload", b"") {
+    match client::post(addr, "/reload", b"") {
         Ok(Some((status, bytes))) => (status, String::from_utf8_lossy(&bytes).into_owned()),
         other => panic!("/reload gave {other:?}"),
     }
@@ -50,7 +50,7 @@ fn same_bytes_reload_is_a_response_noop() {
     let handle = common::start_fleet_server(2, &reload_path, |_| {});
     let addr = handle.addr();
 
-    let body = chaos::sample_body(common::INPUT_DIM, 8, 11);
+    let body = common::sample_body(common::INPUT_DIM, 8, 11);
     let (status, before) = assign(addr, &body);
     assert_eq!(status, 200, "pre-swap assign: {before}");
     assert_eq!(model_version_of(&before), 1);
@@ -68,8 +68,8 @@ fn same_bytes_reload_is_a_response_noop() {
     );
 
     // /readyz advances version and generation together.
-    let readyz = match chaos::get(addr, "/readyz") {
-        Ok(Some((200, bytes))) => String::from_utf8_lossy(&bytes).into_owned(),
+    let readyz = match client::get(addr, "/readyz") {
+        Some((200, bytes)) => String::from_utf8_lossy(&bytes).into_owned(),
         other => panic!("/readyz gave {other:?}"),
     };
     assert!(readyz.contains("\"model_version\":2"), "readyz: {readyz}");
@@ -88,7 +88,7 @@ fn different_checkpoint_swaps_version_atomically() {
     common::write_checkpoint(&reload_path, 7);
     let handle = common::start_fleet_server(2, &reload_path, |c| c.max_inflight = 32);
     let addr = handle.addr();
-    let body = Arc::new(chaos::sample_body(common::INPUT_DIM, 8, 13));
+    let body = Arc::new(common::sample_body(common::INPUT_DIM, 8, 13));
 
     let (status, before) = assign(addr, &body);
     assert_eq!(status, 200, "pre-swap assign: {before}");
@@ -104,7 +104,7 @@ fn different_checkpoint_swaps_version_atomically() {
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    if let Ok(Some((200, bytes))) = chaos::post(addr, "/assign", &body) {
+                    if let Ok(Some((200, bytes))) = client::post(addr, "/assign", &body) {
                         seen.push(String::from_utf8_lossy(&bytes).into_owned());
                     }
                 }

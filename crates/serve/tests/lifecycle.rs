@@ -7,9 +7,9 @@
 
 mod common;
 
+use adec_loadgen::client;
 use adec_obs::json::Json;
 use adec_obs::{flush_sink, install_jsonl_sink, shutdown_sink, SinkOptions};
-use adec_serve::chaos;
 use std::time::{Duration, Instant};
 
 fn first_seq(events: &[(String, u64)], kind: &str) -> u64 {
@@ -32,7 +32,7 @@ fn lifecycle_events_are_seq_ordered() {
     let addr = handle.addr();
 
     // Kill replica 0 and wait for the supervisor to respawn it.
-    match chaos::post(addr, "/chaos/kill-replica", b"0") {
+    match client::post(addr, "/chaos/kill-replica", b"0") {
         Ok(Some((200, _))) => {}
         other => panic!("kill-replica gave {other:?}"),
     }
@@ -44,7 +44,7 @@ fn lifecycle_events_are_seq_ordered() {
 
     // Hot swap (same bytes — still a full begin/swap/drain cycle), then
     // give the supervisor a few ticks to observe the old version drain.
-    match chaos::post(addr, "/reload", b"") {
+    match client::post(addr, "/reload", b"") {
         Ok(Some((200, _))) => {}
         other => panic!("reload gave {other:?}"),
     }

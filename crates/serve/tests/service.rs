@@ -6,10 +6,13 @@
 
 mod common;
 
-use adec_serve::chaos::{discover_input_dim, get, post, sample_body};
-use adec_serve::{InferenceModel, ServeMode};
+use adec_loadgen::client::{discover_input_dim, get, post, scrape_metrics};
+use adec_obs::json::Json;
+use adec_serve::chaos::STATZ_COUNTERS;
+use adec_serve::{InferenceModel, ServeMode, ServeStats};
 use common::{
-    decoderless_checkpoint, sample_checkpoint, sample_model, start_server, INPUT_DIM, K,
+    decoderless_checkpoint, sample_body, sample_checkpoint, sample_model, start_server, INPUT_DIM,
+    K,
 };
 
 #[test]
@@ -17,11 +20,11 @@ fn healthz_and_readyz_report_the_model() {
     let server = start_server(sample_model(1), |_| {});
     let addr = server.addr();
 
-    let (status, body) = get(addr, "/healthz").unwrap().unwrap();
+    let (status, body) = get(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
     assert_eq!(body, b"ok\n");
 
-    let (status, body) = get(addr, "/readyz").unwrap().unwrap();
+    let (status, body) = get(addr, "/readyz").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains(r#""ready":true"#), "{text}");
@@ -73,7 +76,7 @@ fn assign_rejects_bad_bodies_with_400() {
         assert!(text.contains(r#""error":""#), "{text}");
     }
     // Server still healthy after the parade of junk.
-    assert_eq!(get(addr, "/healthz").unwrap().unwrap().0, 200);
+    assert_eq!(get(addr, "/healthz").unwrap().0, 200);
     server.shutdown();
     server.join();
 }
@@ -83,9 +86,9 @@ fn unknown_paths_and_methods_get_typed_errors() {
     let server = start_server(sample_model(4), |_| {});
     let addr = server.addr();
 
-    assert_eq!(get(addr, "/nope").unwrap().unwrap().0, 404);
+    assert_eq!(get(addr, "/nope").unwrap().0, 404);
     assert_eq!(post(addr, "/healthz", b"").unwrap().unwrap().0, 405);
-    assert_eq!(get(addr, "/assign").unwrap().unwrap().0, 405);
+    assert_eq!(get(addr, "/assign").unwrap().0, 405);
     server.shutdown();
     server.join();
 }
@@ -97,7 +100,7 @@ fn degraded_no_decoder_serves_and_says_so() {
     let server = start_server(model, |_| {});
     let addr = server.addr();
 
-    let (status, body) = get(addr, "/readyz").unwrap().unwrap();
+    let (status, body) = get(addr, "/readyz").unwrap();
     assert_eq!(status, 200);
     assert!(String::from_utf8(body).unwrap().contains("degraded-no-decoder"));
 
@@ -148,7 +151,7 @@ fn compute_deadline_zero_rejects_with_503() {
     assert_eq!(status, 503, "{}", String::from_utf8_lossy(&resp));
     assert!(String::from_utf8(resp).unwrap().contains("deadline"));
     // Health endpoints don't run compute and stay green.
-    assert_eq!(get(addr, "/healthz").unwrap().unwrap().0, 200);
+    assert_eq!(get(addr, "/healthz").unwrap().0, 200);
     let stats = server.stats();
     assert!(stats.deadline_expired >= 1);
     server.shutdown();
@@ -180,33 +183,62 @@ fn metrics_is_strict_exposition_and_statz_stays_compatible() {
     let (status, _) = post(addr, "/assign", b"definitely,not,numbers\n").unwrap().unwrap();
     assert_eq!(status, 400);
 
-    let (status, body) = get(addr, "/metrics").unwrap().unwrap();
+    let (status, body) = get(addr, "/metrics").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
     let exp = adec_obs::prom::check_exposition(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     assert_eq!(exp.type_of("adec_serve_served_total"), Some("counter"));
     assert_eq!(exp.type_of("adec_serve_request_seconds"), Some("histogram"));
     assert_eq!(exp.type_of("adec_serve_queue_depth"), Some("histogram"));
-    // The registry is process-global (shared with any concurrently
-    // running test server), so assert floors, not exact counts.
-    assert!(exp.sample("adec_serve_served_total").unwrap() >= 4.0, "{text}");
-    assert!(exp.sample("adec_serve_client_errors_total").unwrap() >= 1.0, "{text}");
-    assert!(exp.sample("adec_serve_request_seconds_count").unwrap() >= 5.0, "{text}");
+    // Each server owns its counters, so other test servers running
+    // concurrently in this process cannot move these: the values are
+    // exact. The scrape counts itself only after rendering its body.
+    assert_eq!(exp.sample("adec_serve_served_total"), Some(4.0), "{text}");
+    assert_eq!(
+        exp.sample("adec_serve_served_full_total"),
+        Some(4.0),
+        "{text}"
+    );
+    assert_eq!(
+        exp.sample("adec_serve_client_errors_total"),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(
+        exp.sample("adec_serve_request_seconds_count"),
+        Some(5.0),
+        "{text}"
+    );
+    assert_eq!(
+        exp.sample("adec_serve_assign_eval_seconds_count"),
+        Some(5.0),
+        "{text}"
+    );
 
     // /statz keeps its exact pre-telemetry shape and per-instance values.
-    let (status, body) = get(addr, "/statz").unwrap().unwrap();
+    let (status, body) = get(addr, "/statz").unwrap();
     assert_eq!(status, 200);
-    let text = String::from_utf8(body).unwrap();
-    for key in [
-        "\"served\":",
-        "\"rejected_busy\":",
-        "\"client_errors\":",
-        "\"disconnects\":",
-        "\"deadline_expired\":",
-        "\"caught_panics\":0",
-    ] {
-        assert!(text.contains(key), "missing {key} in {text}");
-    }
+    let doc = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    let Json::Obj(entries) = &doc else {
+        panic!("/statz is not an object: {doc:?}")
+    };
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    let mut want: Vec<&str> = STATZ_COUNTERS.to_vec();
+    want.extend([
+        "model_version",
+        "reload_generation",
+        "replicas_live",
+        "replicas",
+    ]);
+    assert_eq!(keys, want);
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+    assert_eq!(
+        count("served"),
+        Some(5),
+        "the four assigns and the /metrics scrape"
+    );
+    assert_eq!(count("client_errors"), Some(1));
+    assert_eq!(count("caught_panics"), Some(0));
 
     server.shutdown();
     server.join();
@@ -221,7 +253,7 @@ fn metrics_stays_servable_while_draining() {
     // One worker, generous read deadline: a stalled connection pins the
     // worker long enough for scrapes to queue up behind it.
     let server = start_server(sample_model(31), |c| {
-        c.workers = 1;
+        c.replicas = 1;
         c.read_deadline_ms = 1_500;
     });
     let addr = server.addr();
@@ -233,8 +265,8 @@ fn metrics_stays_servable_while_draining() {
 
     // These land in the queue and will only be routed after the drain
     // flag is up.
-    let scrape = std::thread::spawn(move || get(addr, "/metrics").unwrap().unwrap());
-    let ready = std::thread::spawn(move || get(addr, "/readyz").unwrap().unwrap());
+    let scrape = std::thread::spawn(move || get(addr, "/metrics").unwrap());
+    let ready = std::thread::spawn(move || get(addr, "/readyz").unwrap());
     std::thread::sleep(Duration::from_millis(200));
     server.shutdown();
 
@@ -260,4 +292,115 @@ fn responses_are_bitwise_deterministic() {
     assert_eq!(r1, r2, "identical requests must produce identical bytes");
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn bad_body_details_are_valid_json() {
+    let server = start_server(sample_model(32), |_| {});
+    let addr = server.addr();
+    // The offending CSV field is quoted into the 400 detail; quotes and
+    // backslashes in it must come back escaped.
+    for (bad, field) in [
+        (&b"1,\"x,3"[..], "'\"x'"),
+        (&b"1,a\\q,3"[..], "'a\\q'"),
+        (&b"{\"json\":\"not csv\"}"[..], "'{\"json\":\"not csv\"}'"),
+    ] {
+        let (status, resp) = post(addr, "/assign", bad).unwrap().unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(resp).unwrap();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("bad-body"),
+            "{text}"
+        );
+        let detail = doc.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.ends_with(field), "{detail}");
+    }
+    server.shutdown();
+    server.join();
+}
+
+/// `ServeStats` by `/statz` key.
+fn stats_by_key(s: &ServeStats) -> [(&'static str, u64); 12] {
+    let [full, no_decoder, centroid_only] = s.served_by_tier;
+    [
+        ("served", s.served),
+        ("rejected_busy", s.rejected_busy),
+        ("client_errors", s.client_errors),
+        ("disconnects", s.disconnects),
+        ("deadline_expired", s.deadline_expired),
+        ("caught_panics", s.caught_panics),
+        ("served_full", full),
+        ("served_no_decoder", no_decoder),
+        ("served_centroid_only", centroid_only),
+        ("respawns", s.respawns),
+        ("reloads", s.reloads),
+        ("reloads_refused", s.reloads_refused),
+    ]
+}
+
+#[test]
+fn each_server_reports_only_its_own_counts() {
+    let servers = [
+        start_server(sample_model(33), |_| {}),
+        start_server(sample_model(34), |_| {}),
+    ];
+    // Different traffic per server, so any process-wide sum would show:
+    // (valid bodies, malformed bodies, unknown paths).
+    let traffic = [(4u64, 1u64, 0u64), (1, 3, 2)];
+    for (server, &(ok, bad, missing)) in servers.iter().zip(&traffic) {
+        let addr = server.addr();
+        for seed in 0..ok {
+            let (status, _) = post(addr, "/assign", &sample_body(INPUT_DIM, 2, seed))
+                .unwrap()
+                .unwrap();
+            assert_eq!(status, 200);
+        }
+        for _ in 0..bad {
+            let (status, _) = post(addr, "/assign", b"not,numbers\n").unwrap().unwrap();
+            assert_eq!(status, 400);
+        }
+        for _ in 0..missing {
+            assert_eq!(get(addr, "/nope").unwrap().0, 404);
+        }
+    }
+    for (server, &(ok, bad, missing)) in servers.into_iter().zip(&traffic) {
+        let addr = server.addr();
+        let (status, body) = get(addr, "/statz").unwrap();
+        assert_eq!(status, 200);
+        let statz = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let metrics = scrape_metrics(addr).unwrap_or_else(|e| panic!("{e}"));
+        server.shutdown();
+        let joined = stats_by_key(&server.join());
+        let count = |key: &str| statz.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(count("served"), ok);
+        assert_eq!(count("served_full"), ok);
+        assert_eq!(count("client_errors"), bad + missing);
+        for (key, (joined_key, joined_value)) in STATZ_COUNTERS.iter().zip(joined) {
+            assert_eq!(*key, joined_key);
+            // /metrics also counts the /statz request before it; join()
+            // also counts the /metrics scrape.
+            let (on_metrics, on_join) = if *key == "served" { (1, 2) } else { (0, 0) };
+            let name = format!("adec_serve_{key}_total");
+            assert_eq!(
+                metrics.sample(&name),
+                Some((count(key) + on_metrics) as f64),
+                "{name}"
+            );
+            assert_eq!(joined_value, count(key) + on_join, "join() {key}");
+        }
+    }
+    let global = adec_obs::global().snapshot();
+    let names = global
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .chain(global.histograms.iter().map(|(n, _)| n));
+    for name in names {
+        assert!(
+            !name.starts_with("adec_serve_"),
+            "{name} is on the process-global registry"
+        );
+    }
 }

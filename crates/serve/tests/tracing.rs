@@ -9,9 +9,9 @@
 
 mod common;
 
+use adec_loadgen::client::{get, post};
 use adec_obs::trace::check_chrome_trace;
-use adec_serve::chaos::{get, post, sample_body};
-use common::{sample_model, start_server, INPUT_DIM};
+use common::{sample_body, sample_model, start_server, INPUT_DIM};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -132,7 +132,7 @@ fn tracez_slow_exemplar_stage_sum_within_ten_percent() {
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-request-id"), Some("load-slow"));
 
-    let (status, tracez) = get(addr, "/tracez").unwrap().unwrap();
+    let (status, tracez) = get(addr, "/tracez").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(tracez).unwrap();
     assert!(text.contains(r#""enabled":true"#), "{text}");
@@ -185,7 +185,7 @@ fn tracez_slow_exemplar_stage_sum_within_ten_percent() {
 
     // Chrome export variant round-trips through the strict parser and
     // contains the retained trace's stages.
-    let (status, chrome) = get(addr, "/tracez?format=chrome").unwrap().unwrap();
+    let (status, chrome) = get(addr, "/tracez?format=chrome").unwrap();
     assert_eq!(status, 200);
     let doc = check_chrome_trace(&String::from_utf8(chrome).unwrap()).unwrap();
     assert!(!doc.named("request").is_empty(), "no root events exported");
@@ -208,7 +208,7 @@ fn tail_sampling_always_retains_errors_and_tracez_is_get_only() {
     let (status, _, _) = exchange(addr, &assign_head(Some("load-bad"), bad.len()), &bad, None);
     assert_eq!(status, 400);
 
-    let (status, tracez) = get(addr, "/tracez").unwrap().unwrap();
+    let (status, tracez) = get(addr, "/tracez").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(tracez).unwrap();
     assert!(text.contains(r#""request_id":"load-bad""#), "{text}");
@@ -235,7 +235,7 @@ fn tracing_disabled_server_reports_inert_tracez() {
     // Request ids still flow when tracing is off.
     assert_eq!(header(&headers, "x-request-id"), Some("load-1"));
 
-    let (status, tracez) = get(addr, "/tracez").unwrap().unwrap();
+    let (status, tracez) = get(addr, "/tracez").unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(tracez).unwrap();
     assert!(text.contains(r#""enabled":false"#), "{text}");

@@ -41,7 +41,7 @@ target/release/adec --method dec --dataset protein --size small --seed 8 \
 mkdir -p "$FLEET_DIR/drift"
 cp "$FLEET_DIR/a/dec.ckpt" "$FLEET_DIR/drift/live.ckpt"
 cp "$FLEET_DIR/a/dec.ckpt" "$FLEET_DIR/drift/refit.ckpt"
-# Same server shape as the committed BENCH_serve.json baseline (8 workers,
+# Same server shape as the committed BENCH_serve.json baseline (8 replicas,
 # 16 inflight, 250ms read deadline) so the post-drill ratchet is apples
 # to apples; the slow-loris share of the load mix needs that capacity.
 # Observe-policy drift sentinel armed: the ratchet doubles as the bound
