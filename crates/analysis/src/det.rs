@@ -2,16 +2,19 @@
 //! of assuming it.
 //!
 //! The kernel layer's contract (see `adec-tensor`) is that results are
-//! bit-identical at any `ADEC_THREADS` because parallelism only ever
-//! splits *output ownership* — every element is written by exactly one
-//! chunk, and every reduction walks its inner dimension ascending with a
+//! bit-identical at any `ADEC_THREADS` and at any instruction-set level,
+//! because parallelism only ever splits *output ownership* — every element
+//! is written by exactly one chunk — and every reduction, in every
+//! compiled clone of the gemm, walks its inner dimension ascending with a
 //! single accumulator. This module attacks that contract from two sides:
 //!
 //! * **Schedule-permutation harness** ([`audit_schedule_determinism`]):
 //!   runs the real pool-parallel kernels under adversarial schedules —
-//!   thread counts {1, 2, 4} crossed with rotated chunk launch orders
+//!   every instruction-set level this CPU runs
+//!   (`adec_tensor::kernels::Isa::available`), crossed with thread counts
+//!   {1, 2, 4} and rotated chunk launch orders
 //!   (`adec_tensor::pool::set_schedule_rotation`) — and requires the
-//!   output bits to match the serial reference exactly
+//!   output bits to match the scalar serial reference exactly
 //!   (`det.schedule-divergence` otherwise).
 //! * **Static reduction scan** ([`audit_reduction_source`]): scans
 //!   `kernels.rs`/`pool.rs` for reduction loops that violate the
@@ -25,14 +28,14 @@
 
 use crate::diagnostics::{rule_info, Diagnostic, Report};
 use crate::lint::mask_source;
-use adec_tensor::kernels::{self, FusedAct};
+use adec_tensor::kernels::{self, set_isa_override, FusedAct, Isa};
 use adec_tensor::pool::{set_schedule_rotation, set_thread_override};
 use adec_tensor::{Matrix, SeedRng};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Serializes harness runs: the pool's thread override and schedule
-/// rotation are process-global, so two concurrent audits (e.g. parallel
+/// Serializes harness runs: the pool's thread override, the schedule
+/// rotation and the kernel level are process-global, so two concurrent audits (e.g. parallel
 /// `#[test]`s) would corrupt each other's reference runs.
 static SCHEDULE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -46,47 +49,55 @@ fn registry_hint(rule: &str) -> String {
     rule_info(rule).map(|r| r.hint.to_string()).unwrap_or_default()
 }
 
-/// Runs `kernel` under every audited schedule and reports
-/// `det.schedule-divergence` wherever its output bits differ from the
-/// serial (1-thread, natural-order) reference. The kernel is re-invoked
-/// per schedule, so it must be a pure function of its captured inputs.
+/// Runs `kernel` under every audited schedule — each available
+/// instruction-set level × [`AUDIT_THREADS`] × [`AUDIT_ROTATIONS`] — and
+/// reports `det.schedule-divergence` wherever its output bits differ from
+/// the reference at (`scalar`, 1 thread, rotation 0). The kernel is
+/// re-invoked per schedule, so it must be a pure function of its captured
+/// inputs.
 ///
-/// Restores the pool to its pre-call configuration before returning.
+/// Restores the pool and the kernel level it found before returning.
 pub fn audit_kernel_schedules<F>(name: &str, mut kernel: F) -> Report
 where
     F: FnMut() -> Vec<f32>,
 {
     let _guard = SCHEDULE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let found_isa = Isa::active();
     let mut report = Report::new();
+    set_isa_override(Isa::Scalar);
     set_thread_override(1);
     set_schedule_rotation(0);
     let reference = kernel();
-    for threads in AUDIT_THREADS {
-        for rotation in AUDIT_ROTATIONS {
-            set_thread_override(threads);
-            set_schedule_rotation(rotation);
-            let out = kernel();
-            let identical = out.len() == reference.len()
-                && out
-                    .iter()
-                    .zip(reference.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !identical {
-                report.push(
-                    Diagnostic::error(
-                        "det.schedule-divergence",
-                        format!("kernel \"{name}\""),
-                        format!(
-                            "output bits diverge from the serial reference at threads={threads} rotation={rotation}"
-                        ),
-                    )
-                    .with_hint(registry_hint("det.schedule-divergence")),
-                );
+    for &isa in Isa::available() {
+        set_isa_override(isa);
+        for threads in AUDIT_THREADS {
+            for rotation in AUDIT_ROTATIONS {
+                set_thread_override(threads);
+                set_schedule_rotation(rotation);
+                let out = kernel();
+                let identical = out.len() == reference.len()
+                    && out
+                        .iter()
+                        .zip(reference.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                if !identical {
+                    report.push(
+                        Diagnostic::error(
+                            "det.schedule-divergence",
+                            format!("kernel \"{name}\""),
+                            format!(
+                                "output bits diverge from the scalar serial reference at isa={isa} threads={threads} rotation={rotation}"
+                            ),
+                        )
+                        .with_hint(registry_hint("det.schedule-divergence")),
+                    );
+                }
             }
         }
     }
     set_schedule_rotation(0);
     set_thread_override(0);
+    set_isa_override(found_isa);
     report
 }
 
@@ -235,6 +246,22 @@ mod tests {
         });
         assert!(report.has_rule("det.schedule-divergence"), "{report}");
         assert!(!report.is_pass());
+    }
+
+    #[test]
+    fn isa_dependent_kernel_is_caught_and_named() {
+        // A kernel whose bits depend on the instruction-set level: what an
+        // AVX2 clone that reassociated its sums would look like.
+        let report = audit_kernel_schedules("seeded-isa-divergence", || {
+            vec![if Isa::active() == Isa::Scalar { 0.0 } else { 1.0 }]
+        });
+        if Isa::available().len() > 1 {
+            assert!(report.has_rule("det.schedule-divergence"), "{report}");
+            assert!(report.to_string().contains("isa=avx2"), "{report}");
+        } else {
+            // One level only: nothing to diverge from.
+            assert!(report.is_empty(), "{report}");
+        }
     }
 
     #[test]

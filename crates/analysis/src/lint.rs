@@ -82,7 +82,7 @@ pub fn mask_source(src: &str) -> String {
                         j += 1;
                     }
                     if j < bytes.len() && bytes[j] == b'"' {
-                        out.extend(std::iter::repeat(b' ').take(j - i + 1));
+                        out.extend(std::iter::repeat_n(b' ', j - i + 1));
                         i = j + 1;
                         st = St::RawStr(hashes);
                     } else {
@@ -141,7 +141,7 @@ pub fn mask_source(src: &str) -> String {
                 if b == b'"' {
                     let end = i + 1 + hashes;
                     if end <= bytes.len() && bytes[i + 1..end].iter().all(|&c| c == b'#') {
-                        out.extend(std::iter::repeat(b' ').take(hashes + 1));
+                        out.extend(std::iter::repeat_n(b' ', hashes + 1));
                         i = end;
                         st = St::Code;
                         continue;
@@ -308,7 +308,7 @@ fn has_cast_to(line: &str, needle: &str) -> bool {
         let boundary = line[end..]
             .chars()
             .next()
-            .map_or(true, |c| !(c.is_ascii_alphanumeric() || c == '_'));
+            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
         if boundary {
             return true;
         }

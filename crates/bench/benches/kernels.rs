@@ -4,6 +4,9 @@
 //!
 //! Emits `BENCH_kernels.json` at the repository root with ns/op and
 //! GFLOP/s per entry and the packed-vs-naive speedup per gemm shape.
+//! Each packed gemm is timed at every instruction-set level this CPU runs
+//! (`Isa::available()`); every entry records the level it ran at as
+//! `"isa"`, and the document records the detected level.
 //! `ADEC_SIZE` (small | medium | paper) bounds how many of the shape
 //! tiers run: every size runs `small` and `medium` (the speedup the
 //! acceptance gate reads is the medium tier), `paper` adds the
@@ -18,7 +21,7 @@ use adec_bench::HarnessCfg;
 use adec_datagen::Size;
 use adec_tensor::kernels::{
     add_bias_act, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
-    matmul_naive, row_lerp, softmax_rows, FusedAct,
+    matmul_naive, row_lerp, set_isa_override, softmax_rows, FusedAct, Isa,
 };
 use adec_tensor::{configured_threads, Matrix, SeedRng};
 use std::hint::black_box;
@@ -41,6 +44,7 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
 struct Entry {
     name: String,
     tier: &'static str,
+    isa: Isa,
     shape: Vec<usize>,
     ns_per_op: f64,
     gflops: f64,
@@ -60,14 +64,15 @@ impl Entry {
             None => String::new(),
         };
         format!(
-            "{{\"name\":\"{}\",\"tier\":\"{}\",\"shape\":[{}],\"ns_per_op\":{:.0},\"gflops\":{:.4}{}}}",
-            self.name, self.tier, shape, self.ns_per_op, self.gflops, speedup
+            "{{\"name\":\"{}\",\"tier\":\"{}\",\"isa\":\"{}\",\"shape\":[{}],\"ns_per_op\":{:.0},\"gflops\":{:.4}{}}}",
+            self.name, self.tier, self.isa, shape, self.ns_per_op, self.gflops, speedup
         )
     }
 }
 
-/// Benchmarks the three packed gemm variants and their naive references
-/// at one `m × k × n` tier.
+/// Benchmarks the three packed gemm variants at every available
+/// instruction-set level, and their naive references, at one `m × k × n`
+/// tier.
 fn gemm_tier(
     tier: &'static str,
     m: usize,
@@ -103,30 +108,36 @@ fn gemm_tier(
         ),
     ];
     for (name, packed, naive) in variants {
-        let ns_packed = time_ns(iters, || {
-            black_box(packed());
-        });
         let ns_naive = time_ns(naive_iters, || {
             black_box(naive());
         });
-        println!(
-            "{tier:<7} {name:<12} {m}x{k}x{n}: packed {:>10.1} ns ({:.2} GFLOP/s), naive {:>10.1} ns, speedup {:.2}x",
-            ns_packed,
-            flops / ns_packed,
-            ns_naive,
-            ns_naive / ns_packed
-        );
-        entries.push(Entry {
-            name: name.to_string(),
-            tier,
-            shape: vec![m, k, n],
-            ns_per_op: ns_packed,
-            gflops: flops / ns_packed,
-            speedup_vs_naive: Some(ns_naive / ns_packed),
-        });
+        for &isa in Isa::available() {
+            set_isa_override(isa);
+            let ns_packed = time_ns(iters, || {
+                black_box(packed());
+            });
+            println!(
+                "{tier:<7} {name:<12} {m}x{k}x{n} {isa:<6}: packed {:>10.1} ns ({:.2} GFLOP/s), naive {:>10.1} ns, speedup {:.2}x",
+                ns_packed,
+                flops / ns_packed,
+                ns_naive,
+                ns_naive / ns_packed
+            );
+            entries.push(Entry {
+                name: name.to_string(),
+                tier,
+                isa,
+                shape: vec![m, k, n],
+                ns_per_op: ns_packed,
+                gflops: flops / ns_packed,
+                speedup_vs_naive: Some(ns_naive / ns_packed),
+            });
+        }
+        set_isa_override(Isa::detected());
         entries.push(Entry {
             name: format!("{name}_naive"),
             tier,
+            isa: Isa::active(),
             shape: vec![m, k, n],
             ns_per_op: ns_naive,
             gflops: flops / ns_naive,
@@ -163,6 +174,7 @@ fn fused_tier(tier: &'static str, rows: usize, cols: usize, iters: u32, entries:
         entries.push(Entry {
             name: name.to_string(),
             tier,
+            isa: Isa::active(),
             shape: vec![rows, cols],
             ns_per_op: ns,
             gflops: elems * flops_per_elem / ns,
@@ -175,7 +187,11 @@ fn main() {
     let cfg = HarnessCfg::from_env();
     let mut entries = Vec::new();
 
-    println!("== kernel benchmarks (ADEC_THREADS={}) ==", configured_threads());
+    println!(
+        "== kernel benchmarks (ADEC_THREADS={}, isa={}) ==",
+        configured_threads(),
+        Isa::detected()
+    );
     gemm_tier("small", 32, 64, 32, 400, 400, &mut entries);
     fused_tier("small", 64, 128, 400, &mut entries);
     gemm_tier("medium", 256, 512, 256, 8, 3, &mut entries);
@@ -193,8 +209,9 @@ fn main() {
         Size::Paper => "paper",
     };
     let json = format!(
-        "{{\n\"schema\":\"adec-bench-kernels/v1\",\n\"size\":\"{size}\",\n\"threads\":{},\n\"entries\":[\n  {}\n]\n}}\n",
+        "{{\n\"schema\":\"adec-bench-kernels/v1\",\n\"size\":\"{size}\",\n\"threads\":{},\n\"isa\":\"{}\",\n\"entries\":[\n  {}\n]\n}}\n",
         configured_threads(),
+        Isa::detected(),
         body
     );
     // Repo root, next to the other BENCH_/RESULTS artifacts.
@@ -207,10 +224,11 @@ fn main() {
 
     let medium = entries
         .iter()
-        .find(|e| e.name == "matmul" && e.tier == "medium")
+        .find(|e| e.name == "matmul" && e.tier == "medium" && e.isa == Isa::detected())
         .expect("medium gemm entry");
     println!(
-        "medium gemm speedup vs naive: {:.2}x",
+        "medium gemm speedup vs naive ({}): {:.2}x",
+        medium.isa,
         medium.speedup_vs_naive.unwrap_or(0.0)
     );
 }

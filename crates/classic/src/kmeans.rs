@@ -165,7 +165,7 @@ pub fn kmeans(data: &Matrix, cfg: &KMeansConfig, rng: &mut SeedRng) -> KMeans {
             inertia,
             iterations,
         };
-        if best.as_ref().map_or(true, |b| candidate.inertia < b.inertia) {
+        if best.as_ref().is_none_or(|b| candidate.inertia < b.inertia) {
             best = Some(candidate);
         }
     }

@@ -97,8 +97,13 @@ fn main() {
         let report = check(&args);
         if report.is_empty() {
             if args.deep {
+                let levels: Vec<String> = adec_tensor::kernels::Isa::available()
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect();
                 println!(
-                    "check: architectures, trainer phase tapes, and kernel determinism all audit cleanly"
+                    "check: architectures, trainer phase tapes, and kernel determinism (isa levels: {}) all audit cleanly",
+                    levels.join(", ")
                 );
             } else {
                 println!("check: all model architectures validate cleanly");

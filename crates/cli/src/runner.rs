@@ -288,8 +288,9 @@ pub fn load(args: &crate::args::LoadArgs) -> Result<(), RunError> {
 ///
 /// * default — runs the five-trainer profiled pipeline
 ///   ([`adec_core::profiling::run_profiled_pipeline`]) and prints the
-///   per-op table (wall time, FLOPs, GFLOP/s, percent of the best
-///   measured kernel throughput from `BENCH_kernels.json` when present),
+///   per-op table under a header naming the active instruction-set level
+///   (wall time, FLOPs, GFLOP/s, percent of the best kernel throughput
+///   measured at that level in `BENCH_kernels.json` when present),
 ///   optionally writing the `adec-prof/v1` JSON to `--out`;
 /// * `--check <file>` — verifies an existing profile covers every
 ///   phase-manifest op and that sections explain ≥95% of each trainer
@@ -351,33 +352,41 @@ fn read_profile(path: &str) -> Result<adec_nn::profiler::Profile, RunError> {
         .map_err(|e| RunError::Io(format!("profile '{path}': {e}")))
 }
 
-/// Best measured GFLOP/s per (non-naive) kernel from `BENCH_kernels.json`
-/// in the working directory; empty when the file is absent or malformed
-/// (the table then omits the roofline column values).
-fn kernel_rooflines() -> Vec<(String, f64)> {
+/// One non-naive `BENCH_kernels.json` entry: kernel name, the
+/// instruction-set level it was timed at, and its GFLOP/s.
+type KernelRate = (String, String, f64);
+
+/// The non-naive kernel entries of `BENCH_kernels.json` in the working
+/// directory; empty when the file is absent or malformed (the table then
+/// omits the roofline column values).
+fn kernel_rooflines() -> Vec<KernelRate> {
+    std::fs::read_to_string("BENCH_kernels.json")
+        .map(|text| parse_kernel_rates(&text))
+        .unwrap_or_default()
+}
+
+/// Parses the entries of an `adec-bench-kernels/v1` document. An entry
+/// without `"isa"` predates the field and was timed at `scalar`.
+fn parse_kernel_rates(text: &str) -> Vec<KernelRate> {
     use adec_obs::json::Json;
-    let Ok(text) = std::fs::read_to_string("BENCH_kernels.json") else {
-        return Vec::new();
-    };
-    let Ok(doc) = Json::parse(&text) else {
+    let Ok(doc) = Json::parse(text) else {
         return Vec::new();
     };
     let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
         return Vec::new();
     };
-    let mut best: Vec<(String, f64)> = Vec::new();
-    for e in entries {
-        let Some(name) = e.get("name").and_then(Json::as_str) else { continue };
-        if name.ends_with("_naive") {
-            continue;
-        }
-        let Some(g) = e.get("gflops").and_then(Json::as_f64) else { continue };
-        match best.iter_mut().find(|(n, _)| n == name) {
-            Some((_, b)) => *b = b.max(g),
-            None => best.push((name.to_string(), g)),
-        }
-    }
-    best
+    entries
+        .iter()
+        .filter_map(|e| {
+            let name = e.get("name").and_then(Json::as_str)?;
+            if name.ends_with("_naive") {
+                return None;
+            }
+            let isa = e.get("isa").and_then(Json::as_str).unwrap_or("scalar");
+            let gflops = e.get("gflops").and_then(Json::as_f64)?;
+            Some((name.to_string(), isa.to_string(), gflops))
+        })
+        .collect()
 }
 
 /// Maps a profiled tape-op name onto the kernel-bench family that
@@ -393,17 +402,23 @@ fn kernel_family(op: &str) -> Option<&'static str> {
     }
 }
 
-fn roofline_for(op: &str, best: &[(String, f64)]) -> Option<f64> {
+/// The best measured GFLOP/s of the kernel family behind `op`, over the
+/// entries timed at instruction-set level `isa` only: a run is scored
+/// against the kernels it actually ran.
+fn roofline_for(op: &str, isa: &str, rates: &[KernelRate]) -> Option<f64> {
     let family = kernel_family(op)?;
-    best.iter()
-        .filter(|(n, _)| n.starts_with(family))
-        .map(|(_, g)| *g)
+    rates
+        .iter()
+        .filter(|(name, level, _)| level == isa && name.starts_with(family))
+        .map(|(_, _, g)| *g)
         .fold(None, |acc: Option<f64>, g| Some(acc.map_or(g, |a| a.max(g))))
 }
 
 /// Prints the per-phase op table plus each phase's section breakdown.
 fn print_profile_table(profile: &adec_nn::profiler::Profile) {
-    let best = kernel_rooflines();
+    let isa = adec_tensor::kernels::Isa::active().to_string();
+    let rates = kernel_rooflines();
+    println!("kernel isa: {isa} (rooflines from BENCH_kernels.json entries at this level)");
     println!(
         "{:<20} {:<16} {:>9} {:>12} {:>10} {:>9}  roofline",
         "phase", "op", "calls", "wall_ms", "gflop", "gflop/s"
@@ -413,7 +428,7 @@ fn print_profile_table(profile: &adec_nn::profiler::Profile) {
             let wall_ms = op.wall_ns as f64 / 1e6;
             let gflop = op.flops as f64 / 1e9;
             let rate = op.gflops();
-            let roof = match roofline_for(&op.name, &best) {
+            let roof = match roofline_for(&op.name, &isa, &rates) {
                 Some(peak) if peak > 0.0 => {
                     format!("{:.0}% of {peak:.1}", rate / peak * 100.0)
                 }
@@ -478,7 +493,7 @@ fn print_profile_diff(
                 new_pc,
                 (ratio - 1.0) * 100.0
             );
-            if worst.as_ref().map_or(true, |(w, _)| ratio > *w) {
+            if worst.as_ref().is_none_or(|(w, _)| ratio > *w) {
                 worst = Some((ratio, format!("{}/{}", phase.name, op.name)));
             }
         }
@@ -880,6 +895,29 @@ mod tests {
         ];
         base.extend(extra.iter().map(|s| s.to_string()));
         parse(&base).unwrap()
+    }
+
+    #[test]
+    fn rooflines_only_score_a_run_against_its_own_isa_level() {
+        let doc = r#"{"schema":"adec-bench-kernels/v1","isa":"avx2","entries":[
+            {"name":"matmul","tier":"medium","isa":"scalar","gflops":20.0},
+            {"name":"matmul","tier":"medium","isa":"avx2","gflops":36.5},
+            {"name":"matmul_at_b","tier":"small","isa":"avx2","gflops":40.0},
+            {"name":"matmul_naive","tier":"medium","isa":"avx2","gflops":90.0},
+            {"name":"add_bias_relu","tier":"medium","isa":"avx2","gflops":2.1},
+            {"name":"softmax_rows","tier":"medium","gflops":1.3}
+        ]}"#;
+        let rates = parse_kernel_rates(doc);
+        assert_eq!(rates.len(), 5, "naive entries carry no roofline: {rates:?}");
+        // The best matmul-family entry at each level, never across levels.
+        assert_eq!(roofline_for("matmul", "scalar", &rates), Some(20.0));
+        assert_eq!(roofline_for("matmul", "avx2", &rates), Some(40.0));
+        assert_eq!(roofline_for("add_bias_act", "avx2", &rates), Some(2.1));
+        assert_eq!(roofline_for("add_bias_act", "scalar", &rates), None);
+        // An entry without "isa" predates the field: it ran at scalar.
+        assert_eq!(roofline_for("softmax_ce", "scalar", &rates), Some(1.3));
+        assert_eq!(roofline_for("softmax_ce", "avx2", &rates), None);
+        assert_eq!(roofline_for("sum", "avx2", &rates), None);
     }
 
     #[test]

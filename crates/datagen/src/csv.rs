@@ -412,7 +412,7 @@ mod tests {
         // small budget the reader must stop at the budget, not buffer the
         // whole run.
         let mut content = b"1,2\n3,4\n".to_vec();
-        content.extend(std::iter::repeat(b'9').take(1 << 16));
+        content.extend(std::iter::repeat_n(b'9', 1 << 16));
         let opts = CsvOptions {
             max_line_bytes: 256,
             normalize: false,

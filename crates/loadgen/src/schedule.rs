@@ -429,7 +429,7 @@ mod tests {
         for (i, req) in s.requests.iter().enumerate() {
             let want = Duration::from_secs_f64((i + 1) as f64 * 0.01);
             let got = req.at;
-            let diff = if got > want { got - want } else { want - got };
+            let diff = got.abs_diff(want);
             assert!(diff < Duration::from_micros(50), "req {i}: {got:?} vs {want:?}");
         }
     }

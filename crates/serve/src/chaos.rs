@@ -225,7 +225,7 @@ pub fn run_drill(
 
     // -- huge head -------------------------------------------------------
     let mut huge_head = b"GET /assign HTTP/1.1\r\npad: ".to_vec();
-    huge_head.extend(std::iter::repeat(b'x').take(64 * 1024));
+    huge_head.extend(std::iter::repeat_n(b'x', 64 * 1024));
     let head_status = raw_status(addr, &huge_head);
     scenarios.push(with_liveness(
         "huge-head",

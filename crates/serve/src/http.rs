@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(parse_head(&big, &limits()), Err(HttpError::HeadTooLarge));
         // And with a terminator but past budget:
         let mut long = b"GET /x HTTP/1.1\r\npad: ".to_vec();
-        long.extend(std::iter::repeat(b'p').take(250));
+        long.extend(std::iter::repeat_n(b'p', 250));
         long.extend(b"\r\n\r\n");
         assert_eq!(parse_head(&long, &limits()), Err(HttpError::HeadTooLarge));
     }

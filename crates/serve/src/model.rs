@@ -272,7 +272,7 @@ fn collect_nets(store: &ParamStore) -> Vec<Net> {
                             && value.cols() == w.cols()
                             && current
                                 .last()
-                                .map_or(true, |prev: &DenseW| prev.w.cols() == w.rows()) =>
+                                .is_none_or(|prev: &DenseW| prev.w.cols() == w.rows()) =>
                     {
                         Some(w)
                     }

@@ -334,9 +334,9 @@ impl ModelRegistry {
 ///
 /// The errors of [`InferenceModel::load`].
 pub fn load_initial(path: &Path, alpha: f32) -> Result<InferenceModel, ModelError> {
-    InferenceModel::load(path, alpha).map_err(|err| {
+    InferenceModel::load(path, alpha).inspect_err(|err| {
         if let ModelError::Checkpoint(CheckpointError::StoreVersionMismatch { found, supported }) =
-            &err
+            err
         {
             emit(
                 Event::new(Level::Warn, "serve.model.refused")
@@ -347,7 +347,6 @@ pub fn load_initial(path: &Path, alpha: f32) -> Result<InferenceModel, ModelErro
                     .field("detail", err.to_string()),
             );
         }
-        err
     })
 }
 

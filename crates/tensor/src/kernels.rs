@@ -29,16 +29,107 @@
 //! dimension. `A` is packed per row-block into `k × MR` panels and `B`
 //! once per call into `k × NR` panels (transposed variants differ only in
 //! the pack gather), so the microkernel's inner loop reads both operands
-//! contiguously and auto-vectorizes; the workspace forbids `unsafe`, so
-//! there are no explicit SIMD intrinsics.
+//! contiguously and auto-vectorizes. There are no explicit SIMD
+//! intrinsics.
+//!
+//! ## Instruction-set dispatch
+//!
+//! The row driver is compiled twice: once for the target's baseline
+//! (SSE2 on x86-64) and, on `x86_64` only, once as an
+//! `#[target_feature(enable = "avx2")]` clone of the same body. Each call
+//! runs the clone of [`Isa::active`], which is [`Isa::detected`] unless a
+//! test or benchmark pinned a level with [`set_isa_override`]. The clones
+//! share the tile, the packing and the ascending-`k` single-accumulator
+//! order, and Rust never contracts a multiply and an add into an FMA, so
+//! every level produces the same bits. The call into the AVX2 clone is the
+//! workspace's one `unsafe` block.
 
 use crate::matrix::Matrix;
 use crate::pool;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Microkernel tile height (output rows per register tile).
 pub const MR: usize = 4;
 /// Microkernel tile width (output columns per register tile).
 pub const NR: usize = 16;
+
+// ----------------------------------------------------------------------
+// Instruction-set levels
+// ----------------------------------------------------------------------
+
+/// An instruction-set level the packed gemm can run at. Every level
+/// computes the same bits; they differ only in speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// The target's baseline build (SSE2 on x86-64).
+    Scalar,
+    /// The AVX2 clone of the gemm row driver (x86-64 only).
+    Avx2,
+}
+
+/// The level pinned by [`set_isa_override`]: 0 for none, 1 for `Scalar`,
+/// 2 for `Avx2`.
+static ISA_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+
+impl Isa {
+    /// The highest level this CPU runs. The CPUID probe behind
+    /// `is_x86_feature_detected!` runs once per process; later calls read
+    /// its cache.
+    pub fn detected() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Scalar
+    }
+
+    /// Every level this CPU runs, in ascending order; `Scalar` is always
+    /// first.
+    pub fn available() -> &'static [Isa] {
+        match Isa::detected() {
+            Isa::Scalar => &[Isa::Scalar],
+            Isa::Avx2 => &[Isa::Scalar, Isa::Avx2],
+        }
+    }
+
+    /// The level the gemm kernels run at: the one pinned by
+    /// [`set_isa_override`], else [`Isa::detected`].
+    pub fn active() -> Isa {
+        match ISA_OVERRIDE.load(Ordering::Relaxed) {
+            1 => Isa::Scalar,
+            2 => Isa::Avx2,
+            _ => Isa::detected(),
+        }
+    }
+}
+
+impl std::fmt::Display for Isa {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Isa::Scalar => "scalar",
+            Isa::Avx2 => "avx2",
+        })
+    }
+}
+
+/// Pins the gemm level in-process. Intended for tests, the kernel bench
+/// and the determinism auditor, which sweep levels; results are identical
+/// at any level by construction. Pin [`Isa::detected`] to undo a pin.
+///
+/// # Panics
+/// Panics if this CPU cannot run `isa`.
+pub fn set_isa_override(isa: Isa) {
+    assert!(
+        Isa::available().contains(&isa),
+        "set_isa_override: this CPU cannot run the {isa} level (detected: {})",
+        Isa::detected()
+    );
+    let code = match isa {
+        Isa::Scalar => 1,
+        Isa::Avx2 => 2,
+    };
+    ISA_OVERRIDE.store(code, Ordering::Relaxed);
+}
 
 // ----------------------------------------------------------------------
 // Packing
@@ -86,6 +177,7 @@ fn pack_b_cols(bt: &[f32], n: usize, k: usize) -> Vec<f32> {
 /// starting at row `i0`, into a `k × MR` panel. Lanes `mr_eff..MR` are
 /// left untouched: the microkernel computes junk in those lanes and the
 /// write-back discards it, so zeroing would be wasted work.
+#[inline(always)]
 fn pack_a_rows(a: &[f32], k: usize, i0: usize, mr_eff: usize, panel: &mut [f32]) {
     for ii in 0..mr_eff {
         let row = &a[(i0 + ii) * k..(i0 + ii) * k + k];
@@ -97,6 +189,7 @@ fn pack_a_rows(a: &[f32], k: usize, i0: usize, mr_eff: usize, panel: &mut [f32])
 
 /// Packs `mr_eff ≤ MR` consecutive *columns* of `A` (`k × m`, row-major),
 /// starting at column `i0`, into a `k × MR` panel — the `Aᵀ·B` gather.
+#[inline(always)]
 fn pack_a_cols(a: &[f32], m: usize, k: usize, i0: usize, mr_eff: usize, panel: &mut [f32]) {
     for kk in 0..k {
         let row = &a[kk * m + i0..kk * m + i0 + mr_eff];
@@ -114,7 +207,7 @@ fn pack_a_cols(a: &[f32], m: usize, k: usize, i0: usize, mr_eff: usize, panel: &
 /// over the full inner dimension, ascending `kk`. Each accumulator is a
 /// single sequential f32 chain — the bit-identical-order invariant lives
 /// here.
-#[inline]
+#[inline(always)]
 fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     for kk in 0..k {
         let a = &a_panel[kk * MR..kk * MR + MR];
@@ -130,8 +223,42 @@ fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR];
 
 /// Computes rows `r0..r0+nrows` of a `? × n` gemm into `chunk` from
 /// pre-packed `B` panels, packing `A` row-blocks on the fly via `pack_a`
-/// (which receives the *global* block start row).
+/// (which receives the *global* block start row). Runs the clone of the
+/// [`Isa::active`] level; every clone gives the same bits.
 fn gemm_rows<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
+where
+    PA: Fn(usize, usize, &mut [f32]),
+{
+    #[cfg(target_arch = "x86_64")]
+    if Isa::active() == Isa::Avx2 {
+        #[allow(unsafe_code)]
+        // SAFETY: `Isa::active()` is `Avx2` only when
+        // `is_x86_feature_detected!("avx2")` held on this CPU: `Isa::detected()`
+        // probes it, and `set_isa_override` refuses a level outside
+        // `Isa::available()`, which is derived from `Isa::detected()`.
+        unsafe {
+            gemm_rows_avx2(k, n, packed_b, r0, nrows, chunk, pack_a);
+        }
+        return;
+    }
+    gemm_rows_body(k, n, packed_b, r0, nrows, chunk, pack_a);
+}
+
+/// The AVX2 clone of [`gemm_rows_body`]: the same source, with the packing
+/// and the microkernel inlined and compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
+where
+    PA: Fn(usize, usize, &mut [f32]),
+{
+    gemm_rows_body(k, n, packed_b, r0, nrows, chunk, pack_a);
+}
+
+/// The row driver every [`Isa`] level compiles: pack an `A` row-block,
+/// run the microkernel against each `B` panel, write the tile back.
+#[inline(always)]
+fn gemm_rows_body<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
 where
     PA: Fn(usize, usize, &mut [f32]),
 {
@@ -687,6 +814,23 @@ mod tests {
             assert_eq!(matmul(&a, &b), serial, "threads={threads}");
         }
         crate::pool::set_thread_override(0);
+    }
+
+    #[test]
+    fn isa_levels_are_ordered_and_pinnable() {
+        let available = Isa::available();
+        assert_eq!(available.first(), Some(&Isa::Scalar));
+        assert_eq!(available.last(), Some(&Isa::detected()));
+        for &isa in available {
+            set_isa_override(isa);
+            assert_eq!(Isa::active(), isa);
+        }
+        set_isa_override(Isa::detected());
+        assert_eq!(Isa::active(), Isa::detected());
+        if !available.contains(&Isa::Avx2) {
+            // The hook refuses a level this CPU cannot run.
+            assert!(std::panic::catch_unwind(|| set_isa_override(Isa::Avx2)).is_err());
+        }
     }
 
     #[test]

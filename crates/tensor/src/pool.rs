@@ -15,7 +15,8 @@
 //! 3. the default of `1` (fully serial — the pool is opt-in).
 //!
 //! Workers are `std::thread` scoped threads spawned per parallel region.
-//! The workspace forbids `unsafe`, which rules out a persistent
+//! The workspace denies `unsafe` (its one exception is the AVX2 gemm
+//! dispatch in [`crate::kernels`]), which rules out a persistent
 //! channel-based pool (sharing non-`'static` kernel operands across a
 //! long-lived worker requires either `Arc`-cloning every operand or raw
 //! pointers); `std::thread::scope` gives borrow-checked access to the

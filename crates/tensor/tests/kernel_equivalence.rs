@@ -2,7 +2,8 @@
 //! kernels and the fused elementwise ops must match the retained naive
 //! references to ≤ 4 ULP on seeded random matrices — including ragged
 //! shapes (1×N, N×1, sizes that don't divide the MR/NR tile) — and must be
-//! **bit-identical** across `ADEC_THREADS ∈ {1, 2, 4}`.
+//! **bit-identical** across `ADEC_THREADS ∈ {1, 2, 4}` and across every
+//! instruction-set level this CPU runs.
 //!
 //! In practice the kernels are designed for exact bitwise agreement
 //! (ascending-`k` accumulation everywhere); the 4-ULP bound is the
@@ -14,7 +15,7 @@
 
 use adec_tensor::kernels::{
     add_bias_act, axpy, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
-    matmul_naive, row_lerp, softmax_rows_detailed, FusedAct,
+    matmul_naive, row_lerp, set_isa_override, softmax_rows_detailed, FusedAct, Isa,
 };
 use adec_tensor::pool::set_thread_override;
 use adec_tensor::{Matrix, SeedRng};
@@ -136,6 +137,47 @@ fn gemm_bit_identical_across_thread_counts() {
         assert_eq!(matmul_at_b(&a, &b), serial.1, "matmul_at_b threads={threads}");
         assert_eq!(matmul_a_bt(&a, &bt), serial.2, "matmul_a_bt threads={threads}");
     }
+    set_thread_override(0);
+}
+
+/// The training and serving gemm shapes (`m × k × n`): a 128-row
+/// minibatch through the small-tier layers, and one and sixteen serve rows
+/// through the paper-tier 500 → 2000 layer.
+const TRAIN_SERVE_SHAPES: &[(usize, usize, usize)] =
+    &[(128, 144, 128), (128, 128, 64), (1, 500, 2000), (16, 500, 2000)];
+
+#[test]
+fn gemm_bit_identical_across_isa_levels_and_thread_counts() {
+    type Gemm = fn(&Matrix, &Matrix) -> Matrix;
+    let mut rng = SeedRng::new(15);
+    for &(m, k, n) in SHAPES.iter().chain(TRAIN_SERVE_SHAPES) {
+        let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
+        let at = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
+        let bt = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
+        let variants: [(&str, Gemm, &Matrix, &Matrix); 3] = [
+            ("matmul", matmul, &a, &b),
+            ("matmul_at_b", matmul_at_b, &at, &b),
+            ("matmul_a_bt", matmul_a_bt, &a, &bt),
+        ];
+        for (name, gemm, lhs, rhs) in variants {
+            set_isa_override(Isa::Scalar);
+            set_thread_override(1);
+            let reference = gemm(lhs, rhs);
+            for &isa in Isa::available() {
+                set_isa_override(isa);
+                for threads in [1usize, 2, 4] {
+                    set_thread_override(threads);
+                    let ulp = max_ulp(&gemm(lhs, rhs), &reference);
+                    assert_eq!(
+                        ulp, 0,
+                        "{name} {m}x{k}x{n}: {isa} at {threads} threads vs scalar at 1 thread: {ulp} ULP"
+                    );
+                }
+            }
+        }
+    }
+    set_isa_override(Isa::detected());
     set_thread_override(0);
 }
 

@@ -5,8 +5,13 @@ Compares a fresh bench report against a committed baseline and fails on
 catastrophic regression. Two report schemas are understood, auto-detected
 from the `schema` field (both files must agree):
 
-* `adec-bench-kernels/v1` — per-kernel ns/op; any packed gemm entry more
-  than REGRESSION_FACTOR slower than baseline fails.
+* `adec-bench-kernels/v1` — per-kernel ns/op, keyed by (name, tier,
+  isa); any packed gemm entry more than REGRESSION_FACTOR slower than
+  baseline fails. An entry without `isa` predates the field and was
+  timed at `scalar`. Scalar entries are always gated and a missing one
+  fails; a baseline entry at a level above the fresh report's top-level
+  `isa` (the highest level the runner's CPU runs) is listed as "not run
+  on this host" and does not fail.
 * `adec-bench-serve/v1` — a `BENCH_serve.json` load report; fails when
   the open-loop p99 or the valid-request error rate grows past
   REGRESSION_FACTOR x baseline (each with an absolute floor so sub-noise
@@ -32,6 +37,9 @@ import sys
 REGRESSION_FACTOR = 2.0
 PACKED_GEMM = ("matmul", "matmul_at_b", "matmul_a_bt")
 KERNELS_SCHEMA = "adec-bench-kernels/v1"
+# Instruction-set levels the gemm is timed at, lowest first; a CPU that
+# runs a level runs every level before it.
+ISA_LEVELS = ("scalar", "avx2")
 SERVE_SCHEMA = "adec-bench-serve/v1"
 
 # Absolute floors for the serve ratchet: a metric must exceed BOTH the
@@ -54,20 +62,40 @@ def load_doc(path):
 
 def kernel_entries(doc):
     return {
-        (e["name"], e["tier"]): e
+        (e["name"], e["tier"], e.get("isa", "scalar")): e
         for e in doc["entries"]
         if e["name"] in PACKED_GEMM
     }
 
 
+def host_levels(doc):
+    """The levels a report's host runs: every level up to its `isa`."""
+    top = doc.get("isa", "scalar")
+    if top not in ISA_LEVELS:
+        return ("scalar",)
+    return ISA_LEVELS[:ISA_LEVELS.index(top) + 1]
+
+
 def compare_kernels(baseline, fresh):
     """Returns (rows, failures) for two kernels-schema docs."""
+    levels = host_levels(fresh)
     baseline, fresh = kernel_entries(baseline), kernel_entries(fresh)
     rows, failures = [], []
     for key in sorted(baseline):
-        name, tier = key
+        name, tier, isa = key
+        if isa != "scalar" and isa not in levels:
+            rows.append({
+                "name": name,
+                "tier": tier,
+                "isa": isa,
+                "baseline_ns_per_op": baseline[key]["ns_per_op"],
+                "regressed": False,
+                "status": "not run on this host",
+            })
+            print(f"{name:<14} {tier:<8} {isa:<7} not run on this host")
+            continue
         if key not in fresh:
-            failures.append(f"{name}/{tier}: missing from fresh report")
+            failures.append(f"{name}/{tier}/{isa}: missing from fresh report")
             continue
         base_ns = baseline[key]["ns_per_op"]
         fresh_ns = fresh[key]["ns_per_op"]
@@ -76,20 +104,22 @@ def compare_kernels(baseline, fresh):
         rows.append({
             "name": name,
             "tier": tier,
+            "isa": isa,
             "baseline_ns_per_op": base_ns,
             "fresh_ns_per_op": fresh_ns,
             "ratio": round(ratio, 3),
             "regressed": regressed,
+            "status": "regressed" if regressed else "ok",
         })
         verdict = "REGRESSED" if regressed else "ok"
-        print(f"{name:<14} {tier:<8} {base_ns:>12} -> {fresh_ns:>12} ns/op "
-              f"({ratio:5.2f}x)  {verdict}")
+        print(f"{name:<14} {tier:<8} {isa:<7} {base_ns:>12} -> {fresh_ns:>12} "
+              f"ns/op ({ratio:5.2f}x)  {verdict}")
         if regressed:
             failures.append(
-                f"{name}/{tier}: {fresh_ns} ns/op is {ratio:.2f}x the "
+                f"{name}/{tier}/{isa}: {fresh_ns} ns/op is {ratio:.2f}x the "
                 f"baseline {base_ns} (limit {REGRESSION_FACTOR}x)")
 
-    if not rows:
+    if not any("ratio" in r for r in rows):
         failures.append("no packed gemm entries matched between reports")
     return rows, failures
 

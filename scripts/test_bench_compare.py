@@ -28,6 +28,18 @@ def kernels_doc(ns=1000):
     }
 
 
+def leveled_kernels_doc(host="avx2", levels=("scalar", "avx2"), ns=None):
+    """A kernels doc timed at each of `levels` on a host whose highest
+    level is `host`; `ns` maps a level to its ns/op (default 1000)."""
+    ns = ns or {}
+    doc = {"schema": bc.KERNELS_SCHEMA, "isa": host, "entries": []}
+    for isa in levels:
+        for name in ("matmul", "matmul_at_b"):
+            doc["entries"].append({"name": name, "tier": "medium", "isa": isa,
+                                   "ns_per_op": ns.get(isa, 1000)})
+    return doc
+
+
 def serve_doc(p99=0.005, error_rate=0.0, busy_rate=0.0, fnv="00aa",
               seed=7, consistent=True):
     return {
@@ -63,6 +75,45 @@ class KernelsMode(unittest.TestCase):
         fresh["entries"] = fresh["entries"][1:]  # drop matmul
         _, failures = quiet(bc.compare_kernels, kernels_doc(), fresh)
         self.assertTrue(any("missing from fresh" in f for f in failures))
+
+
+class KernelsPerIsaLevel(unittest.TestCase):
+    def test_entry_without_isa_reads_as_scalar(self):
+        # The pre-isa baseline stays comparable with a leveled report.
+        rows, failures = quiet(bc.compare_kernels, kernels_doc(),
+                               leveled_kernels_doc())
+        self.assertEqual(failures, [])
+        self.assertEqual({r["isa"] for r in rows}, {"scalar"})
+
+    def test_scalar_entries_are_gated_on_every_host(self):
+        _, failures = quiet(bc.compare_kernels, leveled_kernels_doc(),
+                            leveled_kernels_doc(ns={"scalar": 2500}))
+        self.assertTrue(any("/scalar:" in f for f in failures))
+        self.assertFalse(any("/avx2:" in f for f in failures))
+
+    def test_missing_scalar_entry_fails(self):
+        fresh = leveled_kernels_doc(host="scalar", levels=("avx2",))
+        _, failures = quiet(bc.compare_kernels, leveled_kernels_doc(), fresh)
+        self.assertTrue(any("/scalar: missing from fresh" in f
+                            for f in failures))
+
+    def test_level_the_host_lacks_is_listed_not_failed(self):
+        fresh = leveled_kernels_doc(host="scalar", levels=("scalar",))
+        rows, failures = quiet(bc.compare_kernels, leveled_kernels_doc(),
+                               fresh)
+        self.assertEqual(failures, [])
+        skipped = [r for r in rows if r["status"] == "not run on this host"]
+        self.assertEqual({(r["name"], r["isa"]) for r in skipped},
+                         {("matmul", "avx2"), ("matmul_at_b", "avx2")})
+
+    def test_level_the_host_runs_is_gated(self):
+        _, failures = quiet(bc.compare_kernels, leveled_kernels_doc(),
+                            leveled_kernels_doc(ns={"avx2": 2500}))
+        self.assertTrue(any("/avx2:" in f for f in failures))
+        fresh = leveled_kernels_doc(levels=("scalar",))
+        _, failures = quiet(bc.compare_kernels, leveled_kernels_doc(), fresh)
+        self.assertTrue(any("/avx2: missing from fresh" in f
+                            for f in failures))
 
 
 class ServeMode(unittest.TestCase):
@@ -149,6 +200,15 @@ class MainEndToEnd(unittest.TestCase):
         code, cmp_doc = self.run_main(kernels_doc(), kernels_doc())
         self.assertEqual(code, 0)
         self.assertEqual(cmp_doc["mode"], "kernels")
+
+    def test_level_not_run_on_this_host_is_recorded(self):
+        fresh = leveled_kernels_doc(host="scalar", levels=("scalar",))
+        code, cmp_doc = self.run_main(leveled_kernels_doc(), fresh)
+        self.assertEqual(code, 0)
+        statuses = {(e["name"], e["isa"]): e["status"]
+                    for e in cmp_doc["entries"]}
+        self.assertEqual(statuses[("matmul", "avx2")], "not run on this host")
+        self.assertEqual(statuses[("matmul", "scalar")], "ok")
 
     def test_schema_mismatch_refused(self):
         with self.assertRaises(SystemExit):

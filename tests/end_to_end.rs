@@ -61,6 +61,48 @@ fn pipeline_is_deterministic_under_seed() {
 }
 
 #[test]
+fn every_isa_level_gives_identical_labels_and_checkpoint_bytes() {
+    // The seeded protein pipeline of `pipeline_is_deterministic_under_seed`
+    // plus a short checkpointed ADEC run, once with the gemm pinned to the
+    // scalar level and once at the level this CPU detects.
+    use adec_tensor::kernels::{set_isa_override, Isa};
+    let run = |isa: Isa| {
+        set_isa_override(isa);
+        let ds = Benchmark::Protein.generate(Size::Small, 9);
+        let mut session = Session::new(&ds, ArchPreset::Medium, 9);
+        session.pretrain(&PretrainConfig {
+            iterations: 200,
+            ..PretrainConfig::vanilla_fast()
+        }).unwrap();
+        let mut dec = DecConfig::fast(ds.n_classes);
+        dec.max_iter = 200;
+        let dec_labels = session.run_dec(&dec).unwrap().labels;
+        let dir = std::env::temp_dir().join(format!("adec_e2e_isa_{}_{isa}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut adec = AdecConfig::fast(ds.n_classes);
+        adec.max_iter = 150;
+        adec.durability.checkpoint_dir = Some(dir.clone());
+        let adec_labels = session.run_adec(&adec).unwrap().labels;
+        let checkpoint = std::fs::read(dir.join("adec.ckpt")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (dec_labels, adec_labels, checkpoint)
+    };
+    let detected = Isa::detected();
+    let scalar = run(Isa::Scalar);
+    let native = run(detected);
+    set_isa_override(detected);
+    let levels = if detected == Isa::Scalar {
+        "scalar vs scalar: this CPU runs only the scalar level".to_string()
+    } else {
+        format!("scalar vs {detected}")
+    };
+    println!("isa levels compared: {levels}");
+    assert_eq!(scalar.0, native.0, "DEC labels differ ({levels})");
+    assert_eq!(scalar.1, native.1, "ADEC labels differ ({levels})");
+    assert!(scalar.2 == native.2, "final adec.ckpt bytes differ ({levels})");
+}
+
+#[test]
 fn adec_regularizer_does_not_destroy_clustering() {
     // The adversarial term must leave accuracy within noise of the
     // unregularized variant or better — the "no strong competition"
