@@ -26,8 +26,8 @@
 //! Both surfaces emit the shared [`Diagnostic`] vocabulary, so `adec
 //! --check --deep` renders them next to tape and arch findings.
 
-use crate::diagnostics::{rule_info, Diagnostic, Report};
-use crate::lint::mask_source;
+use crate::diagnostics::{registry_hint, Diagnostic, Report};
+use crate::lint::{allow_hatch, mask_source};
 use adec_tensor::kernels::{self, set_isa_override, FusedAct, Isa};
 use adec_tensor::pool::{set_schedule_rotation, set_thread_override};
 use adec_tensor::{Matrix, SeedRng};
@@ -44,10 +44,6 @@ pub const AUDIT_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Chunk-launch rotations the harness sweeps at each thread count.
 pub const AUDIT_ROTATIONS: [usize; 3] = [0, 1, 3];
-
-fn registry_hint(rule: &str) -> String {
-    rule_info(rule).map(|r| r.hint.to_string()).unwrap_or_default()
-}
 
 /// Runs `kernel` under every audited schedule — each available
 /// instruction-set level × [`AUDIT_THREADS`] × [`AUDIT_ROTATIONS`] — and
@@ -139,41 +135,29 @@ pub fn audit_schedule_determinism() -> Report {
 /// accumulation is attributed to that loop.
 const REDUCTION_WINDOW: usize = 6;
 
-/// Whether a masked source line contains a `lint:allow(reduction-order)`
-/// escape hatch. Mirrors the lint module's allow syntax so the two scans
-/// read uniformly.
-fn allows_reduction_order(line: &str) -> bool {
-    line.contains("lint:allow(reduction-order)")
-}
-
 /// Statically scans one source file for reduction loops that violate the
 /// ascending-index single-accumulator discipline: a `for` iterating a
 /// reversed range (`.rev()`) or stepping downward, with a float `+=`
 /// accumulation inside the loop window. Comments and string literals are
 /// masked first, and a `// lint:allow(reduction-order)` on the flagged
-/// line (or the line before) suppresses the finding.
+/// line (or the line before) suppresses the finding — the lint pass's
+/// escape hatch, read by the same parser.
 pub fn audit_reduction_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     let masked = mask_source(src);
     let lines: Vec<&str> = masked.lines().collect();
-    // Allow hatches live in comments, which masking blanks out — read them
-    // from the raw source, exactly as the lint pass does.
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let allowed = |idx: usize| -> bool {
-        raw_lines.get(idx).is_some_and(|l| allows_reduction_order(l))
-            || (idx > 0 && raw_lines.get(idx - 1).is_some_and(|l| allows_reduction_order(l)))
-    };
+    let allowed = allow_hatch(src);
     let mut out = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         let descending = line.contains("for ") && line.contains(".rev()");
         if !descending {
             continue;
         }
-        if allowed(i) {
+        if allowed(i, "reduction-order") {
             continue;
         }
         for offset in 1..=REDUCTION_WINDOW {
             let Some(body) = lines.get(i + offset) else { break };
-            if body.contains("+=") && !allowed(i + offset) {
+            if body.contains("+=") && !allowed(i + offset, "reduction-order") {
                 out.push(
                     Diagnostic::error(
                         "det.reduction-order",
@@ -295,6 +279,15 @@ fn walk_back(xs: &[f32]) -> f32 {
 }
 ";
         assert!(audit_reduction_source("x.rs", src).is_empty());
+        // The list form names several rules in one hatch, as in the lint
+        // pass.
+        let listed = src.replace(
+            "lint:allow(reduction-order)",
+            "lint:allow(reduction-order, silent-detach)",
+        );
+        assert!(audit_reduction_source("x.rs", &listed).is_empty());
+        let other_rule = src.replace("lint:allow(reduction-order)", "lint:allow(silent-detach)");
+        assert_eq!(audit_reduction_source("x.rs", &other_rule).len(), 1);
     }
 
     #[test]

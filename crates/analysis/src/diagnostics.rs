@@ -30,7 +30,7 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable rule identifier, e.g. `arch.chain-dim-mismatch` or
-    /// `lint.unwrap`. Tests and baselines key on this.
+    /// `lint.silent-detach`. Tests key on this.
     pub rule: &'static str,
     /// How bad it is.
     pub severity: Severity,
@@ -185,15 +185,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "arch.hidden-activation", severity: Severity::Warning, summary: "a hidden layer uses an unusual activation", hint: "ADEC's MLPs use ReLU hidden layers" },
     RuleInfo { id: "arch.optimizer-missing", severity: Severity::Warning, summary: "a chain declares no optimizer", hint: "name the optimizer that updates the chain" },
     RuleInfo { id: "arch.latent-vs-clusters", severity: Severity::Warning, summary: "latent dimension is smaller than the cluster count", hint: "use a latent dim >= k so centroids can separate" },
-    // --- lint: source-text scanning -----------------------------------
-    RuleInfo { id: "lint.unwrap", severity: Severity::Error, summary: "unwrap() in library code", hint: "return a Result or use expect with an invariant message" },
-    RuleInfo { id: "lint.expect", severity: Severity::Error, summary: "expect() in library code", hint: "return a Result; expect is for provable invariants only" },
-    RuleInfo { id: "lint.panic", severity: Severity::Error, summary: "panic!/unreachable!/todo! in library code", hint: "return a typed error instead of panicking" },
-    RuleInfo { id: "lint.obs-eprintln", severity: Severity::Error, summary: "bare eprintln! in library code", hint: "emit a structured adec-obs event instead" },
-    RuleInfo { id: "lint.float-eq", severity: Severity::Error, summary: "exact float comparison", hint: "compare against a tolerance" },
-    RuleInfo { id: "lint.as-narrowing", severity: Severity::Error, summary: "narrowing `as` cast in kernel code", hint: "use try_from or widen the type" },
-    RuleInfo { id: "lint.kernel-assert", severity: Severity::Error, summary: "kernel entry point without a shape assert", hint: "open every public kernel with an assert on its operand shapes" },
-    RuleInfo { id: "lint.silent-detach", severity: Severity::Error, summary: "tape output cloned into a detached Matrix outside infer/serve paths", hint: "keep the value on the tape, or mark the line lint:allow(silent-detach) if the detach is intentional" },
+    // --- lint: source-text scanning (the generic rules are clippy's) -----
+    RuleInfo { id: "lint.kernel-assert", severity: Severity::Error, summary: "kernel entry point without a shape assert", hint: "open the body with assert!/debug_assert! on the argument dimensions, or justify with // lint:allow(kernel-assert)" },
+    RuleInfo { id: "lint.silent-detach", severity: Severity::Error, summary: "tape output cloned into a detached Matrix outside infer/serve paths", hint: "keep the computation on the tape so the backward edge is recorded, use infer() for an intentional stop-gradient, or justify with // lint:allow(silent-detach)" },
     // --- tape: dataflow analysis over exported tape IR ----------------
     RuleInfo { id: "tape.shape-mismatch", severity: Severity::Error, summary: "a node's recorded shape disagrees with the shape its op implies", hint: "fix the operand shapes; the live tape would assert here at run time" },
     RuleInfo { id: "tape.unreachable-param", severity: Severity::Error, summary: "a parameter this phase must update receives no gradient from the loss", hint: "bind the param into the tape on the loss path, or move it to the phase's frozen list" },
@@ -210,6 +204,12 @@ pub const RULES: &[RuleInfo] = &[
 /// Looks up a rule id in [`RULES`].
 pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
+}
+
+/// The registry's fix hint for `rule` (empty for an unknown id), so every
+/// pass attaches the same hint text.
+pub(crate) fn registry_hint(rule: &str) -> String {
+    rule_info(rule).map(|r| r.hint.to_string()).unwrap_or_default()
 }
 
 impl fmt::Display for Report {
@@ -255,11 +255,11 @@ mod tests {
 
     #[test]
     fn display_includes_rule_location_and_hint() {
-        let d = Diagnostic::error("lint.unwrap", "crates/nn/src/optim.rs:50", "unwrap in library code")
-            .with_hint("use expect with an invariant message or restructure");
+        let d = Diagnostic::error("lint.silent-detach", "crates/core/src/adec.rs:50", "tape value cloned")
+            .with_hint("keep the computation on the tape");
         let s = d.to_string();
-        assert!(s.contains("error[lint.unwrap]"));
-        assert!(s.contains("optim.rs:50"));
+        assert!(s.contains("error[lint.silent-detach]"));
+        assert!(s.contains("adec.rs:50"));
         assert!(s.contains("hint:"));
     }
 }

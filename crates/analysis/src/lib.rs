@@ -9,10 +9,13 @@
 //!    parameter bindings all produce structured [`Diagnostic`]s with rule
 //!    ids and fix hints instead of a mid-epoch shape panic.
 //! 2. **Source linting** ([`lint`]): a comment/string-masking scanner over
-//!    the workspace's own `.rs` files bans `unwrap`/`expect`/`panic!` in
-//!    library code, float `==`, narrowing `as` casts in kernel crates,
-//!    assert-less kernel entry points, and silent tape detaches, with a
-//!    `// lint:allow(rule)` escape hatch and a ratcheting [`Baseline`].
+//!    the workspace's own `.rs` files checks the two domain rules clippy
+//!    cannot express — assert-less kernel entry points and silent tape
+//!    detaches — with a `// lint:allow(rule)` escape hatch. Clippy, under
+//!    `-D warnings`, is the one checker of the generic rules (no
+//!    `unwrap`/`expect`/`panic!` or bare `eprintln!` in library code, no
+//!    exact float comparison, no narrowing or sign-changing casts in the
+//!    kernel crates).
 //! 3. **Tape dataflow analysis** ([`tape`]): the runtime autodiff graph is
 //!    exported as [`adec_nn::TapeIr`] and abstract-interpreted — shape
 //!    propagation per op, gradient connectivity against a per-phase
@@ -25,7 +28,8 @@
 //!    discipline.
 //! 5. **Kernel invariants**: the `debug_assert_finite!`/`debug_assert_dims!`
 //!    macros live in `adec-tensor` (so kernels can use them without a
-//!    dependency cycle); this crate's lint rules enforce their presence.
+//!    dependency cycle); the `lint.kernel-assert` rule enforces an opening
+//!    shape assert at every kernel entry point.
 //!
 //! Every rule id any pass can emit is registered in [`RULES`] with a
 //! severity, summary, and fix hint; [`rule_info`] looks one up.
@@ -48,5 +52,5 @@ pub use det::{
     audit_schedule_determinism,
 };
 pub use diagnostics::{rule_info, Diagnostic, Report, RuleInfo, Severity, RULES};
-pub use lint::{collect_rs_files, lint_source, lint_workspace, Baseline};
+pub use lint::{collect_rs_files, lint_source, lint_workspace};
 pub use tape::{analyze_tape, ParamRole, PhaseManifest};

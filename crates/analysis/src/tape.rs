@@ -36,7 +36,7 @@
 //!    [`adec_tensor::kernels::FusedAct::saturating`] annotations exempt
 //!    activations whose outputs are bounded.
 
-use crate::diagnostics::{rule_info, Diagnostic, Report};
+use crate::diagnostics::{registry_hint, Diagnostic, Report};
 use adec_nn::{IrOp, TapeIr, TapeIrNode};
 
 /// One parameter's role in a phase: its `ParamId::index()` plus the
@@ -134,10 +134,6 @@ impl PhaseManifest {
 
 fn loc(phase: &str, node: &TapeIrNode) -> String {
     format!("phase \"{}\" node {} ({})", phase, node.id, node.op.name())
-}
-
-fn registry_hint(rule: &str) -> String {
-    rule_info(rule).map(|r| r.hint.to_string()).unwrap_or_default()
 }
 
 fn error(rule: &'static str, location: String, message: String) -> Diagnostic {

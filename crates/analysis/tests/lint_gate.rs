@@ -1,11 +1,14 @@
-//! The workspace lint gate: `cargo test` fails when a banned pattern is
-//! introduced in library code without a `// lint:allow(rule)` justification
-//! or a baseline entry.
+//! The workspace lint gate: `cargo test` fails when a domain rule
+//! (`lint.kernel-assert`, `lint.silent-detach`) is broken in library code
+//! without a `// lint:allow(rule)` justification, when a clippy lint that
+//! replaced a retired source-lint rule is no longer denied (in a crate, or in
+//! the perfbench step of `scripts/check.sh`), or when a second `unsafe` site
+//! appears.
 
 // Test code: indexing into just-collected findings is the assertion here.
 #![allow(clippy::indexing_slicing)]
 
-use adec_analysis::{lint_workspace, Baseline};
+use adec_analysis::lint_workspace;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -18,18 +21,75 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_sources_pass_the_lint_suite() {
+    let report = lint_workspace(&workspace_root());
+    assert!(report.is_empty(), "{} lint finding(s):\n{report}", report.diagnostics.len());
+}
+
+/// The `name = "level"` entries of one `[table]` of a TOML file.
+fn toml_table<'a>(toml: &'a str, table: &str) -> Vec<(&'a str, &'a str)> {
+    toml.lines()
+        .skip_while(|l| l.trim() != table)
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim(), v.trim()))
+        .collect()
+}
+
+#[test]
+fn clippy_denies_every_lint_that_replaced_a_retired_lint_rule() {
+    // Clippy does not run under `cargo test`, so this is what stops a
+    // retired rule's replacement from being dropped silently.
     let root = workspace_root();
-    let full = lint_workspace(&root);
-    let baseline = std::fs::read_to_string(root.join("crates/analysis/lint.baseline"))
-        .map(|text| Baseline::parse(&text))
-        .unwrap_or_default();
-    let fresh = baseline.filter_new(&full);
-    assert!(
-        fresh.is_pass(),
-        "new lint findings beyond the baseline ({} error(s)):\n{}",
-        fresh.error_count(),
-        fresh
-    );
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    let clippy = toml_table(&manifest, "[workspace.lints.clippy]");
+    for lint in ["unwrap_used", "expect_used", "panic", "float_cmp", "print_stderr"] {
+        assert!(
+            clippy.contains(&(lint, "\"deny\"")),
+            "Cargo.toml [workspace.lints.clippy] must set {lint} = \"deny\", found {clippy:?}"
+        );
+    }
+    // The workspace table binds only the crates that opt into it.
+    let mut manifests = vec![root.join("Cargo.toml")];
+    if let Ok(dir) = std::fs::read_dir(root.join("crates")) {
+        manifests.extend(dir.flatten().map(|e| e.path().join("Cargo.toml")).filter(|p| p.is_file()));
+    }
+    assert!(manifests.len() > 10, "only {} manifests found — wrong root?", manifests.len());
+    for path in &manifests {
+        let toml = std::fs::read_to_string(path).unwrap_or_default();
+        assert!(
+            toml_table(&toml, "[lints]").contains(&("workspace", "true")),
+            "{} must set [lints] workspace = true",
+            path.display()
+        );
+    }
+    for krate in ["tensor", "nn"] {
+        let lib = std::fs::read_to_string(root.join(format!("crates/{krate}/src/lib.rs"))).unwrap_or_default();
+        let denied: Vec<&str> = lib
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("#![deny(")?.strip_suffix(")]"))
+            .flat_map(|list| list.split(',').map(str::trim))
+            .collect();
+        for lint in ["clippy::cast_possible_truncation", "clippy::cast_sign_loss", "clippy::cast_possible_wrap"] {
+            assert!(denied.contains(&lint), "crates/{krate}/src/lib.rs must deny {lint}, denies {denied:?}");
+        }
+    }
+}
+
+#[test]
+fn check_sh_holds_perfbench_to_the_panic_family_and_float_rules() {
+    // perfbench/ is a workspace of its own: the workspace clippy run and
+    // `[workspace.lints]` never reach it, so check.sh runs clippy on it.
+    let script = std::fs::read_to_string(workspace_root().join("scripts/check.sh")).unwrap_or_default();
+    let joined = script.replace("\\\n", " ");
+    let step = joined
+        .lines()
+        .find(|l| l.starts_with("cargo clippy") && l.contains("--manifest-path perfbench/Cargo.toml"));
+    assert!(step.is_some(), "scripts/check.sh must run clippy on perfbench/");
+    for lint in ["unwrap_used", "expect_used", "panic", "float_cmp"] {
+        let flag = format!("-D clippy::{lint}");
+        assert!(step.is_some_and(|s| s.contains(&flag)), "the perfbench clippy step must pass {flag}");
+    }
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! reconstruction — while ADEC needs no such hyperparameter at all.
 
 // Experiment-harness code: indices range over the experiment's own
-// fixed dimensions, and a panic is an acceptable failure mode here.
-#![allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+// fixed dimensions, a panic is an acceptable failure mode, and progress
+// lines go to stderr so stdout stays the result table.
+#![allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::print_stderr)]
 use adec_bench::*;
 use adec_core::trace::TraceConfig;
 use adec_datagen::Benchmark;

@@ -2,21 +2,12 @@
 //! eigensolver, the Hungarian matcher, k-means, soft assignment, and one
 //! full autoencoder forward/backward/update step.
 //!
-//! By default this is a plain self-timed harness (best-of-three mean
-//! per-iteration time via `std::time::Instant`) so it builds hermetically
-//! offline. The `criterion` feature switches to Criterion for proper
-//! statistical benchmarking; enabling it requires network access and
-//! re-adding the `criterion` dev-dependency to this crate's manifest.
+//! A plain self-timed harness (best-of-three mean per-iteration time via
+//! `std::time::Instant`), so it builds hermetically offline.
 
 // Experiment-harness code: indices range over the experiment's own
 // fixed dimensions, and a panic is an acceptable failure mode here.
 #![allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
-#[cfg(feature = "criterion")]
-compile_error!(
-    "the `criterion` feature needs the `criterion` crate: re-add it under \
-     [dev-dependencies] in crates/bench/Cargo.toml (network access required) \
-     and restore the criterion_group!/criterion_main! harness from git history"
-);
 
 use adec_classic::{kmeans, KMeansConfig};
 use adec_core::{ArchPreset, Autoencoder};

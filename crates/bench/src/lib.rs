@@ -204,7 +204,7 @@ pub fn deep_context(benchmark: Benchmark, cfg: &HarnessCfg, star: bool) -> DeepC
     #[allow(clippy::expect_used)]
     session
         .pretrain(&pre_cfg)
-        .expect("pretraining diverged"); // lint:allow(expect)
+        .expect("pretraining diverged");
     DeepContext {
         ds,
         session,

@@ -83,7 +83,7 @@ fn spectral_embedding(affinity: &Matrix, k: usize) -> Matrix {
     let norm_aff = Matrix::from_fn(n, n, |i, j| affinity.get(i, j) * inv_sqrt[i] * inv_sqrt[j]);
     // Jacobi failure on a symmetric affinity is unrecoverable here and the
     // public API is infallible; die loudly with the solver's context.
-    let eig = symmetric_eigen(&norm_aff).expect("spectral: eigensolve failed"); // lint:allow(expect)
+    let eig = symmetric_eigen(&norm_aff).expect("spectral: eigensolve failed");
     let mut emb = Matrix::zeros(n, k);
     for j in 0..k.min(n) {
         for i in 0..n {

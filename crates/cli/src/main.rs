@@ -1,5 +1,8 @@
 //! The `adec` command-line tool. See `adec --help`.
 
+// The binary entry point reports usage and run errors on stderr.
+#![allow(clippy::print_stderr)]
+
 use adec_cli::args::{parse, usage, Method};
 use adec_cli::runner::{check, run};
 

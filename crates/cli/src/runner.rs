@@ -117,6 +117,13 @@ impl From<CheckpointError> for RunError {
     }
 }
 
+/// Writes one operator console line (not a diagnostic) to stderr. This is
+/// the CLI's one sanctioned `eprintln!`; diagnostics go through `adec_obs`.
+#[allow(clippy::print_stderr)]
+fn console(line: std::fmt::Arguments<'_>) {
+    eprintln!("{line}");
+}
+
 /// Runs the hardened inference service until a graceful shutdown
 /// (`POST /shutdown`) drains it. Prints `listening on 127.0.0.1:<port>`
 /// to stdout once bound, so supervisors (and the chaos drill) can wait on
@@ -136,8 +143,7 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
             other => RunError::Serve(other.to_string()),
         }
     })?;
-    // lint:allow(obs-eprintln) -- operator console output, not diagnostics
-    eprintln!(
+    console(format_args!(
         "serving {} checkpoint '{}' in {} mode: input_dim={} clusters={} drift={}({})",
         model.phase,
         args.checkpoint,
@@ -146,7 +152,7 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
         model.k(),
         args.drift_policy,
         if model.profile().is_some() { "profile present" } else { "profile absent" },
-    );
+    ));
     // The flag value was validated at parse time; fall back to observe
     // defensively rather than refusing to serve.
     let drift_policy = adec_serve::DriftPolicy::parse(&args.drift_policy)
@@ -174,8 +180,7 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let stats = handle.join();
-    // lint:allow(obs-eprintln) -- operator console output, not diagnostics
-    eprintln!(
+    console(format_args!(
         "drained: served={} rejected_busy={} client_errors={} disconnects={} deadline_expired={} caught_panics={} respawns={} reloads={} reloads_refused={}",
         stats.served,
         stats.rejected_busy,
@@ -186,7 +191,7 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
         stats.respawns,
         stats.reloads,
         stats.reloads_refused,
-    );
+    ));
     Ok(())
 }
 
@@ -226,8 +231,7 @@ pub fn load(args: &crate::args::LoadArgs) -> Result<(), RunError> {
         let soak = adec_loadgen::run_soak(&config, args.soak_windows, args.server_pid)
             .map_err(|e| RunError::Load(e.to_string()))?;
         for (i, w) in soak.windows.iter().enumerate() {
-            // lint:allow(obs-eprintln) -- operator console output, not diagnostics
-            eprintln!(
+            console(format_args!(
                 "soak window {}/{}: ok={} errors={} achieved_rps={:.1} p99={:?} rss_kb={:?} mean_queue_depth={:?}",
                 i + 1,
                 soak.windows.len(),
@@ -237,7 +241,7 @@ pub fn load(args: &crate::args::LoadArgs) -> Result<(), RunError> {
                 w.p99,
                 w.rss_kb,
                 w.mean_queue_depth,
-            );
+            ));
         }
         println!("soak: {}", soak.detail);
         if !soak.stable() {
@@ -733,8 +737,7 @@ fn run_inner(args: &Args) -> Result<RunReport, RunError> {
         if let Some(path) = &args.save_weights {
             adec_nn::io::save_store(&session.store, path)
                 .map_err(|e| RunError::Io(e.to_string()))?;
-            // lint:allow(obs-eprintln) -- operator console output, not diagnostics
-            eprintln!("saved weights to {path}");
+            console(format_args!("saved weights to {path}"));
         }
         let trace = if args.progress {
             TraceConfig::curves(&ds.labels)
@@ -821,8 +824,7 @@ fn run_inner(args: &Args) -> Result<RunReport, RunError> {
         if args.progress {
             for p in &out.trace.points {
                 if let (Some(a), Some(n)) = (p.acc, p.nmi) {
-                    // lint:allow(obs-eprintln) -- operator console output, not diagnostics
-                    eprintln!("iter {:>6}: ACC {a:.3} NMI {n:.3}", p.iter);
+                    console(format_args!("iter {:>6}: ACC {a:.3} NMI {n:.3}", p.iter));
                 }
             }
         }

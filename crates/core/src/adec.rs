@@ -364,7 +364,7 @@ fn encoder_step(
             .iter()
             .find(|(bid, _)| *bid == id)
             .map(|&(_, v)| v)
-            .expect("parameter bound on tape"); // lint:allow(expect)
+            .expect("parameter bound on tape");
         tape.grad(var)
     };
     let mut kl_grads: Vec<(ParamId, Matrix)> = enc_ids

@@ -347,7 +347,7 @@ pub fn encoder_gradients(
             .iter()
             .find(|(bid, _)| *bid == id)
             .map(|&(_, v)| v)
-            .expect("encoder param must be bound"); // lint:allow(expect)
+            .expect("encoder param must be bound");
         grads.push(tape.grad(var));
     }
     grads

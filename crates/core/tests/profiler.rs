@@ -19,13 +19,13 @@ use adec_nn::profiler::{profile_from_json, profile_to_json};
 fn profiled_pipeline_covers_manifest_ops_and_phase_wall_time() {
     let profile = match run_profiled_pipeline(11, ProfileScale::quick()) {
         Ok(p) => p,
-        Err(e) => panic!("profiled pipeline failed: {e:?}"), // lint:allow(panic)
+        Err(e) => panic!("profiled pipeline failed: {e:?}"),
     };
 
     // Every trainer phase is present with measured wall time and ops.
     for name in TRAINER_PHASES {
         let p = profile.phase(name).unwrap_or_else(|| {
-            panic!("trainer phase {name} missing") // lint:allow(panic)
+            panic!("trainer phase {name} missing")
         });
         assert!(p.wall_ns > 0, "{name}: no wall time recorded");
         assert!(p.calls >= 1, "{name}: phase guard never closed");
@@ -50,10 +50,10 @@ fn profiled_pipeline_covers_manifest_ops_and_phase_wall_time() {
     // with nonzero FLOPs), which is what the roofline table reports.
     for inner in ["dec.kl", "idec.step", "dcn.step", "adec.encoder.kl"] {
         let p = profile.phase(inner).unwrap_or_else(|| {
-            panic!("inner phase {inner} missing") // lint:allow(panic)
+            panic!("inner phase {inner} missing")
         });
         let mm = p.op("matmul").unwrap_or_else(|| {
-            panic!("{inner}: matmul not recorded") // lint:allow(panic)
+            panic!("{inner}: matmul not recorded")
         });
         assert!(mm.flops > 0, "{inner}: matmul recorded zero FLOPs");
         assert!(mm.calls > 0);
@@ -64,7 +64,7 @@ fn profiled_pipeline_covers_manifest_ops_and_phase_wall_time() {
     let body = profile_to_json(&profile);
     let back = match profile_from_json(&body) {
         Ok(p) => p,
-        Err(e) => panic!("profile JSON did not round-trip: {e}"), // lint:allow(panic)
+        Err(e) => panic!("profile JSON did not round-trip: {e}"),
     };
     assert_eq!(back, profile);
 }

@@ -47,7 +47,7 @@
 //! checksum before touching the payload and return a typed
 //! [`CheckpointError`] instead of misreading.
 
-use crate::io::{read_store, write_store};
+use crate::io::{read_store, u32_len, write_store};
 use crate::optim::{Adam, AdamState, Sgd, SgdState};
 use crate::profile::{ReferenceProfile, DISTANCE_QUANTILES};
 use crate::store::ParamStore;
@@ -163,7 +163,8 @@ const fn crc32_table() -> [u32; 256] {
     let mut i = 0usize;
     while i < 256 {
         // Byte values 0..=255 fit u32 exactly.
-        let mut c = i as u32; // lint:allow(as-narrowing)
+        #[allow(clippy::cast_possible_truncation)]
+        let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
@@ -299,7 +300,7 @@ impl Checkpoint {
     fn encode_payload(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut p = Vec::new();
         // Phase names are short static strings; the u32 cannot truncate.
-        p.extend_from_slice(&(self.phase.len() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+        p.extend_from_slice(&u32_len(self.phase.len()).to_le_bytes());
         p.extend_from_slice(self.phase.as_bytes());
         p.extend_from_slice(&self.iter.to_le_bytes());
         for w in self.rng.words {
@@ -321,7 +322,7 @@ impl Checkpoint {
         p.extend_from_slice(&blob);
         // Optimizer and slot counts are bounded by the parameter count,
         // far below 2^32.
-        p.extend_from_slice(&(self.opts.len() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+        p.extend_from_slice(&u32_len(self.opts.len()).to_le_bytes());
         for opt in &self.opts {
             match opt {
                 OptState::Sgd(s) => {
@@ -338,7 +339,8 @@ impl Checkpoint {
                 }
             }
         }
-        p.extend_from_slice(&(self.extra.len() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+        // A trainer's extra words number a handful.
+        p.extend_from_slice(&u32_len(self.extra.len()).to_le_bytes());
         for w in &self.extra {
             p.extend_from_slice(&w.to_le_bytes());
         }
@@ -612,14 +614,14 @@ impl Checkpoint {
 
 fn write_slots(out: &mut Vec<u8>, slots: &[Option<Matrix>]) {
     // Slot counts track parameter ids, far below 2^32.
-    out.extend_from_slice(&(slots.len() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+    out.extend_from_slice(&u32_len(slots.len()).to_le_bytes());
     for slot in slots {
         match slot {
             Some(m) => {
                 out.push(1);
                 // Matrix sides are far below 2^32.
-                out.extend_from_slice(&(m.rows() as u32).to_le_bytes()); // lint:allow(as-narrowing)
-                out.extend_from_slice(&(m.cols() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+                out.extend_from_slice(&u32_len(m.rows()).to_le_bytes());
+                out.extend_from_slice(&u32_len(m.cols()).to_le_bytes());
                 for &v in m.as_slice() {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
@@ -631,7 +633,7 @@ fn write_slots(out: &mut Vec<u8>, slots: &[Option<Matrix>]) {
 
 fn write_f32s(out: &mut Vec<u8>, values: &[f32]) {
     // Profile vectors are latent-dim / cluster-count sized, far below 2^32.
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes()); // lint:allow(as-narrowing)
+    out.extend_from_slice(&u32_len(values.len()).to_le_bytes());
     for &v in values {
         out.extend_from_slice(&v.to_le_bytes());
     }

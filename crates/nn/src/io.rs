@@ -39,19 +39,27 @@ pub fn store_blob_version(blob: &[u8]) -> Option<u32> {
     Some(hi * 10 + lo)
 }
 
+/// The `u32` a count or matrix side is stored as on disk. Callers pass
+/// values bounded far below 2^32, so the cast keeps them; every length
+/// prefix in the store and checkpoint formats goes through here.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn u32_len(n: usize) -> u32 {
+    n as u32
+}
+
 /// Serializes every parameter of the store to a writer.
 pub fn write_store<W: Write>(store: &ParamStore, mut w: W) -> io::Result<()> {
     w.write_all(MAGIC)?;
     // The on-disk format stores counts/dims as u32; parameter stores are
     // bounded far below 2^32 entries, names below 2^32 bytes, and matrix
     // sides below 2^32.
-    w.write_all(&(store.len() as u32).to_le_bytes())?; // lint:allow(as-narrowing)
+    w.write_all(&u32_len(store.len()).to_le_bytes())?;
     for (_, name, value) in store.iter() {
         let name_bytes = name.as_bytes();
-        w.write_all(&(name_bytes.len() as u32).to_le_bytes())?; // lint:allow(as-narrowing)
+        w.write_all(&u32_len(name_bytes.len()).to_le_bytes())?;
         w.write_all(name_bytes)?;
-        w.write_all(&(value.rows() as u32).to_le_bytes())?; // lint:allow(as-narrowing)
-        w.write_all(&(value.cols() as u32).to_le_bytes())?; // lint:allow(as-narrowing)
+        w.write_all(&u32_len(value.rows()).to_le_bytes())?;
+        w.write_all(&u32_len(value.cols()).to_le_bytes())?;
         for &v in value.as_slice() {
             w.write_all(&v.to_le_bytes())?;
         }

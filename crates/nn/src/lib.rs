@@ -43,6 +43,9 @@
 // (issued by the arena they index into), and the dense kernels bound their
 // loops by matrix shape; checked access would only hide the invariant.
 #![allow(clippy::indexing_slicing)]
+// A narrowing or sign-changing cast must say why it keeps its value: each
+// one carries an allow on its statement or smallest item, with its bound.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -71,6 +71,8 @@ pub fn hard_labels(q: &Matrix) -> Vec<usize> {
 
 /// KL(P‖Q) summed over all rows — the plain (non-differentiable) value, for
 /// monitoring.
+// The f64 accumulator rounds to the f32 result on purpose.
+#[allow(clippy::cast_possible_truncation)]
 pub fn kl_divergence(p: &Matrix, q: &Matrix) -> f32 {
     assert_eq!(p.shape(), q.shape(), "kl_divergence: shape mismatch");
     let mut acc = 0.0f64;

@@ -262,10 +262,9 @@ impl Adam {
         self.t += 1;
         // Step counts stay far below i32::MAX over any realistic training
         // run, and the correction saturates to 1.0 long before that anyway.
-        (
-            1.0 - self.beta1.powi(self.t as i32), // lint:allow(as-narrowing)
-            1.0 - self.beta2.powi(self.t as i32), // lint:allow(as-narrowing)
-        )
+        #[allow(clippy::cast_possible_truncation)]
+        let t = self.t as i32;
+        (1.0 - self.beta1.powi(t), 1.0 - self.beta2.powi(t))
     }
 }
 

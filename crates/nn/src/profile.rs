@@ -74,6 +74,9 @@ impl ReferenceProfile {
                 latent_sq[c] += v * v;
             }
         }
+        // The f64 accumulators round to the f32 fields on purpose, here and
+        // in the three summaries below.
+        #[allow(clippy::cast_possible_truncation)]
         let latent_var: Vec<f32> = latent_mean
             .iter()
             .zip(latent_sq.iter())
@@ -82,6 +85,7 @@ impl ReferenceProfile {
                 ((sq / nf - m * m).max(0.0)) as f32
             })
             .collect();
+        #[allow(clippy::cast_possible_truncation)]
         let latent_mean: Vec<f32> = latent_mean.iter().map(|&s| (s / nf) as f32).collect();
 
         let mut ent_sum = 0.0f64;
@@ -126,6 +130,7 @@ impl ReferenceProfile {
         }
         distances.sort_by(f32::total_cmp);
 
+        #[allow(clippy::cast_possible_truncation)]
         let moments = |sum: f64, sq: f64| {
             let mean = sum / nf;
             let var = (sq / nf - mean * mean).max(0.0);
@@ -134,6 +139,8 @@ impl ReferenceProfile {
         let (entropy_mean, entropy_std) = moments(ent_sum, ent_sq);
         let (confidence_mean, confidence_std) = moments(conf_sum, conf_sq);
 
+        // The rounded rank of a quantile in [0, 1] is in 0..n.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let distance_quantiles = DISTANCE_QUANTILES
             .iter()
             .map(|&p| {
@@ -142,6 +149,7 @@ impl ReferenceProfile {
                 distances[idx.min(n - 1)]
             })
             .collect();
+        #[allow(clippy::cast_possible_truncation)]
         let occupancy = occupancy.iter().map(|&c| (c as f64 / nf) as f32).collect();
 
         ReferenceProfile {

@@ -25,9 +25,14 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Whole nanoseconds in `d`, saturating at `u64::MAX` (584 years).
+pub(crate) fn ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// Whether op recording is on (one relaxed load; the off path costs a
 /// branch).
@@ -129,7 +134,7 @@ pub fn phase(name: &str) -> PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         let Some(name) = self.name.take() else { return };
-        let wall = self.start.elapsed().as_nanos() as u64;
+        let wall = ns(self.start.elapsed());
         PHASE_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // Guards are strictly nested; pop by value in case an
@@ -175,7 +180,7 @@ pub fn section(name: &str) -> SectionGuard {
 impl Drop for SectionGuard {
     fn drop(&mut self) {
         let Some(key) = self.key.take() else { return };
-        let wall = self.start.elapsed().as_nanos() as u64;
+        let wall = ns(self.start.elapsed());
         if let Ok(mut s) = store().lock() {
             let acc = s.sections.entry(key).or_default();
             acc.calls += 1;

@@ -159,7 +159,7 @@ impl Tape {
             let now = Instant::now();
             let dur = self
                 .prof_mark
-                .map(|m| now.duration_since(m).as_nanos() as u64)
+                .map(|m| crate::profiler::ns(now.duration_since(m)))
                 .unwrap_or(0);
             crate::profiler::record_op(op_name(&op), dur, self.op_flops(&op, &value));
         }
@@ -463,6 +463,8 @@ impl Tape {
             }
         }
         let softmax = sm.probs;
+        // The f64 loss accumulator rounds to the tape's f32 value on purpose.
+        #[allow(clippy::cast_possible_truncation)]
         let value = Matrix::from_vec(1, 1, vec![(loss / n as f64) as f32]);
         let ng = self.needs(logits);
         self.push(
@@ -498,6 +500,8 @@ impl Tape {
                 }
             }
         }
+        // The f64 loss accumulator rounds to the tape's f32 value on purpose.
+        #[allow(clippy::cast_possible_truncation)]
         let value = Matrix::from_vec(1, 1, vec![loss as f32]);
         let ng = self.needs(z) || self.needs(mu);
         self.push(
@@ -763,7 +767,8 @@ impl Tape {
                 // Backward of an op is roughly two forward-shaped passes
                 // (one gradient per input); merge into the same op row.
                 let flops = 2 * self.op_flops(&op, &self.nodes[idx].value);
-                crate::profiler::record_op(op_name(&op), t0.elapsed().as_nanos() as u64, flops);
+                let wall = crate::profiler::ns(t0.elapsed());
+                crate::profiler::record_op(op_name(&op), wall, flops);
             }
             self.nodes[idx].op = op;
         }

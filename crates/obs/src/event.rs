@@ -372,6 +372,9 @@ pub fn emit(event: Event) {
     handle.sink.wake.notify_all();
 }
 
+// The one sanctioned stderr funnel: every lib-crate diagnostic routes
+// through here.
+#[allow(clippy::print_stderr)]
 fn mirror_to_stderr(event: &Event) {
     let label = if event.level == Level::Error { "error" } else { "warning" };
     // A single-`msg` event prints as a plain operator warning; anything
@@ -381,8 +384,6 @@ fn mirror_to_stderr(event: &Event) {
         _ => None,
     };
     if let Some(msg) = only_msg {
-        // The one sanctioned stderr funnel: every lib-crate diagnostic
-        // routes through here. lint:allow(obs-eprintln)
         eprintln!("adec: {label}: {msg}");
         return;
     }
@@ -396,7 +397,6 @@ fn mirror_to_stderr(event: &Event) {
             other => other.write_json(&mut rendered),
         }
     }
-    // lint:allow(obs-eprintln) -- see above; this is the funnel itself.
     eprintln!("adec: {label}: {}:{rendered}", event.kind);
 }
 

@@ -58,7 +58,6 @@ impl Json {
     /// The number as an exact nonnegative integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // fract() == 0.0 is an exact integrality test -- lint:allow(float-eq)
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }

@@ -22,6 +22,9 @@
 //! `/shutdown` and verifying the server drains (connection refused soon
 //! after) — CI then asserts the *server* exited 0.
 
+// A drill client reports scenario failures and usage errors on stderr.
+#![allow(clippy::print_stderr)]
+
 use adec_datagen::{Benchmark, Size};
 use adec_serve::chaos;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};

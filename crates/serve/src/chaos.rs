@@ -548,7 +548,7 @@ fn pound_assign(
 ) -> PoundTally {
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let body = csv_rows(input_dim, 4, &mut SeedRng::new(seed ^ (t as u64))); // lint:allow(as-narrowing)
+            let body = csv_rows(input_dim, 4, &mut SeedRng::new(seed ^ (t as u64)));
             std::thread::spawn(move || {
                 let mut tally = PoundTally::default();
                 for _ in 0..per_thread {

@@ -132,7 +132,7 @@ pub(crate) fn replica_event(kind: &str, id: usize, epoch: u64, detail: &str) {
     let level = if kind == "serve.replica.death" { Level::Warn } else { Level::Info };
     emit(
         Event::new(level, kind)
-            .field("replica", id as u64) // lint:allow(as-narrowing)
+            .field("replica", id as u64)
             .field("epoch", epoch)
             .field("detail", detail),
     );

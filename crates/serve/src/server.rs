@@ -1160,7 +1160,7 @@ fn render_tracez(shared: &Shared, chrome: bool) -> String {
             t.trace_id,
             escape(t.attr("status").unwrap_or("")),
             escape(t.attr("tier").unwrap_or("")),
-            t.total_ns as f64 / 1e6, // lint:allow(as-narrowing)
+            t.total_ns as f64 / 1e6,
         ));
         for (j, s) in t.stages().enumerate() {
             if j > 0 {
@@ -1169,7 +1169,7 @@ fn render_tracez(shared: &Shared, chrome: bool) -> String {
             body.push_str(&format!(
                 r#"{{"name":"{}","ms":{:.3}}}"#,
                 escape(&s.name),
-                s.dur_ns as f64 / 1e6, // lint:allow(as-narrowing)
+                s.dur_ns as f64 / 1e6,
             ));
         }
         body.push_str("]}");

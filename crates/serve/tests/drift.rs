@@ -63,7 +63,7 @@ fn blob_checkpoint(ds: &Dataset, with_profile: bool) -> Checkpoint {
     }
     for c in 0..K {
         for d in 0..DIM {
-            mu.set(c, d, mu.get(c, d) / counts[c] as f32); // lint:allow(as-narrowing)
+            mu.set(c, d, mu.get(c, d) / counts[c] as f32);
         }
     }
     let q = soft_assignment(&ds.data, &mu, 1.0);
@@ -177,7 +177,7 @@ fn stationary_never_alarms_and_every_shift_kind_is_detected() {
         let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 1, 0);
         let mut sim = StreamSim::from_dataset(
             &ds,
-            100 + i as u64, // lint:allow(as-narrowing)
+            100 + i as u64,
             ShiftSchedule::single(0, kind, magnitude),
         );
         let mut detected = None;
@@ -249,7 +249,7 @@ fn gate_policy_lifecycle_and_events_over_http() {
     let mut alarmed = false;
     for w in 1..=DETECT_BOUND {
         post_rows(addr, &shifted.next_batch(WINDOW));
-        let doc = wait_for_windows(addr, 2 + w as u64); // lint:allow(as-narrowing)
+        let doc = wait_for_windows(addr, 2 + w as u64);
         if driftz_bool(&doc, "alarmed") {
             alarmed = true;
             break;
@@ -453,7 +453,7 @@ fn degrade_policy_stamps_responses_but_keeps_readiness() {
     let mut alarmed = false;
     for w in 1..=DETECT_BOUND {
         post_rows(addr, &shifted.next_batch(WINDOW));
-        let doc = wait_for_windows(addr, w as u64); // lint:allow(as-narrowing)
+        let doc = wait_for_windows(addr, w as u64);
         if driftz_bool(&doc, "alarmed") {
             alarmed = true;
             break;

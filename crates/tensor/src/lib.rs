@@ -31,6 +31,9 @@
 // function head (see `debug_assert_dims!`); checked-access rewrites would
 // obscure the inner loops without adding safety.
 #![allow(clippy::indexing_slicing)]
+// A narrowing or sign-changing cast must say why it keeps its value: each
+// one carries an allow on its statement or smallest item, with its bound.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 #![warn(missing_docs)]
 
 pub mod kernels;

@@ -41,11 +41,9 @@ static SCHEDULE_ROTATION: AtomicUsize = AtomicUsize::new(0);
 
 // --- kernel telemetry -------------------------------------------------
 // Dispatch counts and per-chunk wall time flow to the global adec-obs
-// registry. Compiled out entirely without the (default) `telemetry`
-// feature; with it, a dispatch costs one relaxed atomic add and each
-// parallel chunk adds two monotonic clock reads — nothing touches the
-// per-element path or the numerics, so trajectories are unchanged.
-#[cfg(feature = "telemetry")]
+// registry. A dispatch costs one relaxed atomic add and each parallel
+// chunk adds two monotonic clock reads — nothing touches the per-element
+// path or the numerics, so trajectories are unchanged.
 mod pool_obs {
     use std::sync::{Arc, OnceLock};
 
@@ -87,12 +85,9 @@ pub fn configured_threads() -> usize {
         if let Some(msg) = warning {
             // A Warn-level event always mirrors to stderr, so the operator
             // sees `adec: warning: …` whether or not a log sink exists.
-            #[cfg(feature = "telemetry")]
             adec_obs::emit(
                 adec_obs::Event::new(adec_obs::Level::Warn, "pool.threads").field("msg", msg),
             );
-            #[cfg(not(feature = "telemetry"))]
-            eprintln!("adec: warning: {msg}"); // lint:allow(obs-eprintln) -- telemetry compiled out
         }
         threads
     })
@@ -181,19 +176,15 @@ where
     assert_eq!(out.len(), rows * cols, "parallel_rows: output length mismatch");
     let threads = configured_threads();
     if threads <= 1 || rows < 2 || work < PARALLEL_MIN_WORK {
-        #[cfg(feature = "telemetry")]
         pool_obs::serial_dispatches().inc();
         f(0, rows, out);
         return;
     }
-    #[cfg(feature = "telemetry")]
     pool_obs::parallel_dispatches().inc();
     // Per-chunk timing wraps the whole chunk, not the element loop.
     let run = |start: usize, len: usize, chunk: &mut [f32]| {
-        #[cfg(feature = "telemetry")]
         let t0 = std::time::Instant::now();
         f(start, len, chunk);
-        #[cfg(feature = "telemetry")]
         pool_obs::chunk_seconds().observe(t0.elapsed().as_secs_f64());
     };
     let spans = row_chunks(rows, threads);
@@ -225,9 +216,14 @@ where
 }
 
 #[cfg(test)]
-// Test code: exact float comparisons and unwraps are the assertions
-// themselves here.
-#[allow(clippy::float_cmp, clippy::unwrap_used)]
+// Test code: exact float comparisons, unwraps and casts of small counts
+// are the assertions themselves here.
+#[allow(
+    clippy::float_cmp,
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
 mod tests {
     use super::*;
 
@@ -314,6 +310,17 @@ mod tests {
         calls += out[0] as usize;
         assert_eq!(calls, 4);
         set_thread_override(0);
+    }
+
+    #[test]
+    fn serial_dispatch_raises_the_global_serial_counter() {
+        let serial = adec_obs::counter("adec_pool_dispatch_serial_total");
+        let before = serial.get();
+        // Work below PARALLEL_MIN_WORK runs inline at any thread count, so
+        // tests changing the override in parallel cannot reroute it.
+        let mut out = vec![0.0f32; 4];
+        parallel_rows(&mut out, 2, 2, 1, |_, _, chunk| chunk.fill(1.0));
+        assert!(serial.get() > before, "serial dispatch left the counter at {before}");
     }
 
     #[test]

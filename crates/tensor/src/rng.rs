@@ -88,7 +88,7 @@ impl SeedRng {
     fn next_f32(&mut self) -> f32 {
         const SCALE: f32 = 1.0 / (1u32 << 24) as f32;
         // The >> 40 leaves 24 bits, so the u32 cast cannot truncate.
-        ((self.next_u64() >> 40) as u32) as f32 * SCALE // lint:allow(as-narrowing)
+        ((self.next_u64() >> 40) as u32) as f32 * SCALE
     }
 
     /// Unbiased integer in `[0, n)` via Lemire's multiply-shift method.
@@ -98,6 +98,8 @@ impl SeedRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(n as u128);
+            // `m as u64` keeps the low 64 bits of the product on purpose.
+            #[allow(clippy::cast_possible_truncation)]
             let low = m as u64;
             if low >= n.wrapping_neg() % n {
                 return (m >> 64) as u64;
@@ -146,6 +148,8 @@ impl SeedRng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    // The draw is below `n`, a usize, so the cast back cannot truncate.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "SeedRng::below: n must be positive");
         self.bounded_u64(n as u64) as usize
@@ -181,6 +185,8 @@ impl SeedRng {
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
+            // The draw is at most `i`, a usize, so the cast back cannot truncate.
+            #[allow(clippy::cast_possible_truncation)]
             let j = self.bounded_u64(i as u64 + 1) as usize;
             xs.swap(i, j);
         }

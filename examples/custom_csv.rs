@@ -9,8 +9,9 @@
 //! ```
 
 // Example code: a panic with a clear message is the right failure mode for
-// a demo script, and the indices are bounded by the checks right above.
-#![allow(clippy::expect_used, clippy::indexing_slicing)]
+// a demo script, the indices are bounded by the checks right above, and
+// usage errors go to stderr.
+#![allow(clippy::expect_used, clippy::indexing_slicing, clippy::print_stderr)]
 
 use adec_core::prelude::*;
 use adec_core::pretrain::PretrainConfig;
