@@ -8,7 +8,7 @@
 use crate::autoencoder::Autoencoder;
 use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
 use crate::guard::{faults::FaultPlan, DurabilityConfig, Fault, GuardConfig, TrainError, TrainGuard};
-use crate::trace::{encoder_gradients, grad_cosine, ClusterOutput, GradLoss, TraceConfig};
+use crate::trace::{encoder_gradients, ClusterOutput, GradLoss, TraceConfig};
 use adec_classic::{kmeans, KMeansConfig};
 use adec_nn::{
     hard_labels, kl_divergence, soft_assignment, target_distribution, Optimizer, ParamId,
@@ -372,11 +372,11 @@ impl KlTargets {
                         alpha: probe_alpha,
                     },
                 );
-                delta_fr = Some(grad_cosine(&g_pseudo, &g_true));
+                delta_fr = Some(adec_metrics::delta_fr(&g_pseudo, &g_true));
             }
             if let Some(self_loss) = self_loss {
                 let g_self = encoder_gradients(&ae.encoder, store, &x_probe, self_loss);
-                delta_fd = Some(grad_cosine(&g_pseudo, &g_self));
+                delta_fd = Some(adec_metrics::delta_fd(&g_pseudo, &g_self));
             }
         }
         Probe {

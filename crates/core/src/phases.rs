@@ -5,9 +5,8 @@
 //! [`crate::dcn`], and [`crate::adec`] each build their step tapes inside
 //! a training loop, where a miswired graph only surfaces as a silently
 //! absent gradient or a mid-batch shape assert. [`phase_tapes`] builds the
-//! same graphs against synthetic data — the clustering phases by calling
-//! the very graph builders the trainers' steps call, the two pretraining
-//! phases by mirroring `pretrain.rs` — pairs each with a
+//! same graphs against synthetic data — by calling the very graph builders
+//! the trainers' steps call — pairs each with a
 //! [`PhaseManifest`] declaring which parameters the phase must update,
 //! which are intentionally frozen, and which are intentionally bound more
 //! than once (weight sharing), and hands them to
@@ -31,7 +30,7 @@
 
 use crate::autoencoder::{ArchPreset, Autoencoder};
 use crate::idec::IdecConfig;
-use crate::{adec, dcn, dec, idec};
+use crate::{adec, dcn, dec, idec, pretrain};
 use adec_analysis::{analyze_tape, PhaseManifest, Report};
 use adec_nn::{Activation, Mlp, ParamId, ParamStore, Tape, TapeIr, Var};
 use adec_tensor::{Matrix, SeedRng};
@@ -120,75 +119,39 @@ pub fn phase_tapes(
     let x2 = Matrix::randn(batch, input_dim, 0.0, 1.0, &mut rng);
     let p_b = Matrix::full(batch, k, 1.0 / k as f32);
     let alphas: Vec<f32> = (0..batch).map(|_| rng.uniform(0.0, 0.5)).collect();
-    let inv: Vec<f32> = alphas.iter().map(|a| 1.0 - a).collect();
     let alpha = 1.0f32; // Student-t dof, AdecConfig::paper
     let lambda = 0.5f32; // ACAI λ, PretrainConfig::acai_paper; DcnConfig::fast λ
 
     let mut phases = Vec::new();
 
     // ---- pretrain.ae: ACAI autoencoder step (pretrain.rs, eq. 8) ----
-    {
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let z = ae.encoder.forward(&mut tape, &store, xv);
-        let xhat = ae.decoder.forward(&mut tape, &store, z);
-        let target = tape.leaf(x.clone());
-        let rec = tape.mse(xhat, target);
-        let x2v = tape.leaf(x2.clone());
-        let z2 = ae.encoder.forward(&mut tape, &store, x2v);
-        let za = tape.row_scale(z, &alphas);
-        let zb = tape.row_scale(z2, &inv);
-        let zmix = tape.add(za, zb);
-        let xmix = ae.decoder.forward(&mut tape, &store, zmix);
-        let c_out = critic.forward(&mut tape, &store, xmix);
-        let c_sq = tape.square(c_out);
-        let c_pen = tape.mean_all(c_sq);
-        let scaled = tape.scale(c_pen, lambda);
-        let loss = tape.add(rec, scaled);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("pretrain.ae")
-                .update_all(roles(&store, &ae_ids))
-                .freeze_all(roles(&store, &critic_ids))
-                // Both encoder and decoder run two forward passes on this
-                // tape (clean batch + latent mixture).
-                .share_all(roles(&store, &ae_ids)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("pretrain.ae")
+            .update_all(roles(&store, &ae_ids))
+            .freeze_all(roles(&store, &critic_ids))
+            // Both encoder and decoder run two forward passes on this
+            // tape (clean batch + latent mixture).
+            .share_all(roles(&store, &ae_ids)),
+        |tape| {
+            let acai = Some((&critic, x2.clone(), alphas.clone()));
+            pretrain::ae_graph(tape, &ae, &store, &x, acai, lambda)
+        },
+    ));
 
     // ---- pretrain.critic: ACAI critic step (pretrain.rs, eq. 9) ----
-    {
-        let zmix = adec_tensor::row_lerp(
-            &ae.encoder.infer(&store, &x),
-            &ae.encoder.infer(&store, &x2),
-            &alphas,
-        );
-        let xmix = ae.decoder.infer(&store, &zmix);
-        let xblend = ae.decoder.infer(&store, &ae.encoder.infer(&store, &x));
-        let alpha_target = Matrix::from_vec(batch, 1, alphas.clone());
-        let mut tape = Tape::new();
-        let xmix_v = tape.leaf(xmix);
-        let c1 = critic.forward(&mut tape, &store, xmix_v);
-        let target = tape.leaf(alpha_target);
-        let loss1 = tape.mse(c1, target);
-        let xblend_v = tape.leaf(xblend);
-        let c2 = critic.forward(&mut tape, &store, xblend_v);
-        let c2_sq = tape.square(c2);
-        let loss2 = tape.mean_all(c2_sq);
-        let loss = tape.add(loss1, loss2);
-        phases.push(PhaseTape {
-            ir: tape.export_ir(&store),
-            loss: loss.index(),
-            manifest: PhaseManifest::new("pretrain.critic")
-                .update_all(roles(&store, &critic_ids))
-                // The interpolants are computed with infer(): the
-                // autoencoder is detached by construction.
-                .freeze_all(roles(&store, &ae_ids))
-                // The critic scores both the interpolant and the blend.
-                .share_all(roles(&store, &critic_ids)),
-        });
-    }
+    phases.push(audit(
+        &store,
+        PhaseManifest::new("pretrain.critic")
+            .update_all(roles(&store, &critic_ids))
+            // The interpolants are computed with infer(): the
+            // autoencoder is detached by construction.
+            .freeze_all(roles(&store, &ae_ids))
+            // The critic scores both the interpolant and the blend.
+            .share_all(roles(&store, &critic_ids)),
+        // Any γ in [0, 1]: the blend's value does not shape the graph.
+        |tape| pretrain::critic_graph(tape, &ae, &critic, &store, &x, &x2, alphas.clone(), 0.5),
+    ));
 
     // ---- dec.kl: DEC KL step (dec.rs) ----
     phases.push(audit(

@@ -20,7 +20,7 @@ use crate::guard::{
 use adec_datagen::augment::{augment_batch, AugmentConfig};
 use adec_datagen::Modality;
 use adec_nn::{
-    Activation, Adam, Checkpoint, Mlp, OptState, Optimizer, ParamId, ParamStore, Tape,
+    Activation, Adam, Checkpoint, Mlp, OptState, Optimizer, ParamId, ParamStore, Tape, Var,
 };
 use adec_tensor::{Matrix, SeedRng};
 
@@ -282,32 +282,15 @@ pub fn pretrain_autoencoder(
         let ae_loss;
         {
             let _prof_tape = adec_nn::profiler::phase("pretrain.ae");
-            let mut tape = Tape::new();
-            let xv = tape.leaf(x.clone());
-            let z = ae.encoder.forward(&mut tape, store, xv);
-            let xhat = ae.decoder.forward(&mut tape, store, z);
-            let target = tape.leaf(x.clone());
-            let rec = tape.mse(xhat, target);
-            let loss = if let Some(critic) = &critic {
-                // Interpolate latents of the batch with a shuffled copy.
+            // Interpolate latents of the batch with a shuffled copy.
+            let acai = critic.as_ref().map(|critic| {
                 let perm = rng.permutation(b);
                 let x2 = x.gather_rows(&perm);
-                let x2v = tape.leaf(x2);
-                let z2 = ae.encoder.forward(&mut tape, store, x2v);
                 let alphas: Vec<f32> = (0..b).map(|_| rng.uniform(0.0, 0.5)).collect();
-                let inv: Vec<f32> = alphas.iter().map(|a| 1.0 - a).collect();
-                let za = tape.row_scale(z, &alphas);
-                let zb = tape.row_scale(z2, &inv);
-                let zmix = tape.add(za, zb);
-                let xmix = ae.decoder.forward(&mut tape, store, zmix);
-                let c_out = critic.forward(&mut tape, store, xmix);
-                let c_sq = tape.square(c_out);
-                let c_pen = tape.mean_all(c_sq);
-                let scaled = tape.scale(c_pen, cfg.lambda);
-                tape.add(rec, scaled)
-            } else {
-                rec
-            };
+                (critic, x2, alphas)
+            });
+            let mut tape = Tape::new();
+            let loss = ae_graph(&mut tape, ae, store, &x, acai, cfg.lambda);
             ae_loss = tape.scalar(loss);
             tape.backward(loss);
             ae_opt.step_filtered(&tape, store, |id| ae_ids.contains(&id));
@@ -321,29 +304,12 @@ pub fn pretrain_autoencoder(
         // ---------------- Critic step (eq. 9) ----------------
         if let Some(critic) = &critic {
             let _prof_tape = adec_nn::profiler::phase("pretrain.critic");
-            // Recompute interpolants without gradient through the AE.
             let perm = rng.permutation(b);
             let x2 = x.gather_rows(&perm);
-            let z1 = ae.encoder.infer(store, &x);
-            let z2 = ae.encoder.infer(store, &x2);
             let alphas: Vec<f32> = (0..b).map(|_| rng.uniform(0.0, 0.5)).collect();
-            let zmix = adec_tensor::row_lerp(&z1, &z2, &alphas);
-            let xmix = ae.decoder.infer(store, &zmix);
-            let xhat = ae.decoder.infer(store, &z1);
             let gamma = rng.uniform(0.0, 1.0);
-            let xblend = x.zip_with(&xhat, |a, b| gamma * a + (1.0 - gamma) * b);
-            let alpha_target = Matrix::from_vec(b, 1, alphas);
-
             let mut tape = Tape::new();
-            let xmix_v = tape.leaf(xmix);
-            let c1 = critic.forward(&mut tape, store, xmix_v);
-            let target = tape.leaf(alpha_target);
-            let loss1 = tape.mse(c1, target);
-            let xblend_v = tape.leaf(xblend);
-            let c2 = critic.forward(&mut tape, store, xblend_v);
-            let c2_sq = tape.square(c2);
-            let loss2 = tape.mean_all(c2_sq);
-            let loss = tape.add(loss1, loss2);
+            let loss = critic_graph(&mut tape, ae, critic, store, &x, &x2, alphas, gamma);
             last_critic_loss = tape.scalar(loss);
             tape.backward(loss);
             critic_opt.step_filtered(&tape, store, |id| critic_ids.contains(&id));
@@ -376,6 +342,73 @@ pub fn pretrain_autoencoder(
         final_critic_loss: last_critic_loss,
         iterations: done_iterations,
     })
+}
+
+/// The `pretrain.ae` graph (eq. 8): reconstruction of the batch `x`, plus,
+/// when `acai` carries the critic, the shuffled copy `x2` and one α per
+/// row, λ times the critic's mean squared score of the decoded latent
+/// mixture `αᵢ·E(xᵢ) + (1−αᵢ)·E(x2ᵢ)`.
+pub(crate) fn ae_graph(
+    tape: &mut Tape,
+    ae: &Autoencoder,
+    store: &ParamStore,
+    x: &Matrix,
+    acai: Option<(&Mlp, Matrix, Vec<f32>)>,
+    lambda: f32,
+) -> Var {
+    let xv = tape.leaf(x.clone());
+    let z = ae.encoder.forward(tape, store, xv);
+    let xhat = ae.decoder.forward(tape, store, z);
+    let target = tape.leaf(x.clone());
+    let rec = tape.mse(xhat, target);
+    let Some((critic, x2, alphas)) = acai else {
+        return rec;
+    };
+    let x2v = tape.leaf(x2);
+    let z2 = ae.encoder.forward(tape, store, x2v);
+    let inv: Vec<f32> = alphas.iter().map(|a| 1.0 - a).collect();
+    let za = tape.row_scale(z, &alphas);
+    let zb = tape.row_scale(z2, &inv);
+    let zmix = tape.add(za, zb);
+    let xmix = ae.decoder.forward(tape, store, zmix);
+    let c_out = critic.forward(tape, store, xmix);
+    let c_sq = tape.square(c_out);
+    let c_pen = tape.mean_all(c_sq);
+    let scaled = tape.scale(c_pen, lambda);
+    tape.add(rec, scaled)
+}
+
+/// The `pretrain.critic` graph (eq. 9): the critic regresses each row's α
+/// from the decoded mixture `αᵢ·E(xᵢ) + (1−αᵢ)·E(x2ᵢ)` and scores the blend
+/// `γ·x + (1−γ)·x̂` toward 0. The interpolants are computed with `infer`,
+/// so no gradient reaches the autoencoder.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn critic_graph(
+    tape: &mut Tape,
+    ae: &Autoencoder,
+    critic: &Mlp,
+    store: &ParamStore,
+    x: &Matrix,
+    x2: &Matrix,
+    alphas: Vec<f32>,
+    gamma: f32,
+) -> Var {
+    let z1 = ae.encoder.infer(store, x);
+    let z2 = ae.encoder.infer(store, x2);
+    let zmix = adec_tensor::row_lerp(&z1, &z2, &alphas);
+    let xmix = ae.decoder.infer(store, &zmix);
+    let xhat = ae.decoder.infer(store, &z1);
+    let xblend = x.zip_with(&xhat, |a, b| gamma * a + (1.0 - gamma) * b);
+    let alpha_target = Matrix::from_vec(x.rows(), 1, alphas);
+    let xmix_v = tape.leaf(xmix);
+    let c1 = critic.forward(tape, store, xmix_v);
+    let target = tape.leaf(alpha_target);
+    let loss1 = tape.mse(c1, target);
+    let xblend_v = tape.leaf(xblend);
+    let c2 = critic.forward(tape, store, xblend_v);
+    let c2_sq = tape.square(c2);
+    let loss2 = tape.mean_all(c2_sq);
+    tape.add(loss1, loss2)
 }
 
 /// Stacked-denoising pretraining configuration (the greedy layer-wise

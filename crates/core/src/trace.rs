@@ -1,7 +1,7 @@
 //! Training instrumentation: per-interval ACC/NMI learning curves and the
 //! paper's Δ_FR / Δ_FD gradient diagnostics (Figures 7–12).
 
-use adec_metrics::{accuracy, gradient_cosine, hungarian_min_cost, nmi, Contingency};
+use adec_metrics::{accuracy, hungarian_min_cost, nmi, Contingency};
 use adec_nn::{Mlp, ParamId, ParamStore, Tape};
 use adec_tensor::Matrix;
 
@@ -353,18 +353,13 @@ pub fn encoder_gradients(
     grads
 }
 
-/// Computes the cosine between two encoder gradient sets (helper for the
-/// runners; re-exported logic of `adec_metrics::gradient_cosine`).
-pub fn grad_cosine(a: &[Matrix], b: &[Matrix]) -> f32 {
-    gradient_cosine(a, b)
-}
-
 #[cfg(test)]
 // Test code: exact float comparisons and unwraps are the assertions
 // themselves here.
 #[allow(clippy::float_cmp, clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use adec_metrics::gradient_cosine;
     use adec_nn::{soft_assignment, Activation};
     use adec_tensor::SeedRng;
 
@@ -419,8 +414,8 @@ mod tests {
         assert!(kl_norm > 0.0);
         assert!(rec_norm > 0.0);
         // Self-cosine is 1.
-        assert!((grad_cosine(&g_kl, &g_kl) - 1.0).abs() < 1e-5);
-        let c = grad_cosine(&g_kl, &g_rec);
+        assert!((gradient_cosine(&g_kl, &g_kl) - 1.0).abs() < 1e-5);
+        let c = gradient_cosine(&g_kl, &g_rec);
         assert!((-1.0..=1.0).contains(&c));
     }
 

@@ -9,7 +9,9 @@
 //! Everything in it is a small summary — per-dimension latent moments,
 //! entropy/confidence moments, nearest-centroid distance quantiles, and
 //! the cluster-occupancy histogram — so it adds a few hundred bytes to a
-//! checkpoint, not megabytes.
+//! checkpoint, not megabytes. Its per-row statistics come from
+//! [`row_stats`], the same routine the serve-time sentinel reduces live
+//! traffic with, so both sides of the comparison are computed one way.
 //!
 //! Serialization lives in [`crate::checkpoint`] as an optional trailing
 //! payload section: checkpoints written before this section existed (or
@@ -95,37 +97,12 @@ impl ReferenceProfile {
         let mut occupancy = vec![0u64; k];
         let mut distances = Vec::with_capacity(n);
         for i in 0..n {
-            let row = q.row(i);
-            let mut ent = 0.0f64;
-            let mut best = (0usize, f32::NEG_INFINITY);
-            for (j, &p) in row.iter().enumerate() {
-                if p > 0.0 {
-                    ent -= f64::from(p) * f64::from(p).ln();
-                }
-                if p > best.1 {
-                    best = (j, p);
-                }
-            }
+            let (ent, best, conf, _, nearest) = row_stats(z.row(i), q.row(i), mu);
             ent_sum += ent;
             ent_sq += ent * ent;
-            let conf = f64::from(best.1.max(0.0));
             conf_sum += conf;
             conf_sq += conf * conf;
-            occupancy[best.0] += 1;
-
-            let zi = z.row(i);
-            let mut nearest = f32::INFINITY;
-            for j in 0..k {
-                let dist: f32 = mu
-                    .row(j)
-                    .iter()
-                    .zip(zi.iter())
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
-                if dist < nearest {
-                    nearest = dist;
-                }
-            }
+            occupancy[best] += 1;
             distances.push(nearest);
         }
         distances.sort_by(f32::total_cmp);
@@ -228,6 +205,38 @@ impl ReferenceProfile {
         }
         Ok(())
     }
+}
+
+/// The per-row statistics the profile summarizes and the serve-time drift
+/// sentinel compares against it, for one embedded row `z` (length d), its
+/// soft-assignment row `q` (length k) and the centroids `mu` (k×d):
+/// `(entropy, argmax, confidence, nearest, nearest_sq_dist)`.
+///
+/// Entropy is `−Σ_j q_j ln q_j` in nats over the positive entries,
+/// accumulated in f64; confidence is the largest `q_j`, floored at 0;
+/// `nearest` is the centroid with the smallest squared L2 distance to `z`.
+/// Both index scans break ties to the lowest index. An empty `q` gives
+/// entropy 0, argmax 0 and confidence 0, for callers that only want the
+/// nearest centroid (the serve path's centroid-only answer).
+pub fn row_stats(z: &[f32], q: &[f32], mu: &Matrix) -> (f64, usize, f64, usize, f32) {
+    let mut entropy = 0.0f64;
+    let mut best = (0usize, f32::NEG_INFINITY);
+    for (j, &p) in q.iter().enumerate() {
+        if p > 0.0 {
+            entropy -= f64::from(p) * f64::from(p).ln();
+        }
+        if p > best.1 {
+            best = (j, p);
+        }
+    }
+    let mut nearest = (0usize, f32::INFINITY);
+    for j in 0..mu.rows() {
+        let dist: f32 = mu.row(j).iter().zip(z).map(|(a, b)| (a - b) * (a - b)).sum();
+        if dist < nearest.1 {
+            nearest = (j, dist);
+        }
+    }
+    (entropy, best.0, f64::from(best.1.max(0.0)), nearest.0, nearest.1)
 }
 
 #[cfg(test)]

@@ -40,5 +40,5 @@ pub use event::{
 pub use registry::{
     counter, global, histogram, Counter, Histogram, HistogramSnapshot, Registry, Snapshot,
 };
-pub use span::{span, span_handle, Span, SpanHandle, DURATION_BUCKETS};
+pub use span::{Span, DURATION_BUCKETS};
 pub use trace::{TraceContext, TraceRing, TraceTree};

@@ -2,13 +2,11 @@
 //!
 //! A [`Span`] samples a monotonic clock on creation and records the
 //! elapsed seconds into a histogram when dropped, so a scope is timed by
-//! a single `let _span = obs::span("adec_serve_request");` at its top.
-//! The histogram is named `{name}_seconds` and registered with
-//! [`DURATION_BUCKETS`] on first use; call sites on hot paths should
-//! cache the `Arc<Histogram>` and use [`Span::on`] instead of paying the
-//! registry lookup per call.
+//! a single `let _span = Span::on(Arc::clone(&hist));` at its top, with
+//! `hist` registered once (for example with [`DURATION_BUCKETS`]) and
+//! cached by the caller: starting a span never touches a registry.
 
-use crate::registry::{histogram, Histogram};
+use crate::registry::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,47 +21,10 @@ pub struct Span {
     start: Instant,
 }
 
-/// Starts a span recording into the global histogram `{name}_seconds`.
-///
-/// Convenient but not free: every call formats the histogram name and
-/// takes the registry lock. Per-request and per-iteration call sites
-/// should resolve a [`SpanHandle`] once and call [`SpanHandle::start`].
-pub fn span(name: &str) -> Span {
-    Span::on(histogram(&format!("{name}_seconds"), DURATION_BUCKETS))
-}
-
-/// A pre-resolved handle to the `{name}_seconds` histogram: pays the
-/// name formatting and registry lock once, then each [`SpanHandle::start`]
-/// is just an `Arc` clone and a clock sample.
-#[derive(Debug, Clone)]
-pub struct SpanHandle {
-    hist: Arc<Histogram>,
-}
-
-/// Resolves (registering on first use) the `{name}_seconds` histogram
-/// once, for hot paths that start many spans.
-pub fn span_handle(name: &str) -> SpanHandle {
-    SpanHandle {
-        hist: histogram(&format!("{name}_seconds"), DURATION_BUCKETS),
-    }
-}
-
-impl SpanHandle {
-    /// Starts a span against the cached histogram (no registry access).
-    pub fn start(&self) -> Span {
-        Span::on(Arc::clone(&self.hist))
-    }
-}
-
 impl Span {
     /// Starts a span recording into a pre-registered histogram.
     pub fn on(hist: Arc<Histogram>) -> Span {
         Span { hist, start: Instant::now() }
-    }
-
-    /// Seconds elapsed so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -74,7 +35,6 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::registry::Registry;
@@ -90,27 +50,5 @@ mod tests {
         let snap = hist.snapshot();
         assert_eq!(snap.count(), 1);
         assert!(snap.sum >= 0.001, "slept 1ms, recorded {}", snap.sum);
-    }
-
-    #[test]
-    fn span_handle_reuses_one_histogram() {
-        let h = span_handle("adec_obs_handle_selftest");
-        for _ in 0..3 {
-            let _span = h.start();
-        }
-        let snap = crate::registry::global().snapshot();
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|(n, s)| n == "adec_obs_handle_selftest_seconds" && s.count() == 3));
-    }
-
-    #[test]
-    fn global_span_registers_suffixed_histogram() {
-        {
-            let _span = span("adec_obs_selftest");
-        }
-        let snap = crate::registry::global().snapshot();
-        assert!(snap.histograms.iter().any(|(n, h)| n == "adec_obs_selftest_seconds" && h.count() >= 1));
     }
 }

@@ -3,9 +3,10 @@
 //! At train time every final checkpoint embeds a [`ReferenceProfile`] of
 //! the model's healthy operating regime (latent moments, assignment
 //! entropy/confidence, centroid-distance quantiles, cluster occupancy —
-//! see [`adec_nn::profile`]). At serve time each `/assign` batch is
-//! reduced to a [`BatchDriftStats`] summary by the model
-//! ([`crate::model::InferenceModel::drift_stats`]); replicas accumulate
+//! see [`adec_nn::profile`]). At serve time the embedding each `/assign`
+//! request was answered from is reduced, after the response is written,
+//! to a [`BatchDriftStats`] summary (`BatchDriftStats::add_rows`, over
+//! the same per-row routine as the profile); replicas accumulate
 //! those summaries locally and the sentinel closes a *window* every
 //! `window_rows` rows fleet-wide, reducing it to five standardized drift
 //! signals:
@@ -39,9 +40,10 @@
 
 use crate::model::ServeMode;
 use adec_metrics::detect::{Cusum, DEFAULT_ALLOWANCE, DEFAULT_THRESHOLD};
-use adec_nn::profile::DISTANCE_QUANTILES;
-use adec_nn::ReferenceProfile;
+use adec_nn::profile::{row_stats, DISTANCE_QUANTILES};
+use adec_nn::{soft_assignment, ReferenceProfile};
 use adec_obs::{emit, Event, Level};
+use adec_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -110,8 +112,8 @@ impl Default for DriftConfig {
 }
 
 /// One `/assign` batch reduced to the sums the window signals need.
-/// Produced by [`crate::model::InferenceModel::drift_stats`]; additive, so
-/// chunked requests and replica-local accumulation merge exactly.
+/// Filled by `BatchDriftStats::add_rows`; additive, so replica-local
+/// accumulators merge into one window.
 #[derive(Debug, Clone, Default)]
 pub struct BatchDriftStats {
     /// Rows summarized.
@@ -171,6 +173,33 @@ impl BatchDriftStats {
             *a += b;
         }
         self.tail_rows += other.tail_rows;
+    }
+
+    /// Adds the rows of one embedded batch `z` (n×d), in order: their
+    /// Student-t soft assignment over the centroids `mu` with `alpha`
+    /// degrees of freedom, the per-row statistics of
+    /// [`adec_nn::profile::row_stats`], and the tail count against
+    /// `profile`'s p90 centroid distance. Always at full soft-assignment
+    /// fidelity, so load shedding cannot mask (or fake) a shift.
+    pub(crate) fn add_rows(&mut self, z: &Matrix, mu: &Matrix, alpha: f32, profile: &ReferenceProfile) {
+        assert_eq!(self.latent_sum.len(), z.cols(), "BatchDriftStats::add_rows: width mismatch");
+        let q = soft_assignment(z, mu, alpha);
+        let p90 = profile.distance_quantiles.last().copied().unwrap_or(f32::INFINITY);
+        self.rows += z.rows() as u64;
+        for i in 0..z.rows() {
+            for (slot, &v) in self.latent_sum.iter_mut().zip(z.row(i)) {
+                *slot += f64::from(v);
+            }
+            let (entropy, label, confidence, _, dist) = row_stats(z.row(i), q.row(i), mu);
+            self.entropy_sum += entropy;
+            self.confidence_sum += confidence;
+            if let Some(slot) = self.occupancy.get_mut(label) {
+                *slot += 1;
+            }
+            if dist > p90 {
+                self.tail_rows += 1;
+            }
+        }
     }
 }
 
@@ -612,8 +641,7 @@ fn window_signals(window: &BatchDriftStats, profile: &ReferenceProfile) -> [f32;
 #[allow(clippy::unwrap_used, clippy::panic, clippy::float_cmp, clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use adec_nn::soft_assignment;
-    use adec_tensor::{Matrix, SeedRng};
+    use adec_tensor::SeedRng;
 
     /// A profile over an exactly-known reference batch.
     fn tiny_profile() -> (ReferenceProfile, Matrix, Matrix) {
@@ -626,47 +654,8 @@ mod tests {
 
     /// Batch stats for `z` exactly as the model computes them.
     fn stats_of(z: &Matrix, mu: &Matrix, profile: &ReferenceProfile) -> BatchDriftStats {
-        let q = soft_assignment(z, mu, 1.0);
-        let p90 = *profile.distance_quantiles.last().unwrap();
         let mut s = BatchDriftStats::new(z.cols(), mu.rows());
-        s.rows = z.rows() as u64;
-        for i in 0..z.rows() {
-            for (d, v) in z.row(i).iter().enumerate() {
-                s.latent_sum[d] += f64::from(*v);
-            }
-            let row = q.row(i);
-            let mut ent = 0.0f64;
-            let mut best = (0usize, f32::NEG_INFINITY);
-            for (j, &p) in row.iter().enumerate() {
-                if p > 0.0 {
-                    ent -= f64::from(p) * f64::from(p).ln();
-                }
-                if p > best.1 {
-                    best = (j, p);
-                }
-            }
-            s.entropy_sum += ent;
-            s.confidence_sum += f64::from(best.1.max(0.0));
-            s.occupancy[best.0] += 1;
-            let dist: f32 = mu
-                .row(best.0)
-                .iter()
-                .zip(z.row(i))
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            let nearest: f32 = (0..mu.rows())
-                .map(|j| {
-                    mu.row(j)
-                        .iter()
-                        .zip(z.row(i))
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum()
-                })
-                .fold(dist, f32::min);
-            if nearest > p90 {
-                s.tail_rows += 1;
-            }
-        }
+        s.add_rows(z, mu, 1.0, profile);
         s
     }
 

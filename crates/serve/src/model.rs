@@ -24,6 +24,7 @@
 //! load with a typed [`ModelError`].
 
 use crate::drift::BatchDriftStats;
+use adec_nn::profile::row_stats;
 use adec_nn::{soft_assignment, Checkpoint, CheckpointError, ParamStore, ReferenceProfile};
 use adec_tensor::{finite_scan, kernels, FusedAct, Matrix};
 use std::path::Path;
@@ -477,99 +478,88 @@ impl InferenceModel {
         ServeMode::worse(self.mode, tier)
     }
 
-    /// Assigns a validated batch at the model's own rung. Deterministic:
-    /// identical input bytes and model produce bitwise-identical outputs
-    /// at any worker count (the kernel layer's row-chunk invariant).
+    /// Validates a batch and embeds it: `z = E_φ(x)` through the encoder,
+    /// or `x` itself for a centroid-only model, which takes latent input.
+    /// Every answer and every drift statistic of the batch is computed
+    /// from this one embedding. Deterministic: each row's embedding
+    /// depends on that row alone, bitwise, at any worker count and batch
+    /// split (the kernel layer's row-chunk invariant).
     ///
     /// # Errors
     ///
     /// The validation errors of [`InferenceModel::validate`], plus
-    /// [`AssignError::NonFinite`] should the forward pass overflow.
-    pub fn assign(&self, x: &Matrix) -> Result<Vec<Assignment>, AssignError> {
-        assert!(x.cols() > 0, "assign: zero-width batch");
-        // Tier Full adds no pressure: the effective rung is self.mode.
-        self.assign_with_tier(x, ServeMode::Full)
+    /// [`AssignError::NonFinite`] should the embedding overflow.
+    pub fn embed(&self, x: &Matrix) -> Result<Matrix, AssignError> {
+        self.validate(x)?;
+        let z = match &self.encoder {
+            Some(enc) => enc.forward(x),
+            None => x.clone(),
+        };
+        if !finite_scan(z.as_slice()).is_clean() {
+            return Err(AssignError::NonFinite);
+        }
+        Ok(z)
     }
 
-    /// Assigns a validated batch at (no better than) the requested tier —
-    /// the load-shedding entry point. The accepted input width never
-    /// changes with the tier: a sheddable request is still a *data-space*
-    /// request; shedding to centroid-only keeps the encoder forward but
-    /// skips the Student-t soft assignment and the decoder reconstruction
-    /// (the two most expensive parts of a full answer, in compute and in
-    /// response bytes).
+    /// Assigns a batch at the model's own rung.
     ///
     /// # Errors
     ///
-    /// Same as [`InferenceModel::assign`].
-    pub fn assign_with_tier(
-        &self,
-        x: &Matrix,
-        tier: ServeMode,
-    ) -> Result<Vec<Assignment>, AssignError> {
+    /// The errors of [`InferenceModel::embed`].
+    pub fn assign(&self, x: &Matrix) -> Result<Vec<Assignment>, AssignError> {
         assert!(x.cols() > 0, "assign: zero-width batch");
-        self.validate(x)?;
+        let z = self.embed(x)?;
+        // Tier Full adds no pressure: the effective rung is self.mode.
+        Ok(self.assign_with_tier(x, &z, ServeMode::Full))
+    }
+
+    /// Answers a batch `x` from its embedding `z` ([`InferenceModel::embed`])
+    /// at (no better than) the requested tier — the load-shedding entry
+    /// point. The accepted input width never changes with the tier: a
+    /// sheddable request is still a *data-space* request; shedding to
+    /// centroid-only keeps the embedding but skips the Student-t soft
+    /// assignment and the decoder reconstruction (the two most expensive
+    /// parts of a full answer, in compute and in response bytes).
+    pub fn assign_with_tier(&self, x: &Matrix, z: &Matrix, tier: ServeMode) -> Vec<Assignment> {
+        assert_eq!(x.rows(), z.rows(), "assign_with_tier: batch and embedding differ in rows");
         let effective = self.effective_mode(tier);
-        match &self.encoder {
-            Some(enc) => {
-                let z = enc.forward(x);
-                if !finite_scan(z.as_slice()).is_clean() {
-                    return Err(AssignError::NonFinite);
-                }
-                if effective == ServeMode::CentroidOnly {
-                    // Shed rung: hard nearest-centroid over the embedding.
-                    return Ok((0..z.rows())
-                        .map(|i| {
-                            let (label, dist) = self.nearest_centroid(z.row(i));
-                            Assignment {
-                                label,
-                                q: Vec::new(),
-                                dist: Some(dist),
-                                recon_error: None,
-                            }
-                        })
-                        .collect());
-                }
-                let q = soft_assignment(&z, &self.centroids, self.alpha);
-                let recon: Option<Vec<f32>> = if effective == ServeMode::Full {
-                    self.decoder.as_ref().map(|dec| {
-                        let xhat = dec.forward(&z);
-                        (0..x.rows())
-                            .map(|i| {
-                                let d: f32 = xhat
-                                    .row(i)
-                                    .iter()
-                                    .zip(x.row(i).iter())
-                                    .map(|(a, b)| (a - b) * (a - b))
-                                    .sum();
-                                d / x.cols() as f32
-                            })
-                            .collect()
-                    })
-                } else {
-                    None
-                };
-                Ok((0..x.rows())
-                    .map(|i| Assignment {
-                        label: argmax(q.row(i)),
-                        q: q.row(i).to_vec(),
-                        dist: None,
-                        recon_error: recon.as_ref().and_then(|r| r.get(i)).copied(),
-                    })
-                    .collect())
-            }
-            None => Ok((0..x.rows())
+        if effective == ServeMode::CentroidOnly {
+            // Hard nearest-centroid over the embedding: the shed rung, and
+            // the only rung of a model without an encoder.
+            return (0..z.rows())
                 .map(|i| {
-                    let (label, dist) = self.nearest_centroid(x.row(i));
-                    Assignment {
-                        label,
-                        q: Vec::new(),
-                        dist: Some(dist),
-                        recon_error: None,
-                    }
+                    let (_, _, _, label, dist) = row_stats(z.row(i), &[], &self.centroids);
+                    Assignment { label, q: Vec::new(), dist: Some(dist), recon_error: None }
                 })
-                .collect()),
+                .collect();
         }
+        let q = soft_assignment(z, &self.centroids, self.alpha);
+        let recon: Option<Vec<f32>> = if effective == ServeMode::Full {
+            self.decoder.as_ref().map(|dec| {
+                let xhat = dec.forward(z);
+                (0..x.rows())
+                    .map(|i| {
+                        let d: f32 = xhat
+                            .row(i)
+                            .iter()
+                            .zip(x.row(i).iter())
+                            .map(|(a, b)| (a - b) * (a - b))
+                            .sum();
+                        d / x.cols() as f32
+                    })
+                    .collect()
+            })
+        } else {
+            None
+        };
+        (0..x.rows())
+            .map(|i| Assignment {
+                label: argmax(q.row(i)),
+                q: q.row(i).to_vec(),
+                dist: None,
+                recon_error: recon.as_ref().and_then(|r| r.get(i)).copied(),
+            })
+            .collect()
     }
 
     /// The training-time reference profile this model was shipped with,
@@ -578,80 +568,29 @@ impl InferenceModel {
         self.profile.as_ref()
     }
 
-    /// Reduces a validated batch to the additive summary the drift
-    /// sentinel accumulates, scored against this model's own profile.
-    /// `None` when the model has no profile, the batch width is wrong, or
-    /// the embedding went non-finite — a batch the sentinel must not
-    /// learn from. Independent of the serving tier: drift statistics are
-    /// always computed at full soft-assignment fidelity so load shedding
-    /// cannot mask (or fake) a shift.
-    pub fn drift_stats(&self, x: &Matrix) -> Option<BatchDriftStats> {
-        assert!(x.rows() > 0, "drift_stats: empty batch");
+    /// Reduces embedded batches ([`InferenceModel::embed`]), in order, to
+    /// the additive summary the drift sentinel accumulates, scored against
+    /// this model's own profile (`None` without one). Rows add in the
+    /// order given, so the embeddings of a request's chunks, reduced in
+    /// request order, give the same bits as the whole request's.
+    pub(crate) fn drift_reduce(&self, embeddings: &[Matrix]) -> Option<BatchDriftStats> {
         let profile = self.profile.as_ref()?;
-        if x.cols() != self.input_dim() {
-            return None;
-        }
-        // Centroid-only models accept latent-space input directly.
-        let owned;
-        let z: &Matrix = match &self.encoder {
-            Some(enc) => {
-                owned = enc.forward(x);
-                &owned
-            }
-            None => x,
-        };
-        if !finite_scan(z.as_slice()).is_clean() {
-            return None;
-        }
-        let q = soft_assignment(z, &self.centroids, self.alpha);
-        let p90 = profile.distance_quantiles.last().copied().unwrap_or(f32::INFINITY);
         let mut stats = BatchDriftStats::new(self.latent_dim(), self.k());
-        stats.rows = z.rows() as u64;
-        for i in 0..z.rows() {
-            for (slot, &v) in stats.latent_sum.iter_mut().zip(z.row(i).iter()) {
-                *slot += f64::from(v);
-            }
-            let row = q.row(i);
-            let mut ent = 0.0f64;
-            let mut best = (0usize, f32::NEG_INFINITY);
-            for (j, &p) in row.iter().enumerate() {
-                if p > 0.0 {
-                    ent -= f64::from(p) * f64::from(p).ln();
-                }
-                if p > best.1 {
-                    best = (j, p);
-                }
-            }
-            stats.entropy_sum += ent;
-            stats.confidence_sum += f64::from(best.1.max(0.0));
-            if let Some(slot) = stats.occupancy.get_mut(best.0) {
-                *slot += 1;
-            }
-            let (_, nearest) = self.nearest_centroid(z.row(i));
-            if nearest > p90 {
-                stats.tail_rows += 1;
-            }
+        for z in embeddings {
+            stats.add_rows(z, &self.centroids, self.alpha, profile);
         }
         Some(stats)
     }
 
-    /// Nearest centroid by squared L2; ties break to the lowest index so
-    /// the answer is deterministic.
-    fn nearest_centroid(&self, z: &[f32]) -> (usize, f32) {
-        let mut best = (0usize, f32::INFINITY);
-        for j in 0..self.centroids.rows() {
-            let d: f32 = self
-                .centroids
-                .row(j)
-                .iter()
-                .zip(z.iter())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            if d < best.1 {
-                best = (j, d);
-            }
-        }
-        best
+    /// Embeds a batch and reduces it for the drift sentinel: `None` when
+    /// the model has no profile or the batch fails
+    /// [`InferenceModel::embed`] — a batch the sentinel must not learn
+    /// from. Independent of the serving tier.
+    pub fn drift_stats(&self, x: &Matrix) -> Option<BatchDriftStats> {
+        assert!(x.rows() > 0, "drift_stats: empty batch");
+        self.profile.as_ref()?;
+        let z = self.embed(x).ok()?;
+        self.drift_reduce(std::slice::from_ref(&z))
     }
 }
 
@@ -833,9 +772,10 @@ pub(crate) mod tests {
         let mut rng = SeedRng::new(13);
         let x = Matrix::randn(4, 6, 0.0, 1.0, &mut rng);
 
-        let full = model.assign_with_tier(&x, ServeMode::Full).unwrap();
-        let nodec = model.assign_with_tier(&x, ServeMode::NoDecoder).unwrap();
-        let cent = model.assign_with_tier(&x, ServeMode::CentroidOnly).unwrap();
+        let z = model.embed(&x).unwrap();
+        let full = model.assign_with_tier(&x, &z, ServeMode::Full);
+        let nodec = model.assign_with_tier(&x, &z, ServeMode::NoDecoder);
+        let cent = model.assign_with_tier(&x, &z, ServeMode::CentroidOnly);
 
         // The Student-t q is monotone decreasing in centroid distance, so
         // argmax(q) and nearest-centroid agree: shedding never changes the
@@ -853,9 +793,9 @@ pub(crate) mod tests {
             assert_eq!(a.q, b.q);
             assert_eq!(a.recon_error, b.recon_error);
         }
-        // The shed rung still validates against the *data* width.
+        // Every rung embeds, and so validates against, the *data* width.
         assert!(matches!(
-            model.assign_with_tier(&Matrix::zeros(1, 3), ServeMode::CentroidOnly),
+            model.embed(&Matrix::zeros(1, 3)),
             Err(AssignError::DimMismatch { got: 3, want: 6 })
         ));
     }

@@ -46,6 +46,7 @@ use adec_nn::checkpoint::crc32;
 use adec_obs::json::escape;
 use adec_obs::trace::{self, TraceContext, TraceRing, TraceTree};
 use adec_obs::{Counter, Histogram, Registry, Span, DURATION_BUCKETS};
+use adec_tensor::Matrix;
 use std::io::Read;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1305,8 +1306,9 @@ pub fn shed_tier(depth: usize, cap: usize) -> ServeMode {
     }
 }
 
-/// Parses the CSV body, runs the forward pass in deadline-checked chunks,
-/// and streams back the JSON answer.
+/// Parses the CSV body, embeds it in deadline-checked chunks, answers from
+/// those embeddings, and — once the answer is written — reduces the same
+/// embeddings for the drift sentinel.
 fn handle_assign(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -1337,8 +1339,8 @@ fn handle_assign(
     let want = model.input_dim();
     let eval_timer = Span::on(Arc::clone(&shared.metrics.assign_eval));
     let eval_span = trace::span("eval");
-    let rows = match parse_csv_body(&request.body, want) {
-        Ok(rows) => rows,
+    let x = match parse_csv_body(&request.body, want) {
+        Ok(x) => x,
         Err(msg) => {
             trace::attr("status", "400");
             shared.metrics.client_errors.inc();
@@ -1347,8 +1349,9 @@ fn handle_assign(
             return;
         }
     };
-    let mut assignments: Vec<Assignment> = Vec::with_capacity(rows.len());
-    for chunk in rows.chunks(ASSIGN_CHUNK_ROWS) {
+    let mut assignments: Vec<Assignment> = Vec::with_capacity(x.rows());
+    let mut embeddings = Vec::with_capacity(x.rows().div_ceil(ASSIGN_CHUNK_ROWS));
+    for r0 in (0..x.rows()).step_by(ASSIGN_CHUNK_ROWS) {
         if Instant::now() >= compute_deadline {
             trace::attr("status", "503");
             shared.metrics.deadline_expired.inc();
@@ -1361,10 +1364,12 @@ fn handle_assign(
             );
             return;
         }
-        let data: Vec<f32> = chunk.iter().flatten().copied().collect();
-        let x = adec_tensor::Matrix::from_vec(chunk.len(), want, data);
-        match model.assign_with_tier(&x, pressure) {
-            Ok(mut batch) => assignments.append(&mut batch),
+        let chunk = x.slice_rows(r0, (r0 + ASSIGN_CHUNK_ROWS).min(x.rows()));
+        match model.embed(&chunk) {
+            Ok(z) => {
+                assignments.extend(model.assign_with_tier(&chunk, &z, pressure));
+                embeddings.push(z);
+            }
             Err(err) => {
                 trace::attr("status", "400");
                 shared.metrics.client_errors.inc();
@@ -1394,31 +1399,33 @@ fn handle_assign(
     let body = render_assignments(&effective, &model.phase, mv.version, drift_flag, &assignments);
     let _ = write_response(stream, 200, &rid_header, "application/json", body.as_bytes());
     drop(encode_span);
-    // Feed the sentinel after answering: detection rides the request path
-    // but never delays the response it learned from.
+    // Feed the sentinel from the embeddings just answered, after the
+    // response bytes are out. The socket closes only after this, so a
+    // client that reads to EOF waits for it. Chunks reduce in request
+    // order, rows in order: the sums match a whole-request reduction.
     if shared.drift.enabled() {
         let _drift_span = trace::span("drift");
-        let data: Vec<f32> = rows.iter().flatten().copied().collect();
-        let x = adec_tensor::Matrix::from_vec(rows.len(), want, data);
-        if let Some(batch) = model.drift_stats(&x) {
+        if let Some(batch) = model.drift_reduce(&embeddings) {
             shared.drift.record(replica_id, &batch);
         }
     }
 }
 
 /// Parses a CSV request body: one sample per line, `want` comma-separated
-/// finite floats per line. Returns a user-facing message on failure;
-/// width/magnitude checks are deferred to [`InferenceModel::validate`]
-/// except the width check needed to build a rectangular batch.
-fn parse_csv_body(body: &[u8], want: usize) -> Result<Vec<Vec<f32>>, String> {
+/// finite floats per line, into one row-major batch. Returns a user-facing
+/// message on failure; width/magnitude checks are deferred to
+/// [`InferenceModel::validate`] except the width check needed to build a
+/// rectangular batch.
+fn parse_csv_body(body: &[u8], want: usize) -> Result<Matrix, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let mut rows: Vec<Vec<f32>> = Vec::new();
+    let mut data: Vec<f32> = Vec::new();
+    let mut rows = 0usize;
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let mut row: Vec<f32> = Vec::with_capacity(want);
+        let start = data.len();
         for field in line.split(',') {
             let v: f32 = field
                 .trim()
@@ -1433,21 +1440,21 @@ fn parse_csv_body(body: &[u8], want: usize) -> Result<Vec<Vec<f32>>, String> {
                     i + 1
                 ));
             }
-            row.push(v);
+            data.push(v);
         }
-        if row.len() != want {
+        if data.len() - start != want {
             return Err(format!(
                 "line {}: expected {want} features, got {}",
                 i + 1,
-                row.len()
+                data.len() - start
             ));
         }
-        rows.push(row);
+        rows += 1;
     }
-    if rows.is_empty() {
+    if rows == 0 {
         return Err("empty body: expected CSV rows of features".to_string());
     }
-    Ok(rows)
+    Ok(Matrix::from_vec(rows, want, data))
 }
 
 /// Hand-rolled JSON for the assignment response. Float formatting uses
@@ -1517,11 +1524,11 @@ mod tests {
     #[test]
     fn csv_body_parses_and_rejects() {
         let ok = parse_csv_body(b"1,2,3\n4,5,6\n", 3).unwrap();
-        assert_eq!(ok.len(), 2);
-        assert_eq!(ok.first().unwrap().len(), 3);
+        assert_eq!(ok.shape(), (2, 3));
+        assert_eq!(ok.row(1), &[4.0, 5.0, 6.0]);
         // Blank lines and surrounding whitespace are tolerated.
         let ws = parse_csv_body(b"\n 1 , 2 , 3 \n\n", 3).unwrap();
-        assert_eq!(ws.len(), 1);
+        assert_eq!(ws.shape(), (1, 3));
         assert!(parse_csv_body(b"", 3).unwrap_err().contains("empty"));
         assert!(parse_csv_body(b"1,2\n", 3).unwrap_err().contains("expected 3"));
         assert!(parse_csv_body(b"1,x,3\n", 3).unwrap_err().contains("line 1"));

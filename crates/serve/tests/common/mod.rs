@@ -4,7 +4,7 @@
 // shared by several test binaries, not all of which use every builder.
 #![allow(clippy::panic, clippy::unwrap_used, dead_code)]
 
-use adec_nn::{Activation, Checkpoint, Mlp, ParamStore};
+use adec_nn::{soft_assignment, Activation, Checkpoint, Mlp, ParamStore, ReferenceProfile};
 use adec_serve::{InferenceModel, ServerConfig, ServerHandle};
 use adec_tensor::{Matrix, SeedRng};
 
@@ -18,9 +18,14 @@ pub const K: usize = 4;
 /// A tiny "trained" checkpoint registered exactly the way the trainers
 /// register parameters: encoder, decoder, a critic bystander, centroids.
 pub fn sample_checkpoint(seed: u64) -> Checkpoint {
+    sample_checkpoint_and_encoder(seed).0
+}
+
+/// [`sample_checkpoint`] plus a handle on its encoder.
+fn sample_checkpoint_and_encoder(seed: u64) -> (Checkpoint, Mlp) {
     let mut rng = SeedRng::new(seed);
     let mut store = ParamStore::new();
-    Mlp::new(
+    let encoder = Mlp::new(
         &mut store,
         &[INPUT_DIM, 5, LATENT_DIM],
         Activation::Relu,
@@ -42,7 +47,7 @@ pub fn sample_checkpoint(seed: u64) -> Checkpoint {
         &mut rng,
     );
     store.register("dec.centroids", Matrix::randn(K, LATENT_DIM, 0.0, 1.0, &mut rng));
-    Checkpoint {
+    let ck = Checkpoint {
         phase: "dec".into(),
         iter: 10,
         rng: rng.export_state(),
@@ -50,7 +55,20 @@ pub fn sample_checkpoint(seed: u64) -> Checkpoint {
         opts: vec![],
         extra: vec![],
         profile: None,
-    }
+    };
+    (ck, encoder)
+}
+
+/// The sample checkpoint carrying a reference profile, computed the way
+/// the trainers compute it: over the model's own embedding of 256 seeded
+/// inputs, so a server on it runs the drift sentinel.
+pub fn profiled_checkpoint(seed: u64) -> Checkpoint {
+    let (mut ck, encoder) = sample_checkpoint_and_encoder(seed);
+    let x = Matrix::randn(256, INPUT_DIM, 0.0, 1.0, &mut SeedRng::new(seed + 1));
+    let z = encoder.infer(&ck.store, &x);
+    let mu = ck.store.iter().find(|(_, name, _)| name.ends_with(".centroids")).unwrap().2.clone();
+    ck.profile = Some(ReferenceProfile::compute(&z, &soft_assignment(&z, &mu, 1.0), &mu));
+    ck
 }
 
 /// Same checkpoint minus the decoder group — forces `NoDecoder` mode.

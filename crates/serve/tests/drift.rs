@@ -472,3 +472,46 @@ fn degrade_policy_stamps_responses_but_keeps_readiness() {
     handle.shutdown();
     assert_eq!(handle.join().caught_panics, 0);
 }
+
+/// The served sentinel reduces a request exactly as the offline path
+/// does, across chunk boundaries: one 100-row body (evaluated in chunks of
+/// 32, 32, 32 and 4) closes one 100-row window whose signals equal, to the
+/// bit, those of an in-process sentinel fed `drift_stats` of the same rows.
+#[test]
+fn served_window_matches_offline_drift_stats_across_chunks() {
+    const ROWS: usize = 100;
+    let ck = common::profiled_checkpoint(9);
+    let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+    // Shifted off the profile's inputs, so every signal is non-trivial.
+    let x = Matrix::randn(ROWS, common::INPUT_DIM, 0.5, 1.5, &mut SeedRng::new(12));
+    let config = DriftConfig { window_rows: ROWS, ..DriftConfig::default() };
+
+    let offline = DriftSentinel::new(config.clone(), model.profile().cloned(), 1, 0);
+    offline.record(0, &model.drift_stats(&x).unwrap());
+    let want = offline.snapshot();
+    assert_eq!(want.windows, 1);
+
+    let handle = common::start_server(model, move |c| c.drift = config);
+    let addr = handle.addr();
+    let body = adec_loadgen::csv_body((0..ROWS).map(|r| x.row(r)));
+    match client::post(addr, "/assign", &body) {
+        Ok(Some((200, _))) => {}
+        other => panic!("/assign gave {other:?}"),
+    }
+    let doc = wait_for_windows(addr, 1);
+    assert_eq!(driftz_u64(&doc, "windows"), 1, "{doc:?}");
+    assert_eq!(driftz_u64(&doc, "rows"), ROWS as u64, "{doc:?}");
+    // Compare the rendered values, not parsed ones: the text is the
+    // shortest round-trip form of each f32.
+    let text = match client::get(addr, "/driftz") {
+        Some((200, body)) => String::from_utf8(body).unwrap(),
+        other => panic!("/driftz gave {other:?}"),
+    };
+    for s in &want.signals {
+        let expected = format!(r#"{{"name":"{}","last":{},"score":{},"#, s.name, s.last, s.score);
+        assert!(text.contains(&expected), "served {} differs from offline {expected}: {text}", s.name);
+    }
+
+    handle.shutdown();
+    assert_eq!(handle.join().caught_panics, 0);
+}

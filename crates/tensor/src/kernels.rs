@@ -473,17 +473,6 @@ impl FusedAct {
         matches!(self, FusedAct::Sigmoid | FusedAct::Tanh)
     }
 
-    /// Audit annotation: stable display name used in exported tape IR and
-    /// diagnostics.
-    pub fn audit_name(self) -> &'static str {
-        match self {
-            FusedAct::Identity => "identity",
-            FusedAct::Relu => "relu",
-            FusedAct::Sigmoid => "sigmoid",
-            FusedAct::Tanh => "tanh",
-        }
-    }
-
     /// The derivative `act′(x)` expressed through the output `y = act(x)`:
     /// ReLU masks on `y > 0`, sigmoid is `y(1−y)`, tanh is `1−y²`.
     #[inline]
