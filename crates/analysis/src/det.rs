@@ -111,10 +111,15 @@ pub fn audit_schedule_determinism() -> Report {
     let wide2 = Matrix::randn(256, 256, 0.0, 1.0, &mut rng);
     let bias: Vec<f32> = (0..256).map(|i| (i as f32) * 0.01 - 1.0).collect();
     let t: Vec<f32> = (0..256).map(|i| (i as f32) / 256.0).collect();
+    // Packed once, outside the audited closure, as a served weight is.
+    let packed = kernels::PackedB::new(&b);
 
     let mut report = Report::new();
     report.extend(audit_kernel_schedules("matmul", || {
         kernels::matmul(&a, &b).as_slice().to_vec()
+    }));
+    report.extend(audit_kernel_schedules("matmul_packed", || {
+        kernels::matmul_packed(&a, &packed).as_slice().to_vec()
     }));
     report.extend(audit_kernel_schedules("matmul_at_b", || {
         kernels::matmul_at_b(&at, &b).as_slice().to_vec()

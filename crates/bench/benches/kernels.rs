@@ -1,6 +1,9 @@
 //! Kernel-layer benchmark: packed/register-tiled gemm (all three
 //! transpose variants) against the retained naive references, plus the
-//! fused elementwise ops, at small / medium / paper shapes.
+//! fused elementwise ops, at small / medium / paper shapes; and the serve
+//! path's gemm, `matmul` (packs `B` on every call) against `matmul_packed`
+//! (`B` packed once, as `adec serve` holds its weights), at one and
+//! sixteen rows through the paper-tier 500 → 2000 layer.
 //!
 //! Emits `BENCH_kernels.json` at the repository root with ns/op and
 //! GFLOP/s per entry and the packed-vs-naive speedup per gemm shape.
@@ -8,10 +11,10 @@
 //! (`Isa::available()`); every entry records the level it ran at as
 //! `"isa"`, and the document records the detected level.
 //! `ADEC_SIZE` (small | medium | paper) bounds how many of the shape
-//! tiers run: every size runs `small` and `medium` (the speedup the
-//! acceptance gate reads is the medium tier), `paper` adds the
-//! paper-scale encoder shape. `ADEC_THREADS` is honoured by the kernels
-//! themselves and recorded in the JSON.
+//! tiers run: every size runs `small`, `medium` (the speedup the
+//! acceptance gate reads is the medium tier), `serve_m1` and `serve_m16`;
+//! `paper` adds the paper-scale encoder shape. `ADEC_THREADS` is honoured
+//! by the kernels themselves and recorded in the JSON.
 
 // Experiment-harness code: indices range over the experiment's own
 // fixed dimensions, and a panic is an acceptable failure mode here.
@@ -21,7 +24,7 @@ use adec_bench::HarnessCfg;
 use adec_datagen::Size;
 use adec_tensor::kernels::{
     add_bias_act, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
-    matmul_naive, row_lerp, set_isa_override, softmax_rows, FusedAct, Isa,
+    matmul_naive, matmul_packed, row_lerp, set_isa_override, softmax_rows, FusedAct, Isa, PackedB,
 };
 use adec_tensor::{configured_threads, Matrix, SeedRng};
 use std::hint::black_box;
@@ -146,6 +149,42 @@ fn gemm_tier(
     }
 }
 
+/// Benchmarks the serve path's gemm at one `m × k × n` tier and every
+/// available level: `matmul`, which packs `B` on every call, against
+/// `matmul_packed` over a `B` packed once outside the timed loop.
+fn serve_tier(tier: &'static str, m: usize, k: usize, n: usize, iters: u32, entries: &mut Vec<Entry>) {
+    let mut rng = SeedRng::new(44);
+    let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
+    let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
+    let packed = PackedB::new(&b);
+    let flops = (2 * m * k * n) as f64;
+    for &isa in Isa::available() {
+        set_isa_override(isa);
+        let per_call = time_ns(iters, || {
+            black_box(matmul(black_box(&a), black_box(&b)));
+        });
+        let once = time_ns(iters, || {
+            black_box(matmul_packed(black_box(&a), black_box(&packed)));
+        });
+        println!(
+            "{tier:<9} {m}x{k}x{n} {isa:<6}: matmul {per_call:>10.1} ns, matmul_packed {once:>10.1} ns ({:.2}x)",
+            per_call / once
+        );
+        for (name, ns) in [("matmul", per_call), ("matmul_packed", once)] {
+            entries.push(Entry {
+                name: name.to_string(),
+                tier,
+                isa,
+                shape: vec![m, k, n],
+                ns_per_op: ns,
+                gflops: flops / ns,
+                speedup_vs_naive: None,
+            });
+        }
+    }
+    set_isa_override(Isa::detected());
+}
+
 /// Benchmarks the fused elementwise kernels at one `rows × cols` tier.
 fn fused_tier(tier: &'static str, rows: usize, cols: usize, iters: u32, entries: &mut Vec<Entry>) {
     let mut rng = SeedRng::new(43);
@@ -196,6 +235,9 @@ fn main() {
     fused_tier("small", 64, 128, 400, &mut entries);
     gemm_tier("medium", 256, 512, 256, 8, 3, &mut entries);
     fused_tier("medium", 256, 512, 50, &mut entries);
+    // One and sixteen served rows through the paper-tier 500 → 2000 layer.
+    serve_tier("serve_m1", 1, 500, 2000, 40, &mut entries);
+    serve_tier("serve_m16", 16, 500, 2000, 20, &mut entries);
     if matches!(cfg.size, Size::Paper) {
         // The paper encoder's widest layer: batch 256, 2000 → 500.
         gemm_tier("paper", 256, 2000, 500, 3, 1, &mut entries);

@@ -7,7 +7,9 @@
 //! `adec.centroids`). Serving only needs the *assignment function* — the
 //! encoder `E_φ` and the centroids `μ` of the paper's Eq. 1 — so this
 //! module reconstructs exactly that from the store, by name and shape,
-//! without registering anything new.
+//! without registering anything new. The served weights are packed into
+//! gemm panels once, here, and only the packed copy is kept: a request
+//! multiplies against them and packs nothing.
 //!
 //! The degradation ladder (also reported in every response):
 //!
@@ -26,7 +28,8 @@
 use crate::drift::BatchDriftStats;
 use adec_nn::profile::row_stats;
 use adec_nn::{soft_assignment, Checkpoint, CheckpointError, ParamStore, ReferenceProfile};
-use adec_tensor::{finite_scan, kernels, FusedAct, Matrix};
+use adec_tensor::kernels::{self, PackedB};
+use adec_tensor::{finite_scan, FusedAct, Matrix};
 use std::path::Path;
 
 /// Hard ceiling on per-feature magnitude accepted by [`InferenceModel::assign`].
@@ -166,29 +169,41 @@ pub struct Assignment {
     pub recon_error: Option<f32>,
 }
 
-/// A dense layer materialized out of a checkpoint store.
+/// A served dense layer: its weight packed once for the gemm, its bias,
+/// and its activation.
 #[derive(Debug, Clone)]
 struct DenseW {
-    w: Matrix,
+    w: PackedB,
     b: Vec<f32>,
     act: FusedAct,
 }
 
-/// A feed-forward stack reconstructed from consecutive `{prefix}.l{i}.{w,b}`
-/// parameters, with the workspace's fixed activation convention (ReLU
-/// hidden, linear last — exactly how [`adec_nn::Mlp::new`] builds them).
+/// A served feed-forward stack, with the workspace's fixed activation
+/// convention (ReLU hidden, linear last — exactly how
+/// [`adec_nn::Mlp::new`] builds them).
 #[derive(Debug, Clone)]
 struct Net {
     layers: Vec<DenseW>,
 }
 
 impl Net {
-    fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.w.rows())
+    /// Packs a group of store layers ([`collect_nets`]) for serving.
+    fn pack(group: &[LayerRef<'_>]) -> Net {
+        let last = group.len().saturating_sub(1);
+        let layers = group
+            .iter()
+            .enumerate()
+            .map(|(i, (w, b))| DenseW {
+                w: PackedB::new(w),
+                b: b.row(0).to_vec(),
+                act: if i == last { FusedAct::Identity } else { FusedAct::Relu },
+            })
+            .collect();
+        Net { layers }
     }
 
-    fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.w.cols())
+    fn input_dim(&self) -> usize {
+        self.layers.first().map_or(0, |l| l.w.rows())
     }
 
     /// Layer widths, input first: `[in, h0, …, out]`.
@@ -202,17 +217,29 @@ impl Net {
     fn forward(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
         for layer in &self.layers {
-            let lin = h.matmul(&layer.w);
+            let lin = kernels::matmul_packed(&h, &layer.w);
             h = kernels::add_bias_act(&lin, &layer.b, layer.act);
         }
         h
     }
+}
 
-    fn is_finite(&self) -> bool {
-        self.layers.iter().all(|l| {
-            finite_scan(l.w.as_slice()).is_clean() && finite_scan(&l.b).is_clean()
-        })
-    }
+/// One dense layer as the store holds it: the `in × out` weight and its
+/// `1 × out` bias.
+type LayerRef<'a> = (&'a Matrix, &'a Matrix);
+
+fn group_input_dim(group: &[LayerRef<'_>]) -> usize {
+    group.first().map_or(0, |(w, _)| w.rows())
+}
+
+fn group_output_dim(group: &[LayerRef<'_>]) -> usize {
+    group.last().map_or(0, |(w, _)| w.cols())
+}
+
+fn group_is_finite(group: &[LayerRef<'_>]) -> bool {
+    group
+        .iter()
+        .all(|(w, b)| finite_scan(w.as_slice()).is_clean() && finite_scan(b.as_slice()).is_clean())
 }
 
 /// Splits a parameter name of the form `{prefix}.l{idx}.{w|b}` into its
@@ -228,23 +255,21 @@ fn parse_layer_name(name: &str) -> Option<(&str, usize, bool)> {
     Some((prefix, idx, is_w))
 }
 
-/// Groups the store's parameters into candidate networks: a run of
-/// `{p}.l0.w, {p}.l0.b, {p}.l1.w, …` becomes one [`Net`]. Registration
-/// order is preserved (the encoder is always the first group a trainer
-/// registers). Malformed runs are skipped, not fatal — serving degrades
-/// instead of refusing.
-fn collect_nets(store: &ParamStore) -> Vec<Net> {
-    let mut nets: Vec<Net> = Vec::new();
-    let mut current: Vec<DenseW> = Vec::new();
-    let mut pending: Option<(String, usize, Matrix)> = None;
-    let mut current_prefix = String::new();
+/// Groups the store's parameters into candidate networks, borrowed from
+/// the store: a run of `{p}.l0.w, {p}.l0.b, {p}.l1.w, …` becomes one
+/// group. Registration order is preserved (the encoder is always the
+/// first group a trainer registers). Malformed runs are skipped, not
+/// fatal — serving degrades instead of refusing.
+fn collect_nets<'a>(store: &'a ParamStore) -> Vec<Vec<LayerRef<'a>>> {
+    let mut nets: Vec<Vec<LayerRef<'a>>> = Vec::new();
+    let mut current: Vec<LayerRef<'a>> = Vec::new();
+    let mut pending: Option<(&'a str, usize, &'a Matrix)> = None;
+    let mut current_prefix = "";
 
-    let mut flush = |current: &mut Vec<DenseW>, pending: &mut Option<(String, usize, Matrix)>| {
+    let mut flush = |current: &mut Vec<LayerRef<'a>>, pending: &mut Option<(&'a str, usize, &'a Matrix)>| {
         *pending = None;
         if !current.is_empty() {
-            nets.push(Net {
-                layers: std::mem::take(current),
-            });
+            nets.push(std::mem::take(current));
         }
     };
 
@@ -256,12 +281,12 @@ fn collect_nets(store: &ParamStore) -> Vec<Net> {
                 if idx == 0 || prefix != current_prefix || idx != current.len() {
                     flush(&mut current, &mut pending);
                     if idx != 0 {
-                        current_prefix.clear();
+                        current_prefix = "";
                         continue;
                     }
-                    current_prefix = prefix.to_string();
+                    current_prefix = prefix;
                 }
-                pending = Some((prefix.to_string(), idx, value.clone()));
+                pending = Some((prefix, idx, value));
             }
             Some((prefix, idx, false)) => {
                 // A `.b` completes the pending `.w` of the same layer.
@@ -271,20 +296,14 @@ fn collect_nets(store: &ParamStore) -> Vec<Net> {
                             && i == idx
                             && value.rows() == 1
                             && value.cols() == w.cols()
-                            && current
-                                .last()
-                                .is_none_or(|prev: &DenseW| prev.w.cols() == w.rows()) =>
+                            && current.last().is_none_or(|(prev, _)| prev.cols() == w.rows()) =>
                     {
                         Some(w)
                     }
                     _ => None,
                 };
                 match matched {
-                    Some(w) => current.push(DenseW {
-                        w,
-                        b: value.row(0).to_vec(),
-                        act: FusedAct::Relu, // fixed up to Linear on the last layer below
-                    }),
+                    Some(w) => current.push((w, value)),
                     None => flush(&mut current, &mut pending),
                 }
             }
@@ -292,13 +311,6 @@ fn collect_nets(store: &ParamStore) -> Vec<Net> {
         }
     }
     flush(&mut current, &mut pending);
-
-    // The workspace convention: hidden layers ReLU, final layer linear.
-    for net in &mut nets {
-        if let Some(last) = net.layers.last_mut() {
-            last.act = FusedAct::Identity;
-        }
-    }
     nets
 }
 
@@ -386,16 +398,14 @@ impl InferenceModel {
         // tensors went non-finite.
         let encoder = nets
             .iter()
-            .find(|n| n.output_dim() == latent && !n.layers.is_empty())
-            .filter(|n| n.is_finite())
-            .cloned();
-        let decoder = encoder.as_ref().and_then(|enc| {
+            .find(|g| group_output_dim(g) == latent)
+            .filter(|g| group_is_finite(g));
+        let decoder = encoder.and_then(|enc| {
             nets.iter()
-                .find(|n| n.input_dim() == latent && n.output_dim() == enc.input_dim())
-                .filter(|n| n.is_finite())
-                .cloned()
+                .find(|g| group_input_dim(g) == latent && group_output_dim(g) == group_input_dim(enc))
+                .filter(|g| group_is_finite(g))
         });
-        let mode = match (&encoder, &decoder) {
+        let mode = match (encoder, decoder) {
             (Some(_), Some(_)) => ServeMode::Full,
             (Some(_), None) => ServeMode::NoDecoder,
             (None, _) => ServeMode::CentroidOnly,
@@ -412,8 +422,9 @@ impl InferenceModel {
             phase: ck.phase.clone(),
             mode,
             alpha,
-            encoder,
-            decoder: if mode == ServeMode::Full { decoder } else { None },
+            // Pack only the served networks, once, straight from the store.
+            encoder: encoder.map(|g| Net::pack(g)),
+            decoder: decoder.map(|g| Net::pack(g)),
             centroids,
             profile,
         })
@@ -633,6 +644,79 @@ pub(crate) mod tests {
             opts: vec![],
             extra: vec![],
             profile: None,
+        }
+    }
+
+    /// A checkpoint whose widths are not multiples of the gemm's panel
+    /// width [`kernels::NR`]: 45-d data, 6-d latent, 5 centroids, and a
+    /// critic bystander.
+    fn ragged_checkpoint() -> Checkpoint {
+        let mut rng = SeedRng::new(43);
+        let mut store = ParamStore::new();
+        Mlp::new(&mut store, &[45, 33, 18, 6], Activation::Relu, Activation::Linear, &mut rng);
+        Mlp::new(&mut store, &[6, 18, 33, 45], Activation::Relu, Activation::Linear, &mut rng);
+        Mlp::new(&mut store, &[45, 7, 1], Activation::Relu, Activation::Linear, &mut rng);
+        store.register("dec.centroids", Matrix::randn(5, 6, 0.0, 1.0, &mut rng));
+        Checkpoint { store, ..sample_checkpoint() }
+    }
+
+    /// The store's `{prefix}.l{i}` layers run in order through the
+    /// per-call-pack gemm: ReLU on hidden layers, Identity on the last.
+    fn reference_forward(store: &ParamStore, prefix: &str, x: &Matrix) -> Matrix {
+        let param = |name: String| store.iter().find(|(_, n, _)| *n == name).map(|(_, _, v)| v);
+        let mut h = x.clone();
+        let mut i = 0;
+        while let Some(w) = param(format!("{prefix}.l{i}.w")) {
+            let b = param(format!("{prefix}.l{i}.b")).unwrap();
+            let hidden = param(format!("{prefix}.l{}.w", i + 1)).is_some();
+            let act = if hidden { FusedAct::Relu } else { FusedAct::Identity };
+            h = kernels::add_bias_act(&kernels::matmul(&h, w), b.row(0), act);
+            i += 1;
+        }
+        assert!(i > 0, "no layers named {prefix}.l0");
+        h
+    }
+
+    #[test]
+    fn assign_matches_a_reference_forward_over_the_store_at_every_tier() {
+        let mut rng = SeedRng::new(17);
+        for (ck, data, latent) in [(sample_checkpoint(), 6, 3), (ragged_checkpoint(), 45, 6)] {
+            let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+            assert_eq!(model.mode, ServeMode::Full);
+            let mu = ck.store.iter().find(|(_, n, _)| *n == "dec.centroids").unwrap().2;
+            for rows in [1, 5, 16] {
+                let x = Matrix::randn(rows, data, 0.0, 1.0, &mut rng);
+                let z = reference_forward(&ck.store, &format!("mlp{data}x{latent}"), &x);
+                let xhat = reference_forward(&ck.store, &format!("mlp{latent}x{data}"), &z);
+                let q = soft_assignment(&z, mu, 1.0);
+                assert_eq!(model.embed(&x).unwrap(), z, "{data}-d, {rows} rows: embedding");
+                for tier in [ServeMode::Full, ServeMode::NoDecoder, ServeMode::CentroidOnly] {
+                    let got = model.assign_with_tier(&x, &model.embed(&x).unwrap(), tier);
+                    assert_eq!(got.len(), rows);
+                    for (i, a) in got.iter().enumerate() {
+                        let ctx = format!("{data}-d, {rows} rows, tier {tier:?}, row {i}");
+                        if tier == ServeMode::CentroidOnly {
+                            let (_, _, _, label, dist) = row_stats(z.row(i), &[], mu);
+                            assert_eq!((a.label, a.dist), (label, Some(dist)), "{ctx}");
+                            assert!(a.q.is_empty() && a.recon_error.is_none(), "{ctx}");
+                            continue;
+                        }
+                        let recon = (tier == ServeMode::Full).then(|| {
+                            let d: f32 = xhat
+                                .row(i)
+                                .iter()
+                                .zip(x.row(i))
+                                .map(|(a, b)| (a - b) * (a - b))
+                                .sum();
+                            d / data as f32
+                        });
+                        assert_eq!(a.q, q.row(i), "{ctx}");
+                        assert_eq!(a.label, argmax(q.row(i)), "{ctx}");
+                        assert_eq!(a.recon_error, recon, "{ctx}");
+                        assert!(a.dist.is_none(), "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -21,16 +21,25 @@
 //!   across workers (see [`crate::pool`]); no cross-thread reduction
 //!   exists anywhere in this module.
 //! * **Checked at the door.** Every public kernel opens with a shape
-//!   assert and (in debug builds) a finiteness sweep over its inputs.
+//!   assert on operands that must agree and (in debug builds) a
+//!   finiteness sweep over its inputs.
 //!
 //! ## Microkernel
 //!
 //! The gemm core is an `MR × NR` register tile updated over the full inner
 //! dimension. `A` is packed per row-block into `k × MR` panels and `B`
-//! once per call into `k × NR` panels (transposed variants differ only in
-//! the pack gather), so the microkernel's inner loop reads both operands
+//! into `k × NR` panels (transposed variants differ only in the pack
+//! gather), so the microkernel's inner loop reads both operands
 //! contiguously and auto-vectorizes. There are no explicit SIMD
 //! intrinsics.
+//!
+//! [`matmul`] and its transposed variants pack `B` on every call. An
+//! operand that stays fixed across calls — a served network's weights —
+//! is packed once into a [`PackedB`] and multiplied with
+//! [`matmul_packed`]; [`matmul`] is exactly `matmul_packed(a,
+//! &PackedB::new(b))`. The panel layout does not depend on the
+//! instruction-set level or the thread count, so one packed operand gives
+//! the same bits everywhere.
 //!
 //! ## Instruction-set dispatch
 //!
@@ -135,42 +144,68 @@ pub fn set_isa_override(isa: Isa) {
 // Packing
 // ----------------------------------------------------------------------
 
-/// Packs `B` (`k × n`, row-major) into `⌈n/NR⌉` column panels of layout
-/// `k × NR`, zero-padded on the right so the microkernel never branches
-/// on the ragged final panel.
-fn pack_b_rows(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let np = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; np * k * NR];
-    for jp in 0..np {
-        let j0 = jp * NR;
-        let w = NR.min(n - j0);
-        let panel = &mut packed[jp * k * NR..(jp + 1) * k * NR];
-        for kk in 0..k {
-            let row = &b[kk * n + j0..kk * n + j0 + w];
-            panel[kk * NR..kk * NR + w].copy_from_slice(row);
-        }
-    }
-    packed
+/// A `k × n` gemm operand `B` packed into `⌈n/NR⌉` column panels of
+/// layout `k × NR`, zero-padded on the right so the microkernel never
+/// branches on the ragged final panel. Pack it once with [`PackedB::new`]
+/// and multiply it any number of times with [`matmul_packed`].
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
 }
 
-/// Packs `B` given as its transpose (`n × k`, row-major) into the same
-/// `k × NR` panel layout as [`pack_b_rows`] — the gather walks rows of
-/// the stored matrix instead of columns.
-fn pack_b_cols(bt: &[f32], n: usize, k: usize) -> Vec<f32> {
-    let np = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; np * k * NR];
-    for jp in 0..np {
-        let j0 = jp * NR;
-        let w = NR.min(n - j0);
-        let panel = &mut packed[jp * k * NR..(jp + 1) * k * NR];
-        for jj in 0..w {
-            let row = &bt[(j0 + jj) * k..(j0 + jj) * k + k];
+impl PackedB {
+    /// Packs `b` (`k × n`, row-major).
+    pub fn new(b: &Matrix) -> PackedB {
+        crate::debug_assert_finite!(b, "PackedB::new operand");
+        let (k, n) = b.shape();
+        let bs = b.as_slice();
+        PackedB::gather(k, n, |panel, j0, w| {
             for kk in 0..k {
-                panel[kk * NR + jj] = row[kk];
+                panel[kk * NR..kk * NR + w].copy_from_slice(&bs[kk * n + j0..kk * n + j0 + w]);
             }
-        }
+        })
     }
-    packed
+
+    /// Packs `B` given as its transpose `bt` (`n × k`, row-major): the
+    /// gather walks rows of the stored matrix instead of columns.
+    fn from_transpose(bt: &Matrix) -> PackedB {
+        let (n, k) = bt.shape();
+        let bts = bt.as_slice();
+        PackedB::gather(k, n, |panel, j0, w| {
+            for jj in 0..w {
+                let row = &bts[(j0 + jj) * k..(j0 + jj) * k + k];
+                for kk in 0..k {
+                    panel[kk * NR + jj] = row[kk];
+                }
+            }
+        })
+    }
+
+    /// Allocates the zeroed panels and fills each with `fill(panel, j0,
+    /// w)`, which writes output columns `j0..j0 + w`; counts the values
+    /// packed, padding included.
+    fn gather(k: usize, n: usize, fill: impl Fn(&mut [f32], usize, usize)) -> PackedB {
+        let np = n.div_ceil(NR);
+        let mut panels = vec![0.0f32; np * k * NR];
+        for jp in 0..np {
+            let j0 = jp * NR;
+            fill(&mut panels[jp * k * NR..(jp + 1) * k * NR], j0, NR.min(n - j0));
+        }
+        pool::pool_obs::packed_b_values().add(panels.len() as u64);
+        PackedB { k, n, panels }
+    }
+
+    /// Rows of `B`: the inner dimension `k`.
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of `B`: the output width `n`.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
 }
 
 /// Packs `mr_eff ≤ MR` consecutive rows of `A` (`m × k`, row-major),
@@ -285,33 +320,47 @@ where
 // Public gemm kernels
 // ----------------------------------------------------------------------
 
-/// Packed gemm `A · B` (`m × k` by `k × n`).
+/// Runs the packed gemm of an `m`-row `A`, reached through its row-block
+/// packer `pack_a`, against the panels of `b`.
+fn gemm<PA>(m: usize, b: &PackedB, pack_a: PA) -> Matrix
+where
+    PA: Fn(usize, usize, &mut [f32]) + Sync,
+{
+    let (k, n) = (b.k, b.n);
+    let mut out = Matrix::zeros(m, n);
+    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
+        gemm_rows(k, n, &b.panels, r0, nrows, chunk, &pack_a);
+    });
+    out
+}
+
+/// Packed gemm `A · B` (`m × k` by `k × n`) against an operand packed
+/// once ([`PackedB::new`]): the same bits as [`matmul`] on the unpacked
+/// `B`, without its per-call pack.
+///
+/// # Panics
+/// Panics if inner dimensions do not match.
+pub fn matmul_packed(a: &Matrix, b: &PackedB) -> Matrix {
+    assert_inner_dims(a, b.rows(), b.cols());
+    crate::debug_assert_finite!(a, "kernels::matmul lhs");
+    let (m, k) = a.shape();
+    let ad = a.as_slice();
+    gemm(m, b, |i0, mr_eff, panel| pack_a_rows(ad, k, i0, mr_eff, panel))
+}
+
+/// Packed gemm `A · B` (`m × k` by `k × n`), packing `B` for this call.
 ///
 /// # Panics
 /// Panics if inner dimensions do not match.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul: inner dimension mismatch {}x{} · {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    crate::debug_assert_finite!(a, "kernels::matmul lhs");
-    crate::debug_assert_finite!(b, "kernels::matmul rhs");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let packed = pack_b_rows(b.as_slice(), k, n);
-    let mut out = Matrix::zeros(m, n);
-    let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_rows(ad, k, i0, mr_eff, panel);
-        });
-    });
-    out
+    assert_inner_dims(a, b.rows(), b.cols());
+    matmul_packed(a, &PackedB::new(b))
+}
+
+/// Asserts that `A` (`m × k`) can multiply a `k × n` `B`.
+fn assert_inner_dims(a: &Matrix, k: usize, n: usize) {
+    let (m, cols) = a.shape();
+    assert_eq!(cols, k, "matmul: inner dimension mismatch {m}x{cols} · {k}x{n}");
 }
 
 /// Packed gemm `Aᵀ · B` (`k × m` by `k × n`) without materializing the
@@ -322,18 +371,9 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "matmul_tn: row mismatch");
     crate::debug_assert_finite!(a, "kernels::matmul_at_b lhs");
-    crate::debug_assert_finite!(b, "kernels::matmul_at_b rhs");
     let (k, m) = a.shape();
-    let n = b.cols();
-    let packed = pack_b_rows(b.as_slice(), k, n);
-    let mut out = Matrix::zeros(m, n);
     let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_cols(ad, m, k, i0, mr_eff, panel);
-        });
-    });
-    out
+    gemm(m, &PackedB::new(b), |i0, mr_eff, panel| pack_a_cols(ad, m, k, i0, mr_eff, panel))
 }
 
 /// Packed gemm `A · Bᵀ` (`m × k` by `n × k`) without materializing the
@@ -346,16 +386,8 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     crate::debug_assert_finite!(a, "kernels::matmul_a_bt lhs");
     crate::debug_assert_finite!(b, "kernels::matmul_a_bt rhs");
     let (m, k) = a.shape();
-    let n = b.rows();
-    let packed = pack_b_cols(b.as_slice(), n, k);
-    let mut out = Matrix::zeros(m, n);
     let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_rows(ad, k, i0, mr_eff, panel);
-        });
-    });
-    out
+    gemm(m, &PackedB::from_transpose(b), |i0, mr_eff, panel| pack_a_rows(ad, k, i0, mr_eff, panel))
 }
 
 // ----------------------------------------------------------------------
@@ -699,6 +731,11 @@ mod tests {
             let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
             assert_eq!(matmul(&a, &b), matmul_naive(&a, &b), "{m}x{k}x{n}");
+            let packed = PackedB::new(&b);
+            assert_eq!((packed.rows(), packed.cols()), (k, n));
+            for _ in 0..2 {
+                assert_eq!(matmul_packed(&a, &packed), matmul_naive(&a, &b), "packed {m}x{k}x{n}");
+            }
         }
     }
 

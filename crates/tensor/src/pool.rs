@@ -40,11 +40,12 @@ static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 static SCHEDULE_ROTATION: AtomicUsize = AtomicUsize::new(0);
 
 // --- kernel telemetry -------------------------------------------------
-// Dispatch counts and per-chunk wall time flow to the global adec-obs
-// registry. A dispatch costs one relaxed atomic add and each parallel
-// chunk adds two monotonic clock reads — nothing touches the per-element
-// path or the numerics, so trajectories are unchanged.
-mod pool_obs {
+// Dispatch counts, per-chunk wall time and packed gemm operand sizes flow
+// to the global adec-obs registry. A dispatch or a pack costs one relaxed
+// atomic add and each parallel chunk adds two monotonic clock reads —
+// nothing touches the per-element path or the numerics, so trajectories
+// are unchanged.
+pub(crate) mod pool_obs {
     use std::sync::{Arc, OnceLock};
 
     /// Inline (single-chunk) kernel dispatches.
@@ -57,6 +58,12 @@ mod pool_obs {
     pub fn parallel_dispatches() -> &'static adec_obs::Counter {
         static C: OnceLock<Arc<adec_obs::Counter>> = OnceLock::new();
         C.get_or_init(|| adec_obs::counter("adec_pool_dispatch_parallel_total")).as_ref()
+    }
+
+    /// Values written into packed gemm `B` panels, padding included.
+    pub fn packed_b_values() -> &'static adec_obs::Counter {
+        static C: OnceLock<Arc<adec_obs::Counter>> = OnceLock::new();
+        C.get_or_init(|| adec_obs::counter("adec_kernel_packed_b_values_total")).as_ref()
     }
 
     /// Wall seconds per parallel chunk.

@@ -15,7 +15,8 @@
 
 use adec_tensor::kernels::{
     add_bias_act, axpy, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
-    matmul_naive, row_lerp, set_isa_override, softmax_rows_detailed, FusedAct, Isa,
+    matmul_naive, matmul_packed, row_lerp, set_isa_override, softmax_rows_detailed, FusedAct, Isa,
+    PackedB,
 };
 use adec_tensor::pool::set_thread_override;
 use adec_tensor::{Matrix, SeedRng};
@@ -141,34 +142,48 @@ fn gemm_bit_identical_across_thread_counts() {
 }
 
 /// The training and serving gemm shapes (`m × k × n`): a 128-row
-/// minibatch through the small-tier layers, and one and sixteen serve rows
-/// through the paper-tier 500 → 2000 layer.
-const TRAIN_SERVE_SHAPES: &[(usize, usize, usize)] =
-    &[(128, 144, 128), (128, 128, 64), (1, 500, 2000), (16, 500, 2000)];
+/// minibatch through the small-tier layers; one and sixteen serve rows
+/// through the paper-tier 500 → 2000 layer; the ragged serve layers
+/// 2000 → 10 (encoder out) and 10 → 2000 (decoder in) at sixteen rows;
+/// and one row through the small-tier 144 → 128 and 64 → 10 layers.
+const TRAIN_SERVE_SHAPES: &[(usize, usize, usize)] = &[
+    (128, 144, 128),
+    (128, 128, 64),
+    (1, 500, 2000),
+    (16, 500, 2000),
+    (16, 2000, 10),
+    (16, 10, 2000),
+    (1, 144, 128),
+    (1, 64, 10),
+];
 
 #[test]
 fn gemm_bit_identical_across_isa_levels_and_thread_counts() {
-    type Gemm = fn(&Matrix, &Matrix) -> Matrix;
+    type Gemm<'a> = Box<dyn Fn() -> Matrix + 'a>;
     let mut rng = SeedRng::new(15);
     for &(m, k, n) in SHAPES.iter().chain(TRAIN_SERVE_SHAPES) {
         let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
         let at = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
         let bt = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
-        let variants: [(&str, Gemm, &Matrix, &Matrix); 3] = [
-            ("matmul", matmul, &a, &b),
-            ("matmul_at_b", matmul_at_b, &at, &b),
-            ("matmul_a_bt", matmul_a_bt, &a, &bt),
+        // Packed once, outside the level and thread loops, as a served
+        // weight is: the panels must serve every level and thread count.
+        let packed = PackedB::new(&b);
+        let variants: [(&str, Gemm); 4] = [
+            ("matmul", Box::new(|| matmul(&a, &b))),
+            ("matmul_packed", Box::new(|| matmul_packed(&a, &packed))),
+            ("matmul_at_b", Box::new(|| matmul_at_b(&at, &b))),
+            ("matmul_a_bt", Box::new(|| matmul_a_bt(&a, &bt))),
         ];
-        for (name, gemm, lhs, rhs) in variants {
+        for (name, gemm) in variants {
             set_isa_override(Isa::Scalar);
             set_thread_override(1);
-            let reference = gemm(lhs, rhs);
+            let reference = gemm();
             for &isa in Isa::available() {
                 set_isa_override(isa);
                 for threads in [1usize, 2, 4] {
                     set_thread_override(threads);
-                    let ulp = max_ulp(&gemm(lhs, rhs), &reference);
+                    let ulp = max_ulp(&gemm(), &reference);
                     assert_eq!(
                         ulp, 0,
                         "{name} {m}x{k}x{n}: {isa} at {threads} threads vs scalar at 1 thread: {ulp} ULP"

@@ -35,7 +35,7 @@ import json
 import sys
 
 REGRESSION_FACTOR = 2.0
-PACKED_GEMM = ("matmul", "matmul_at_b", "matmul_a_bt")
+PACKED_GEMM = ("matmul", "matmul_packed", "matmul_at_b", "matmul_a_bt")
 KERNELS_SCHEMA = "adec-bench-kernels/v1"
 # Instruction-set levels the gemm is timed at, lowest first; a CPU that
 # runs a level runs every level before it.

@@ -77,6 +77,24 @@ class KernelsMode(unittest.TestCase):
         self.assertTrue(any("missing from fresh" in f for f in failures))
 
 
+    def test_packed_operand_gemm_is_gated(self):
+        def serve_doc(ns_packed):
+            return {"schema": bc.KERNELS_SCHEMA, "isa": "scalar", "entries": [
+                {"name": "matmul", "tier": "serve_m16", "isa": "scalar",
+                 "ns_per_op": 1000},
+                {"name": "matmul_packed", "tier": "serve_m16",
+                 "isa": "scalar", "ns_per_op": ns_packed},
+            ]}
+        rows, failures = quiet(bc.compare_kernels, serve_doc(500),
+                               serve_doc(500))
+        self.assertEqual(failures, [])
+        self.assertIn("matmul_packed", {r["name"] for r in rows})
+        _, failures = quiet(bc.compare_kernels, serve_doc(500),
+                            serve_doc(1500))
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith("matmul_packed/serve_m16/scalar:"))
+
+
 class KernelsPerIsaLevel(unittest.TestCase):
     def test_entry_without_isa_reads_as_scalar(self):
         # The pre-isa baseline stays comparable with a leveled report.
