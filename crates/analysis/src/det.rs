@@ -12,7 +12,7 @@
 //!   runs the real pool-parallel kernels under adversarial schedules —
 //!   every instruction-set level this CPU runs
 //!   (`adec_tensor::kernels::Isa::available`), crossed with thread counts
-//!   {1, 2, 4} and rotated chunk launch orders
+//!   {1, 2, 3, 4} and rotated chunk launch orders
 //!   (`adec_tensor::pool::set_schedule_rotation`) — and requires the
 //!   output bits to match the scalar serial reference exactly
 //!   (`det.schedule-divergence` otherwise).
@@ -39,8 +39,10 @@ use std::sync::Mutex;
 /// `#[test]`s) would corrupt each other's reference runs.
 static SCHEDULE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Thread counts the harness sweeps. `1` is the serial reference.
-pub const AUDIT_THREADS: [usize; 3] = [1, 2, 4];
+/// Thread counts the harness sweeps. `1` is the serial reference; `3`
+/// starts row chunks off the gemm's `MR`-row tile and 64-row `A` block
+/// boundaries.
+pub const AUDIT_THREADS: [usize; 4] = [1, 2, 3, 4];
 
 /// Chunk-launch rotations the harness sweeps at each thread count.
 pub const AUDIT_ROTATIONS: [usize; 3] = [0, 1, 3];
@@ -103,9 +105,12 @@ where
 /// the same computation.
 pub fn audit_schedule_determinism() -> Report {
     let mut rng = SeedRng::new(0xDE7);
-    let a = Matrix::randn(96, 64, 0.0, 1.0, &mut rng);
+    // 99 gemm rows: taller than the row driver's 64-row `A` block, so the
+    // serial reference crosses a block boundary and ends on a ragged tile;
+    // 2, 3 and 4 threads start their row chunks mid-tile.
+    let a = Matrix::randn(99, 64, 0.0, 1.0, &mut rng);
     let b = Matrix::randn(64, 48, 0.0, 1.0, &mut rng);
-    let at = Matrix::randn(64, 96, 0.0, 1.0, &mut rng);
+    let at = Matrix::randn(64, 99, 0.0, 1.0, &mut rng);
     let bt = Matrix::randn(48, 64, 0.0, 1.0, &mut rng);
     let wide = Matrix::randn(256, 256, 0.0, 1.0, &mut rng);
     let wide2 = Matrix::randn(256, 256, 0.0, 1.0, &mut rng);

@@ -9,12 +9,19 @@
 //! GFLOP/s per entry and the packed-vs-naive speedup per gemm shape.
 //! Each packed gemm is timed at every instruction-set level this CPU runs
 //! (`Isa::available()`); every entry records the level it ran at as
-//! `"isa"`, and the document records the detected level.
+//! `"isa"`, and the document records the detected level. An entry's
+//! `ns_per_op` is the median over 9 repetitions, each sized from a warm-up
+//! call to run for at least 10 ms. The repetitions run in rounds over all
+//! entries, so each entry's nine are spread across the whole run: a host
+//! that turns slow for a second slows one repetition of many entries, not
+//! every repetition of one.
 //! `ADEC_SIZE` (small | medium | paper) bounds how many of the shape
 //! tiers run: every size runs `small`, `medium` (the speedup the
-//! acceptance gate reads is the medium tier), `serve_m1` and `serve_m16`;
-//! `paper` adds the paper-scale encoder shape. `ADEC_THREADS` is honoured
-//! by the kernels themselves and recorded in the JSON.
+//! acceptance gate reads is the medium tier), `serve_m1`, `serve_m16` and
+//! the packed gemms of `paper` (the paper encoder's widest layer, whose
+//! packed `B` outgrows L2); `paper` adds that tier's naive references and
+//! fused ops. `ADEC_THREADS` is honoured by the kernels themselves and
+//! recorded in the JSON.
 
 // Experiment-harness code: indices range over the experiment's own
 // fixed dimensions, and a panic is an acceptable failure mode here.
@@ -28,223 +35,281 @@ use adec_tensor::kernels::{
 };
 use adec_tensor::{configured_threads, Matrix, SeedRng};
 use std::hint::black_box;
+use std::rc::Rc;
 use std::time::Instant;
 
-/// Best-of-three mean per-call time in nanoseconds (one untimed warm-up).
-fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / f64::from(iters));
-    }
-    best * 1e9
-}
+/// Repetitions per timed entry; the entry is their median.
+const REPS: usize = 9;
+/// Minimum wall time of one repetition, in seconds.
+const REP_MIN_S: f64 = 0.010;
 
-struct Entry {
+type Call<'a> = Rc<dyn Fn() -> Matrix + 'a>;
+
+/// One entry to time: what it records, its flop count, and the call.
+struct Job<'a> {
     name: String,
     tier: &'static str,
     isa: Isa,
     shape: Vec<usize>,
-    ns_per_op: f64,
-    gflops: f64,
-    speedup_vs_naive: Option<f64>,
+    flops: f64,
+    call: Call<'a>,
 }
 
-impl Entry {
-    fn json(&self) -> String {
+impl Job<'_> {
+    /// The entry's JSON object, timed at `ns` per call.
+    fn json(&self, ns: f64, speedup_vs_naive: Option<f64>) -> String {
         let shape = self
             .shape
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        let speedup = match self.speedup_vs_naive {
+        let speedup = match speedup_vs_naive {
             Some(s) => format!(",\"speedup_vs_naive\":{s:.3}"),
             None => String::new(),
         };
         format!(
             "{{\"name\":\"{}\",\"tier\":\"{}\",\"isa\":\"{}\",\"shape\":[{}],\"ns_per_op\":{:.0},\"gflops\":{:.4}{}}}",
-            self.name, self.tier, self.isa, shape, self.ns_per_op, self.gflops, speedup
+            self.name, self.tier, self.isa, shape, ns, self.flops / ns, speedup
         )
     }
-}
 
-/// Benchmarks the three packed gemm variants at every available
-/// instruction-set level, and their naive references, at one `m × k × n`
-/// tier.
-fn gemm_tier(
-    tier: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    iters: u32,
-    naive_iters: u32,
-    entries: &mut Vec<Entry>,
-) {
-    let mut rng = SeedRng::new(42);
-    let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
-    let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
-    let at = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
-    let bt = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
-    let flops = (2 * m * k * n) as f64;
-
-    type Variant<'a> = (&'static str, Box<dyn Fn() -> Matrix + 'a>, Box<dyn Fn() -> Matrix + 'a>);
-    let variants: Vec<Variant> = vec![
-        (
-            "matmul",
-            Box::new(|| matmul(&a, &b)),
-            Box::new(|| matmul_naive(&a, &b)),
-        ),
-        (
-            "matmul_at_b",
-            Box::new(|| matmul_at_b(&at, &b)),
-            Box::new(|| matmul_at_b_naive(&at, &b)),
-        ),
-        (
-            "matmul_a_bt",
-            Box::new(|| matmul_a_bt(&a, &bt)),
-            Box::new(|| matmul_a_bt_naive(&a, &bt)),
-        ),
-    ];
-    for (name, packed, naive) in variants {
-        let ns_naive = time_ns(naive_iters, || {
-            black_box(naive());
-        });
-        for &isa in Isa::available() {
-            set_isa_override(isa);
-            let ns_packed = time_ns(iters, || {
-                black_box(packed());
-            });
-            println!(
-                "{tier:<7} {name:<12} {m}x{k}x{n} {isa:<6}: packed {:>10.1} ns ({:.2} GFLOP/s), naive {:>10.1} ns, speedup {:.2}x",
-                ns_packed,
-                flops / ns_packed,
-                ns_naive,
-                ns_naive / ns_packed
-            );
-            entries.push(Entry {
-                name: name.to_string(),
-                tier,
-                isa,
-                shape: vec![m, k, n],
-                ns_per_op: ns_packed,
-                gflops: flops / ns_packed,
-                speedup_vs_naive: Some(ns_naive / ns_packed),
-            });
+    /// Mean seconds per call over `calls` calls at the job's level.
+    fn seconds(&self, calls: u32) -> f64 {
+        set_isa_override(self.isa);
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box((self.call)());
         }
-        set_isa_override(Isa::detected());
-        entries.push(Entry {
-            name: format!("{name}_naive"),
-            tier,
-            isa: Isa::active(),
-            shape: vec![m, k, n],
-            ns_per_op: ns_naive,
-            gflops: flops / ns_naive,
-            speedup_vs_naive: None,
-        });
+        start.elapsed().as_secs_f64() / f64::from(calls)
     }
 }
 
-/// Benchmarks the serve path's gemm at one `m × k × n` tier and every
-/// available level: `matmul`, which packs `B` on every call, against
-/// `matmul_packed` over a `B` packed once outside the timed loop.
-fn serve_tier(tier: &'static str, m: usize, k: usize, n: usize, iters: u32, entries: &mut Vec<Entry>) {
-    let mut rng = SeedRng::new(44);
-    let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
-    let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
-    let packed = PackedB::new(&b);
-    let flops = (2 * m * k * n) as f64;
-    for &isa in Isa::available() {
-        set_isa_override(isa);
-        let per_call = time_ns(iters, || {
-            black_box(matmul(black_box(&a), black_box(&b)));
-        });
-        let once = time_ns(iters, || {
-            black_box(matmul_packed(black_box(&a), black_box(&packed)));
-        });
-        println!(
-            "{tier:<9} {m}x{k}x{n} {isa:<6}: matmul {per_call:>10.1} ns, matmul_packed {once:>10.1} ns ({:.2}x)",
-            per_call / once
-        );
-        for (name, ns) in [("matmul", per_call), ("matmul_packed", once)] {
-            entries.push(Entry {
-                name: name.to_string(),
-                tier,
-                isa,
-                shape: vec![m, k, n],
-                ns_per_op: ns,
-                gflops: flops / ns,
-                speedup_vs_naive: None,
-            });
+/// Each job's median per-call time in nanoseconds. An untimed warm-up
+/// call and a timed call size each job's repetition to at least
+/// [`REP_MIN_S`]; then [`REPS`] rounds each time one repetition of every
+/// job.
+fn time_ns(jobs: &[Job]) -> Vec<f64> {
+    let calls: Vec<u32> = jobs
+        .iter()
+        .map(|job| {
+            job.seconds(1);
+            (REP_MIN_S / job.seconds(1).max(1e-9)).ceil().max(1.0) as u32
+        })
+        .collect();
+    let mut reps = vec![Vec::with_capacity(REPS); jobs.len()];
+    for _ in 0..REPS {
+        for ((job, &calls), reps) in jobs.iter().zip(&calls).zip(&mut reps) {
+            reps.push(job.seconds(calls));
         }
     }
     set_isa_override(Isa::detected());
+    reps.into_iter()
+        .map(|mut reps| {
+            reps.sort_by(f64::total_cmp);
+            reps[REPS / 2] * 1e9
+        })
+        .collect()
 }
 
-/// Benchmarks the fused elementwise kernels at one `rows × cols` tier.
-fn fused_tier(tier: &'static str, rows: usize, cols: usize, iters: u32, entries: &mut Vec<Entry>) {
-    let mut rng = SeedRng::new(43);
-    let x = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
-    let y = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
-    let bias: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
-    let t: Vec<f32> = (0..rows).map(|_| rng.uniform(0.0, 1.0)).collect();
-    let elems = (rows * cols) as f64;
+/// The operands of one `m × k × n` gemm tier.
+struct Gemm {
+    tier: &'static str,
+    a: Matrix,
+    b: Matrix,
+    at: Matrix,
+    bt: Matrix,
+}
 
-    type Fused<'a> = (&'static str, f64, Box<dyn Fn() -> Matrix + 'a>);
-    let ops: Vec<Fused> = vec![
-        // Rough per-element flop counts, for a comparable GFLOP/s column.
-        ("add_bias_relu", 2.0, Box::new(|| add_bias_act(&x, &bias, FusedAct::Relu))),
-        ("add_bias_tanh", 6.0, Box::new(|| add_bias_act(&x, &bias, FusedAct::Tanh))),
-        ("softmax_rows", 8.0, Box::new(|| softmax_rows(&x))),
-        ("row_lerp", 3.0, Box::new(|| row_lerp(&x, &y, &t))),
-    ];
-    for (name, flops_per_elem, f) in ops {
-        let ns = time_ns(iters, || {
-            black_box(f());
-        });
-        println!(
-            "{tier:<7} {name:<12} {rows}x{cols}: {ns:>10.1} ns ({:.2} GFLOP/s)",
-            elems * flops_per_elem / ns
-        );
-        entries.push(Entry {
+impl Gemm {
+    fn new(tier: &'static str, m: usize, k: usize, n: usize, seed: u64) -> Gemm {
+        let mut rng = SeedRng::new(seed);
+        let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
+        let at = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
+        let bt = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
+        Gemm { tier, a, b, at, bt }
+    }
+
+    fn job<'a>(&self, name: &str, isa: Isa, call: Call<'a>) -> Job<'a> {
+        let (m, k, n) = (self.a.rows(), self.a.cols(), self.b.cols());
+        Job {
             name: name.to_string(),
+            tier: self.tier,
+            isa,
+            shape: vec![m, k, n],
+            flops: (2 * m * k * n) as f64,
+            call,
+        }
+    }
+
+    /// The three packed gemm variants at every available level and, if
+    /// `with_naive`, their naive references.
+    fn variants<'a>(&'a self, with_naive: bool, jobs: &mut Vec<Job<'a>>) {
+        let (a, b, at, bt) = (&self.a, &self.b, &self.at, &self.bt);
+        let variants: [(&str, Call<'a>, Call<'a>); 3] = [
+            (
+                "matmul",
+                Rc::new(|| matmul(a, b)),
+                Rc::new(|| matmul_naive(a, b)),
+            ),
+            (
+                "matmul_at_b",
+                Rc::new(|| matmul_at_b(at, b)),
+                Rc::new(|| matmul_at_b_naive(at, b)),
+            ),
+            (
+                "matmul_a_bt",
+                Rc::new(|| matmul_a_bt(a, bt)),
+                Rc::new(|| matmul_a_bt_naive(a, bt)),
+            ),
+        ];
+        for (name, packed, naive) in variants {
+            for &isa in Isa::available() {
+                jobs.push(self.job(name, isa, Rc::clone(&packed)));
+            }
+            if with_naive {
+                jobs.push(self.job(&format!("{name}_naive"), Isa::detected(), naive));
+            }
+        }
+    }
+
+    /// The serve path's gemm at every available level: `matmul`, which
+    /// packs `B` on every call, and `matmul_packed` over a `B` packed once
+    /// here, outside the timed calls.
+    fn serve<'a>(&'a self, jobs: &mut Vec<Job<'a>>) {
+        let (a, b) = (&self.a, &self.b);
+        let packed = PackedB::new(b);
+        let per_call: Call<'a> = Rc::new(move || matmul(black_box(a), black_box(b)));
+        let once: Call<'a> = Rc::new(move || matmul_packed(black_box(a), black_box(&packed)));
+        for &isa in Isa::available() {
+            jobs.push(self.job("matmul", isa, Rc::clone(&per_call)));
+            jobs.push(self.job("matmul_packed", isa, Rc::clone(&once)));
+        }
+    }
+}
+
+/// The operands of one `rows × cols` fused-op tier.
+struct Fused {
+    tier: &'static str,
+    x: Matrix,
+    y: Matrix,
+    bias: Vec<f32>,
+    t: Vec<f32>,
+}
+
+impl Fused {
+    fn new(tier: &'static str, rows: usize, cols: usize) -> Fused {
+        let mut rng = SeedRng::new(43);
+        let x = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
+        let y = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
+        let bias: Vec<f32> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
+        let t: Vec<f32> = (0..rows).map(|_| rng.uniform(0.0, 1.0)).collect();
+        Fused {
             tier,
-            isa: Isa::active(),
-            shape: vec![rows, cols],
-            ns_per_op: ns,
-            gflops: elems * flops_per_elem / ns,
-            speedup_vs_naive: None,
-        });
+            x,
+            y,
+            bias,
+            t,
+        }
+    }
+
+    /// The fused elementwise kernels, with rough per-element flop counts
+    /// for a comparable GFLOP/s column.
+    fn ops<'a>(&'a self, jobs: &mut Vec<Job<'a>>) {
+        let (x, y, bias, t) = (&self.x, &self.y, &self.bias, &self.t);
+        let ops: [(&str, f64, Call<'a>); 4] = [
+            (
+                "add_bias_relu",
+                2.0,
+                Rc::new(|| add_bias_act(x, bias, FusedAct::Relu)),
+            ),
+            (
+                "add_bias_tanh",
+                6.0,
+                Rc::new(|| add_bias_act(x, bias, FusedAct::Tanh)),
+            ),
+            ("softmax_rows", 8.0, Rc::new(|| softmax_rows(x))),
+            ("row_lerp", 3.0, Rc::new(|| row_lerp(x, y, t))),
+        ];
+        for (name, flops_per_elem, call) in ops {
+            jobs.push(Job {
+                name: name.to_string(),
+                tier: self.tier,
+                isa: Isa::detected(),
+                shape: vec![x.rows(), x.cols()],
+                flops: (x.rows() * x.cols()) as f64 * flops_per_elem,
+                call,
+            });
+        }
     }
 }
 
 fn main() {
     let cfg = HarnessCfg::from_env();
-    let mut entries = Vec::new();
-
     println!(
         "== kernel benchmarks (ADEC_THREADS={}, isa={}) ==",
         configured_threads(),
         Isa::detected()
     );
-    gemm_tier("small", 32, 64, 32, 400, 400, &mut entries);
-    fused_tier("small", 64, 128, 400, &mut entries);
-    gemm_tier("medium", 256, 512, 256, 8, 3, &mut entries);
-    fused_tier("medium", 256, 512, 50, &mut entries);
+    let paper = matches!(cfg.size, Size::Paper);
+    let (small, medium) = (
+        Gemm::new("small", 32, 64, 32, 42),
+        Gemm::new("medium", 256, 512, 256, 42),
+    );
+    let (fused_small, fused_medium) =
+        (Fused::new("small", 64, 128), Fused::new("medium", 256, 512));
     // One and sixteen served rows through the paper-tier 500 → 2000 layer.
-    serve_tier("serve_m1", 1, 500, 2000, 40, &mut entries);
-    serve_tier("serve_m16", 16, 500, 2000, 20, &mut entries);
-    if matches!(cfg.size, Size::Paper) {
-        // The paper encoder's widest layer: batch 256, 2000 → 500.
-        gemm_tier("paper", 256, 2000, 500, 3, 1, &mut entries);
-        fused_tier("paper", 256, 2000, 20, &mut entries);
+    let serve_m1 = Gemm::new("serve_m1", 1, 500, 2000, 44);
+    let serve_m16 = Gemm::new("serve_m16", 16, 500, 2000, 44);
+    // The paper encoder's widest layer: batch 256, 2000 → 500. Its packed
+    // `B` (4 MB) outgrows L2, so every size times its packed gemms; its
+    // naive references (up to a second per call) and fused ops run only at
+    // `ADEC_SIZE=paper`.
+    let paper_gemm = Gemm::new("paper", 256, 2000, 500, 42);
+    let fused_paper = paper.then(|| Fused::new("paper", 256, 2000));
+
+    let mut jobs = Vec::new();
+    small.variants(true, &mut jobs);
+    fused_small.ops(&mut jobs);
+    medium.variants(true, &mut jobs);
+    fused_medium.ops(&mut jobs);
+    serve_m1.serve(&mut jobs);
+    serve_m16.serve(&mut jobs);
+    paper_gemm.variants(paper, &mut jobs);
+    if let Some(fused) = &fused_paper {
+        fused.ops(&mut jobs);
     }
 
-    let body = entries.iter().map(Entry::json).collect::<Vec<_>>().join(",\n  ");
+    let ns = time_ns(&jobs);
+    let speedup = |i: usize| {
+        let naive = format!("{}_naive", jobs[i].name);
+        jobs.iter()
+            .position(|j| j.tier == jobs[i].tier && j.name == naive)
+            .map(|n| ns[n] / ns[i])
+    };
+    let mut body = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        let shape = job
+            .shape
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("x");
+        let vs_naive = speedup(i)
+            .map(|x| format!(", {x:.2}x naive"))
+            .unwrap_or_default();
+        println!(
+            "{:<9} {:<17} {shape:<12} {:<6}: {:>12.1} ns ({:.2} GFLOP/s){vs_naive}",
+            job.tier,
+            job.name,
+            job.isa,
+            ns[i],
+            job.flops / ns[i]
+        );
+        body.push(job.json(ns[i], speedup(i)));
+    }
+    let body = body.join(",\n  ");
     let size = match cfg.size {
         Size::Small => "small",
         Size::Medium => "medium",
@@ -264,13 +329,13 @@ fn main() {
     std::fs::write(&path, json).expect("write BENCH_kernels.json");
     println!("wrote {}", path.display());
 
-    let medium = entries
+    let medium = jobs
         .iter()
-        .find(|e| e.name == "matmul" && e.tier == "medium" && e.isa == Isa::detected())
+        .position(|j| j.name == "matmul" && j.tier == "medium" && j.isa == Isa::detected())
         .expect("medium gemm entry");
     println!(
         "medium gemm speedup vs naive ({}): {:.2}x",
-        medium.isa,
-        medium.speedup_vs_naive.unwrap_or(0.0)
+        jobs[medium].isa,
+        speedup(medium).unwrap_or(0.0)
     );
 }

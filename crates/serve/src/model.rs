@@ -660,8 +660,9 @@ pub(crate) mod tests {
         Checkpoint { store, ..sample_checkpoint() }
     }
 
-    /// The store's `{prefix}.l{i}` layers run in order through the
-    /// per-call-pack gemm: ReLU on hidden layers, Identity on the last.
+    /// The store's `{prefix}.l{i}` layers run in order through the naive
+    /// triple-loop gemm, which shares no code with the packed row driver
+    /// the model runs: ReLU on hidden layers, Identity on the last.
     fn reference_forward(store: &ParamStore, prefix: &str, x: &Matrix) -> Matrix {
         let param = |name: String| store.iter().find(|(_, n, _)| *n == name).map(|(_, _, v)| v);
         let mut h = x.clone();
@@ -670,7 +671,7 @@ pub(crate) mod tests {
             let b = param(format!("{prefix}.l{i}.b")).unwrap();
             let hidden = param(format!("{prefix}.l{}.w", i + 1)).is_some();
             let act = if hidden { FusedAct::Relu } else { FusedAct::Identity };
-            h = kernels::add_bias_act(&kernels::matmul(&h, w), b.row(0), act);
+            h = kernels::add_bias_act(&kernels::matmul_naive(&h, w), b.row(0), act);
             i += 1;
         }
         assert!(i > 0, "no layers named {prefix}.l0");
@@ -684,7 +685,8 @@ pub(crate) mod tests {
             let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
             assert_eq!(model.mode, ServeMode::Full);
             let mu = ck.store.iter().find(|(_, n, _)| *n == "dec.centroids").unwrap().2;
-            for rows in [1, 5, 16] {
+            // 70 rows: taller than the gemm's 64-row `A` block.
+            for rows in [1, 5, 16, 70] {
                 let x = Matrix::randn(rows, data, 0.0, 1.0, &mut rng);
                 let z = reference_forward(&ck.store, &format!("mlp{data}x{latent}"), &x);
                 let xhat = reference_forward(&ck.store, &format!("mlp{latent}x{data}"), &z);

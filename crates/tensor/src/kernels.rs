@@ -24,14 +24,27 @@
 //!   assert on operands that must agree and (in debug builds) a
 //!   finiteness sweep over its inputs.
 //!
-//! ## Microkernel
+//! ## Microkernel and loop order
 //!
 //! The gemm core is an `MR × NR` register tile updated over the full inner
-//! dimension. `A` is packed per row-block into `k × MR` panels and `B`
-//! into `k × NR` panels (transposed variants differ only in the pack
+//! dimension. `B` is packed into `k × NR` column panels and `A` into
+//! `k × MR` row panels (transposed variants differ only in the pack
 //! gather), so the microkernel's inner loop reads both operands
 //! contiguously and auto-vectorizes. There are no explicit SIMD
 //! intrinsics.
+//!
+//! The row driver blocks `A` in the GotoBLAS style. It packs up to `MC`
+//! (64) rows of `A` into consecutive `MR`-row panels, then takes the `B`
+//! panels one at a time and runs the microkernel against every `A` panel
+//! of the block before moving on. A `B` panel (`k × NR`: 32 KB at
+//! `k = 500`) is therefore streamed in once per block of `A` and stays
+//! cache-hot while the block's tiles reuse it, and the packed block (at
+//! most `MC × k` floats: 512 KB at `k = 2000`) stays in L2 across the
+//! sweep. Walking the `A` tiles in the outer loop instead would stream the
+//! whole of `B` once per `MR` rows: four times for a 16-row request
+//! against a served network, sixteen times per 64 rows of a training
+//! batch. The loop order decides which tile is computed when, never the
+//! order in which a tile sums over `k`, so it changes no bits.
 //!
 //! [`matmul`] and its transposed variants pack `B` on every call. An
 //! operand that stays fixed across calls — a served network's weights —
@@ -61,6 +74,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub const MR: usize = 4;
 /// Microkernel tile width (output columns per register tile).
 pub const NR: usize = 16;
+/// Rows of `A` packed as one block and swept by each `B` panel in turn, a
+/// multiple of [`MR`]. At the paper tier's widest inner dimension
+/// (`k = 2000`) a packed block is 512 KB, inside a 2 MB L2.
+const MC: usize = 64;
 
 // ----------------------------------------------------------------------
 // Instruction-set levels
@@ -257,9 +274,9 @@ fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR];
 }
 
 /// Computes rows `r0..r0+nrows` of a `? × n` gemm into `chunk` from
-/// pre-packed `B` panels, packing `A` row-blocks on the fly via `pack_a`
-/// (which receives the *global* block start row). Runs the clone of the
-/// [`Isa::active`] level; every clone gives the same bits.
+/// pre-packed `B` panels, packing `A` on the fly via `pack_a` (which
+/// receives the *global* start row of an `MR`-row panel). Runs the clone
+/// of the [`Isa::active`] level; every clone gives the same bits.
 fn gemm_rows<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
 where
     PA: Fn(usize, usize, &mut [f32]),
@@ -290,27 +307,38 @@ where
     gemm_rows_body(k, n, packed_b, r0, nrows, chunk, pack_a);
 }
 
-/// The row driver every [`Isa`] level compiles: pack an `A` row-block,
-/// run the microkernel against each `B` panel, write the tile back.
+/// The row driver every [`Isa`] level compiles. It walks the rows in
+/// blocks of up to [`MC`]: it packs a block's `A` rows into consecutive
+/// `k × MR` panels, then, for each `B` panel in turn, runs the microkernel
+/// against every `A` panel of the block and writes each tile back.
 #[inline(always)]
 fn gemm_rows_body<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
 where
     PA: Fn(usize, usize, &mut [f32]),
 {
     let np = n.div_ceil(NR);
-    let mut a_panel = vec![0.0f32; k * MR];
-    for ib in (0..nrows).step_by(MR) {
-        let mr_eff = MR.min(nrows - ib);
-        pack_a(r0 + ib, mr_eff, &mut a_panel);
+    let panel_len = k * MR;
+    let mut a_block = vec![0.0f32; MC.min(nrows).div_ceil(MR) * panel_len];
+    for ic in (0..nrows).step_by(MC) {
+        let tiles = MC.min(nrows - ic).div_ceil(MR);
+        for t in 0..tiles {
+            let ib = ic + t * MR;
+            let a_panel = &mut a_block[t * panel_len..(t + 1) * panel_len];
+            pack_a(r0 + ib, MR.min(nrows - ib), a_panel);
+        }
         for jp in 0..np {
             let b_panel = &packed_b[jp * k * NR..(jp + 1) * k * NR];
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(k, &a_panel, b_panel, &mut acc);
             let j0 = jp * NR;
             let w = NR.min(n - j0);
-            for ii in 0..mr_eff {
-                let row = (ib + ii) * n + j0;
-                chunk[row..row + w].copy_from_slice(&acc[ii][..w]);
+            for t in 0..tiles {
+                let ib = ic + t * MR;
+                let mut acc = [[0.0f32; NR]; MR];
+                let a_panel = &a_block[t * panel_len..(t + 1) * panel_len];
+                microkernel(k, a_panel, b_panel, &mut acc);
+                for ii in 0..MR.min(nrows - ib) {
+                    let row = (ib + ii) * n + j0;
+                    chunk[row..row + w].copy_from_slice(&acc[ii][..w]);
+                }
             }
         }
     }
@@ -727,7 +755,13 @@ mod tests {
     #[test]
     fn packed_matches_naive_bitwise_on_random() {
         let mut rng = SeedRng::new(11);
-        for &(m, k, n) in &[(1usize, 7usize, 5usize), (5, 1, 9), (17, 33, 19), (64, 64, 64)] {
+        for &(m, k, n) in &[
+            (1usize, 7usize, 5usize),
+            (5, 1, 9),
+            (17, 33, 19),
+            (64, 64, 64),
+            (MC + 1, 9, 17),
+        ] {
             let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
             assert_eq!(matmul(&a, &b), matmul_naive(&a, &b), "{m}x{k}x{n}");
@@ -830,12 +864,15 @@ mod tests {
 
     #[test]
     fn threaded_gemm_is_bit_identical() {
+        // 133 rows: two `MC` blocks plus a ragged tile when serial; chunks
+        // starting off the `MR` and `MC` boundaries at 2, 3 and 4 threads.
         let mut rng = SeedRng::new(14);
-        let a = Matrix::randn(37, 29, 0.0, 1.0, &mut rng);
+        let a = Matrix::randn(2 * MC + 5, 29, 0.0, 1.0, &mut rng);
         let b = Matrix::randn(29, 23, 0.0, 1.0, &mut rng);
         crate::pool::set_thread_override(1);
         let serial = matmul(&a, &b);
-        for threads in [2usize, 4] {
+        assert_eq!(serial, matmul_naive(&a, &b));
+        for threads in [2usize, 3, 4] {
             crate::pool::set_thread_override(threads);
             assert_eq!(matmul(&a, &b), serial, "threads={threads}");
         }

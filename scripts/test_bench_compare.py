@@ -94,6 +94,25 @@ class KernelsMode(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertTrue(failures[0].startswith("matmul_packed/serve_m16/scalar:"))
 
+    def test_paper_tier_entry_fails_a_small_size_comparison(self):
+        # Every size times the paper tier's packed gemms, so the small-size
+        # CI run ratchets the shape whose packed B outgrows L2.
+        def small_doc(ns_paper):
+            return {"schema": bc.KERNELS_SCHEMA, "size": "small",
+                    "isa": "scalar", "entries": [
+                        {"name": "matmul", "tier": "medium", "isa": "scalar",
+                         "ns_per_op": 1000},
+                        {"name": "matmul", "tier": "paper", "isa": "scalar",
+                         "shape": [256, 2000, 500], "ns_per_op": ns_paper},
+                    ]}
+        _, failures = quiet(bc.compare_kernels, small_doc(10_000_000),
+                            small_doc(12_000_000))
+        self.assertEqual(failures, [])
+        _, failures = quiet(bc.compare_kernels, small_doc(10_000_000),
+                            small_doc(25_000_000))
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith("matmul/paper/scalar:"))
+
 
 class KernelsPerIsaLevel(unittest.TestCase):
     def test_entry_without_isa_reads_as_scalar(self):
