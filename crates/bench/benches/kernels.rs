@@ -1,12 +1,14 @@
 //! Kernel-layer benchmark: packed/register-tiled gemm (all three
 //! transpose variants) against the retained naive references, plus the
-//! fused elementwise ops, at small / medium / paper shapes; and the serve
+//! fused elementwise ops, at small / medium / paper shapes; the serve
 //! path's gemm, `matmul` (packs `B` on every call) against `matmul_packed`
 //! (`B` packed once, as `adec serve` holds its weights), at one and
-//! sixteen rows through the paper-tier 500 → 2000 layer.
+//! sixteen rows through the paper-tier 500 → 2000 layer; and the
+//! checkpoint checksum, `crc32`, over an 8 MiB buffer (tier `payload`).
 //!
 //! Emits `BENCH_kernels.json` at the repository root with ns/op and
-//! GFLOP/s per entry and the packed-vs-naive speedup per gemm shape.
+//! GFLOP/s per entry (GB/s, `gb_per_s`, for `crc32`, which does no
+//! floating-point work) and the packed-vs-naive speedup per gemm shape.
 //! Each packed gemm is timed at every instruction-set level this CPU runs
 //! (`Isa::available()`); every entry records the level it ran at as
 //! `"isa"`, and the document records the detected level. An entry's
@@ -21,7 +23,8 @@
 //! the packed gemms of `paper` (the paper encoder's widest layer, whose
 //! packed `B` outgrows L2); `paper` adds that tier's naive references and
 //! fused ops. `ADEC_THREADS` is honoured by the kernels themselves and
-//! recorded in the JSON.
+//! recorded in the JSON. `crc32` has no per-level clone and records
+//! `scalar`.
 
 // Experiment-harness code: indices range over the experiment's own
 // fixed dimensions, and a panic is an acceptable failure mode here.
@@ -29,6 +32,7 @@
 
 use adec_bench::HarnessCfg;
 use adec_datagen::Size;
+use adec_nn::checkpoint::crc32;
 use adec_tensor::kernels::{
     add_bias_act, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
     matmul_naive, matmul_packed, row_lerp, set_isa_override, softmax_rows, FusedAct, Isa, PackedB,
@@ -43,15 +47,42 @@ const REPS: usize = 9;
 /// Minimum wall time of one repetition, in seconds.
 const REP_MIN_S: f64 = 0.010;
 
-type Call<'a> = Rc<dyn Fn() -> Matrix + 'a>;
+type Call<'a> = Rc<dyn Fn() + 'a>;
 
-/// One entry to time: what it records, its flop count, and the call.
+/// A timed call: `f`'s result goes through `black_box`.
+fn call<'a, T>(f: impl Fn() -> T + 'a) -> Call<'a> {
+    Rc::new(move || {
+        black_box(f());
+    })
+}
+
+/// The work one call does, which sets an entry's rate column.
+#[derive(Clone, Copy)]
+enum Work {
+    /// Floating-point operations, reported as GFLOP/s (`gflops`).
+    Flops(f64),
+    /// Bytes read, reported as GB/s (`gb_per_s`).
+    Bytes(f64),
+}
+
+impl Work {
+    /// The rate at `ns` per call: GFLOP/s or GB/s (units per ns), and its
+    /// JSON key and display unit.
+    fn rate(self, ns: f64) -> (f64, &'static str, &'static str) {
+        match self {
+            Work::Flops(flops) => (flops / ns, "gflops", "GFLOP/s"),
+            Work::Bytes(bytes) => (bytes / ns, "gb_per_s", "GB/s"),
+        }
+    }
+}
+
+/// One entry to time: what it records, its work, and the call.
 struct Job<'a> {
     name: String,
     tier: &'static str,
     isa: Isa,
     shape: Vec<usize>,
-    flops: f64,
+    work: Work,
     call: Call<'a>,
 }
 
@@ -68,9 +99,10 @@ impl Job<'_> {
             Some(s) => format!(",\"speedup_vs_naive\":{s:.3}"),
             None => String::new(),
         };
+        let (rate, key, _) = self.work.rate(ns);
         format!(
-            "{{\"name\":\"{}\",\"tier\":\"{}\",\"isa\":\"{}\",\"shape\":[{}],\"ns_per_op\":{:.0},\"gflops\":{:.4}{}}}",
-            self.name, self.tier, self.isa, shape, ns, self.flops / ns, speedup
+            "{{\"name\":\"{}\",\"tier\":\"{}\",\"isa\":\"{}\",\"shape\":[{}],\"ns_per_op\":{:.0},\"{key}\":{rate:.4}{}}}",
+            self.name, self.tier, self.isa, shape, ns, speedup
         )
     }
 
@@ -79,7 +111,7 @@ impl Job<'_> {
         set_isa_override(self.isa);
         let start = Instant::now();
         for _ in 0..calls {
-            black_box((self.call)());
+            (self.call)();
         }
         start.elapsed().as_secs_f64() / f64::from(calls)
     }
@@ -138,7 +170,7 @@ impl Gemm {
             tier: self.tier,
             isa,
             shape: vec![m, k, n],
-            flops: (2 * m * k * n) as f64,
+            work: Work::Flops((2 * m * k * n) as f64),
             call,
         }
     }
@@ -148,20 +180,16 @@ impl Gemm {
     fn variants<'a>(&'a self, with_naive: bool, jobs: &mut Vec<Job<'a>>) {
         let (a, b, at, bt) = (&self.a, &self.b, &self.at, &self.bt);
         let variants: [(&str, Call<'a>, Call<'a>); 3] = [
-            (
-                "matmul",
-                Rc::new(|| matmul(a, b)),
-                Rc::new(|| matmul_naive(a, b)),
-            ),
+            ("matmul", call(|| matmul(a, b)), call(|| matmul_naive(a, b))),
             (
                 "matmul_at_b",
-                Rc::new(|| matmul_at_b(at, b)),
-                Rc::new(|| matmul_at_b_naive(at, b)),
+                call(|| matmul_at_b(at, b)),
+                call(|| matmul_at_b_naive(at, b)),
             ),
             (
                 "matmul_a_bt",
-                Rc::new(|| matmul_a_bt(a, bt)),
-                Rc::new(|| matmul_a_bt_naive(a, bt)),
+                call(|| matmul_a_bt(a, bt)),
+                call(|| matmul_a_bt_naive(a, bt)),
             ),
         ];
         for (name, packed, naive) in variants {
@@ -180,8 +208,8 @@ impl Gemm {
     fn serve<'a>(&'a self, jobs: &mut Vec<Job<'a>>) {
         let (a, b) = (&self.a, &self.b);
         let packed = PackedB::new(b);
-        let per_call: Call<'a> = Rc::new(move || matmul(black_box(a), black_box(b)));
-        let once: Call<'a> = Rc::new(move || matmul_packed(black_box(a), black_box(&packed)));
+        let per_call = call(move || matmul(black_box(a), black_box(b)));
+        let once = call(move || matmul_packed(black_box(a), black_box(&packed)));
         for &isa in Isa::available() {
             jobs.push(self.job("matmul", isa, Rc::clone(&per_call)));
             jobs.push(self.job("matmul_packed", isa, Rc::clone(&once)));
@@ -222,15 +250,15 @@ impl Fused {
             (
                 "add_bias_relu",
                 2.0,
-                Rc::new(|| add_bias_act(x, bias, FusedAct::Relu)),
+                call(|| add_bias_act(x, bias, FusedAct::Relu)),
             ),
             (
                 "add_bias_tanh",
                 6.0,
-                Rc::new(|| add_bias_act(x, bias, FusedAct::Tanh)),
+                call(|| add_bias_act(x, bias, FusedAct::Tanh)),
             ),
-            ("softmax_rows", 8.0, Rc::new(|| softmax_rows(x))),
-            ("row_lerp", 3.0, Rc::new(|| row_lerp(x, y, t))),
+            ("softmax_rows", 8.0, call(|| softmax_rows(x))),
+            ("row_lerp", 3.0, call(|| row_lerp(x, y, t))),
         ];
         for (name, flops_per_elem, call) in ops {
             jobs.push(Job {
@@ -238,7 +266,7 @@ impl Fused {
                 tier: self.tier,
                 isa: Isa::detected(),
                 shape: vec![x.rows(), x.cols()],
-                flops: (x.rows() * x.cols()) as f64 * flops_per_elem,
+                work: Work::Flops((x.rows() * x.cols()) as f64 * flops_per_elem),
                 call,
             });
         }
@@ -268,6 +296,10 @@ fn main() {
     // `ADEC_SIZE=paper`.
     let paper_gemm = Gemm::new("paper", 256, 2000, 500, 42);
     let fused_paper = paper.then(|| Fused::new("paper", 256, 2000));
+    // The checkpoint checksum over 8 MiB: past L2, as a served paper-tier
+    // checkpoint (about 23 MB) is.
+    let mut rng = SeedRng::new(45);
+    let payload: Vec<u8> = (0..8 << 20).map(|_| rng.below(256) as u8).collect();
 
     let mut jobs = Vec::new();
     small.variants(true, &mut jobs);
@@ -280,6 +312,14 @@ fn main() {
     if let Some(fused) = &fused_paper {
         fused.ops(&mut jobs);
     }
+    jobs.push(Job {
+        name: "crc32".to_string(),
+        tier: "payload",
+        isa: Isa::Scalar,
+        shape: vec![payload.len()],
+        work: Work::Bytes(payload.len() as f64),
+        call: call(|| crc32(black_box(&payload))),
+    });
 
     let ns = time_ns(&jobs);
     let speedup = |i: usize| {
@@ -299,13 +339,10 @@ fn main() {
         let vs_naive = speedup(i)
             .map(|x| format!(", {x:.2}x naive"))
             .unwrap_or_default();
+        let (rate, _, unit) = job.work.rate(ns[i]);
         println!(
-            "{:<9} {:<17} {shape:<12} {:<6}: {:>12.1} ns ({:.2} GFLOP/s){vs_naive}",
-            job.tier,
-            job.name,
-            job.isa,
-            ns[i],
-            job.flops / ns[i]
+            "{:<9} {:<17} {shape:<12} {:<6}: {:>12.1} ns ({rate:.2} {unit}){vs_naive}",
+            job.tier, job.name, job.isa, ns[i]
         );
         body.push(job.json(ns[i], speedup(i)));
     }

@@ -7,7 +7,9 @@
 
 use adec_loadgen::client::{get, post};
 use adec_loadgen::csv_rows;
-use adec_nn::{Activation, Checkpoint, Mlp, ParamStore};
+use adec_nn::checkpoint::reseal_checksum;
+use adec_nn::io::write_store;
+use adec_nn::{Activation, Checkpoint, Mlp, OptState, Optimizer, ParamStore, Sgd};
 use adec_tensor::{Matrix, SeedRng};
 use std::io::{BufRead, BufReader};
 use std::net::{Ipv4Addr, SocketAddr};
@@ -23,7 +25,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Writes a tiny trained-looking checkpoint to `path`.
+/// Writes a tiny trained-looking checkpoint, with SGD momentum for every
+/// parameter, to `path`.
 fn write_checkpoint(path: &Path, phase: &str, with_centroids: bool) {
     let mut rng = SeedRng::new(33);
     let mut store = ParamStore::new();
@@ -32,16 +35,52 @@ fn write_checkpoint(path: &Path, phase: &str, with_centroids: bool) {
     if with_centroids {
         store.register("dec.centroids", Matrix::randn(4, 3, 0.0, 1.0, &mut rng));
     }
+    let grads: Vec<_> = store
+        .iter()
+        .map(|(id, _, m)| (id, Matrix::randn(m.rows(), m.cols(), 0.0, 0.1, &mut rng)))
+        .collect();
+    let mut sgd = Sgd::new(0.01, 0.9);
+    sgd.step_grads(&mut store.clone(), &grads);
     let ck = Checkpoint {
         phase: phase.into(),
         iter: 5,
         rng: rng.export_state(),
         store,
-        opts: vec![],
+        opts: vec![OptState::capture_sgd(&sgd)],
         extra: vec![],
         profile: None,
     };
     ck.save_atomic(path).unwrap();
+}
+
+/// The bytes of the checkpoint at `path` with one bit flipped inside the
+/// weights, and with one flipped inside the optimizer state, which serve
+/// verifies but does not decode.
+fn corrupted_copies(path: &Path) -> [(&'static str, Vec<u8>); 2] {
+    let bytes = std::fs::read(path).unwrap();
+    let ck = Checkpoint::decode(&bytes).unwrap();
+    let mut blob = Vec::new();
+    write_store(&ck.store, &mut blob).unwrap();
+    // Header; phase (u32 length + name), iter, four RNG words, the
+    // Box–Muller flag and value, the store blob's u64 length; the blob.
+    let blob_at = 24 + 4 + ck.phase.len() + 8 + 32 + 5 + 8;
+    // The last byte of the blob is the top byte of the centroids' last
+    // value. Past the blob: optimizer count, SGD tag, lr, slot count, the
+    // first slot's flag and shape, then its momentum data.
+    let weight_at = blob_at + blob.len() - 1;
+    let momentum_at = blob_at + blob.len() + 4 + 1 + 4 + 4 + 1 + 8 + 2;
+    [("weights", weight_at), ("optimizer state", momentum_at)].map(|(what, at)| {
+        let mut bad = bytes.clone();
+        *bad.get_mut(at).unwrap() ^= 0x10;
+        // Resealed, the flip decodes and moves the weights only if it
+        // landed in them.
+        let mut resealed = bad.clone();
+        assert!(reseal_checksum(&mut resealed));
+        let mut moved = Vec::new();
+        write_store(&Checkpoint::decode(&resealed).unwrap().store, &mut moved).unwrap();
+        assert_eq!(moved != blob, what == "weights", "flip in the {what} missed it");
+        (what, bad)
+    })
 }
 
 /// Spawns `adec serve` on an ephemeral port and returns (child, addr).
@@ -114,6 +153,49 @@ fn serve_missing_checkpoint_exits_4() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn serve_corrupt_checkpoint_exits_4_naming_the_checksum() {
+    let dir = temp_dir("corrupt");
+    let ckpt = dir.join("dec.ckpt");
+    write_checkpoint(&ckpt, "dec", true);
+    for (what, bytes) in corrupted_copies(&ckpt) {
+        let bad = dir.join("bad.ckpt");
+        std::fs::write(&bad, bytes).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_adec"))
+            .args(["serve", "--checkpoint", bad.to_str().unwrap(), "--port", "0"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "flip in the {what}: {stderr}");
+        assert!(stderr.contains("checksum mismatch"), "flip in the {what}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reload_of_a_corrupt_checkpoint_is_refused_and_keeps_the_live_version() {
+    let dir = temp_dir("corrupt-reload");
+    let ckpt = dir.join("dec.ckpt");
+    write_checkpoint(&ckpt, "dec", true);
+    let copies = corrupted_copies(&ckpt);
+    // `adec serve` reloads from the path it booted from.
+    let (mut child, addr) = spawn_serve(&ckpt, &[]);
+    for (what, bytes) in copies {
+        std::fs::write(&ckpt, bytes).unwrap();
+        let (status, body) = post(addr, "/reload", b"").unwrap().unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 409, "flip in the {what}: {body}");
+        assert!(body.contains(r#""reason":"corrupt-checkpoint""#), "flip in the {what}: {body}");
+        assert!(body.contains("checksum mismatch"), "flip in the {what}: {body}");
+        let (_, readyz) = get(addr, "/readyz").unwrap();
+        let readyz = String::from_utf8(readyz).unwrap();
+        assert!(readyz.contains(r#""model_version":1,"#), "flip in the {what}: {readyz}");
+    }
+    assert_eq!(post(addr, "/shutdown", b"").unwrap().unwrap().0, 200);
+    assert_eq!(wait_with_deadline(&mut child, 30).code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -46,8 +46,29 @@
 //! a torn file that parses. Loads verify magic, version, length, and
 //! checksum before touching the payload and return a typed
 //! [`CheckpointError`] instead of misreading.
+//!
+//! The checksum is [`crc32`], a slicing-by-16 CRC: sixteen 256-entry
+//! tables built at compile time fold sixteen bytes per step, with the
+//! same IEEE polynomial and the same value as the bytewise table loop it
+//! replaced (its unit tests keep that loop as their reference). Encoding,
+//! decoding, [`reseal_checksum`], the serve reload stage and the
+//! checkpoint watcher all call it.
+//!
+//! Two decodes share one payload walker, which reads the in-memory image
+//! through exact-size, bounds-checked slices:
+//!
+//! - [`Checkpoint::decode`] / [`Checkpoint::load`] materialize everything.
+//!   Training resume uses them.
+//! - [`Checkpoint::decode_weights`] / [`Checkpoint::load_weights`] make
+//!   every check `decode` makes, the checksum over the whole payload and
+//!   the framing, flags and bounds of every optimizer slot table included,
+//!   but step over the slot data instead of decoding it, so `opts` comes
+//!   back empty. `adec serve` boots (`InferenceModel::load`) and stages hot
+//!   reloads (`ModelRegistry::stage`) through them: serving never reads
+//!   the optimizer state, which is half of a trained checkpoint. Every
+//!   byte string gets the same error variant from both.
 
-use crate::io::{read_store, u32_len, write_store};
+use crate::io::{read_store, u32_len, write_store, Cursor, Truncated};
 use crate::optim::{Adam, AdamState, Sgd, SgdState};
 use crate::profile::{ReferenceProfile, DISTANCE_QUANTILES};
 use crate::store::ParamStore;
@@ -155,11 +176,19 @@ fn malformed(msg: impl Into<String>) -> CheckpointError {
 }
 
 // ----------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected) — table-driven, built at compile time.
+// CRC32 (IEEE 802.3, reflected) — slicing-by-16, tables built at compile
+// time.
 // ----------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes [`crc32`] folds per step.
+const CRC_SLICE: usize = 16;
+
+/// `CRC_TABLES[0]` is the bytewise table: the register update for one
+/// input byte. `CRC_TABLES[k][b]` is that update followed by `k` zero
+/// bytes, so byte `j` of a 16-byte block goes through table `15 - j` and
+/// the block folds with sixteen independent lookups.
+const fn crc32_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut tables = [[0u32; 256]; CRC_SLICE];
     let mut i = 0usize;
     while i < 256 {
         // Byte values 0..=255 fit u32 exactly.
@@ -170,13 +199,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0usize;
+    while i < 256 {
+        let mut k = 1;
+        while k < CRC_SLICE {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
 
 /// Recomputes the header CRC over the current payload bytes of a full
 /// file image, in place. Returns `false` when `bytes` is too short to
@@ -193,11 +232,24 @@ pub fn reseal_checksum(bytes: &mut [u8]) -> bool {
     true
 }
 
-/// CRC32 (IEEE) of a byte slice — the payload integrity check.
+/// CRC32 (IEEE) of a byte slice — the payload integrity check. Sixteen
+/// bytes per step; a tail shorter than that goes a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(CRC_SLICE);
+    for block in &mut blocks {
+        let mut x = [0u8; CRC_SLICE];
+        x.copy_from_slice(block);
+        // The register folds into the block's first four bytes.
+        let head = c ^ u32::from_le_bytes([x[0], x[1], x[2], x[3]]);
+        x[..4].copy_from_slice(&head.to_le_bytes());
+        c = x
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    }
+    for &b in blocks.remainder() {
+        c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ b)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -271,7 +323,8 @@ pub struct Checkpoint {
     pub rng: RngState,
     /// Every parameter, in registration order.
     pub store: ParamStore,
-    /// Optimizer states, in the trainer's fixed order.
+    /// Optimizer states, in the trainer's fixed order. Empty when the
+    /// checkpoint was decoded by [`Checkpoint::decode_weights`].
     pub opts: Vec<OptState>,
     /// Trainer-specific loop state (previous assignments, counts, …)
     /// encoded as words by the trainer that owns the phase.
@@ -357,6 +410,21 @@ impl Checkpoint {
     /// [`Checkpoint::encode`], verifying magic, version, declared length,
     /// and checksum before decoding the payload.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        Checkpoint::decode_with(bytes, Slots::Keep)
+    }
+
+    /// [`Checkpoint::decode`] for serving, which never reads optimizer
+    /// state: the same checks, the checksum over the whole payload and
+    /// the framing, flags and bounds of every optimizer slot table
+    /// included, and the same error for every byte string, but the slot
+    /// data is stepped over, not decoded, and `opts` comes back empty.
+    /// Resuming from the result fails on the first
+    /// [`Checkpoint::opt`] with "missing optimizer state".
+    pub fn decode_weights(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        Checkpoint::decode_with(bytes, Slots::Skip)
+    }
+
+    fn decode_with(bytes: &[u8], slots: Slots) -> Result<Checkpoint, CheckpointError> {
         if bytes.len() < 8 {
             return Err(CheckpointError::Truncated);
         }
@@ -392,10 +460,11 @@ impl Checkpoint {
         if actual != expected {
             return Err(CheckpointError::BadChecksum { expected, actual });
         }
-        Checkpoint::decode_payload(body)
+        Checkpoint::decode_payload(body, slots)
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    /// The one payload walker behind both decodes.
+    fn decode_payload(payload: &[u8], slots: Slots) -> Result<Checkpoint, CheckpointError> {
         let mut cur = Cursor::new(payload);
         let phase_len = cur.u32()? as usize;
         if phase_len > 256 {
@@ -431,33 +500,40 @@ impl Checkpoint {
         if n_opts > 64 {
             return Err(malformed("optimizer count implausibly large"));
         }
-        let mut opts = Vec::with_capacity(n_opts);
+        let mut opts = Vec::new();
         for _ in 0..n_opts {
-            let tag = cur.u8()?;
-            match tag {
+            let opt = match cur.u8()? {
                 0 => {
                     let lr = cur.f32()?;
-                    let velocity = read_slots(&mut cur)?;
-                    opts.push(OptState::Sgd(SgdState { lr, velocity }));
+                    let velocity = read_slots(&mut cur, slots)?;
+                    OptState::Sgd(SgdState { lr, velocity })
                 }
                 1 => {
                     let lr = cur.f32()?;
                     let t = cur.u64()?;
-                    let m = read_slots(&mut cur)?;
-                    let v = read_slots(&mut cur)?;
-                    opts.push(OptState::Adam(AdamState { lr, m, v, t }));
+                    let m = read_slots(&mut cur, slots)?;
+                    let v = read_slots(&mut cur, slots)?;
+                    OptState::Adam(AdamState { lr, m, v, t })
                 }
                 other => return Err(malformed(format!("unknown optimizer tag {other}"))),
+            };
+            if slots == Slots::Keep {
+                opts.push(opt);
             }
         }
         let n_extra = cur.u32()? as usize;
         if n_extra > 1 << 24 {
             return Err(malformed("extra word count implausibly large"));
         }
-        let mut extra = Vec::with_capacity(n_extra);
-        for _ in 0..n_extra {
-            extra.push(cur.u64()?);
-        }
+        let extra = cur
+            .take(n_extra * 8)?
+            .chunks_exact(8)
+            .map(|w| {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(w);
+                u64::from_le_bytes(word)
+            })
+            .collect();
         // Optional trailing section: the cursor ending exactly here is the
         // pre-profile format; anything else must be a whole profile.
         let profile = if cur.done() { None } else { Some(read_profile(&mut cur)?) };
@@ -528,10 +604,20 @@ impl Checkpoint {
 
     /// Loads and verifies a checkpoint file.
     pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
-        let path = path.as_ref();
+        Checkpoint::load_with(path.as_ref(), Slots::Keep)
+    }
+
+    /// Loads and verifies a checkpoint file through
+    /// [`Checkpoint::decode_weights`]: what serving needs, `opts` empty.
+    pub fn load_weights(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
+        Checkpoint::load_with(path.as_ref(), Slots::Skip)
+    }
+
+    /// Reads the file, decodes it, and emits `checkpoint.load`.
+    fn load_with(path: &Path, slots: Slots) -> Result<Checkpoint, CheckpointError> {
         let result = std::fs::read(path)
             .map_err(CheckpointError::Io)
-            .and_then(|bytes| Checkpoint::decode(&bytes));
+            .and_then(|bytes| Checkpoint::decode_with(&bytes, slots));
         match &result {
             Ok(ckpt) => adec_obs::emit(
                 adec_obs::Event::new(adec_obs::Level::Info, "checkpoint.load")
@@ -644,11 +730,7 @@ fn read_f32s(cur: &mut Cursor<'_>, what: &str, max: usize) -> Result<Vec<f32>, C
     if n > max {
         return Err(malformed(format!("profile {what} length implausibly large")));
     }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.f32()?);
-    }
-    Ok(out)
+    Ok(cur.f32s(n)?)
 }
 
 fn write_profile(out: &mut Vec<u8>, profile: &ReferenceProfile) {
@@ -705,79 +787,52 @@ fn read_profile(cur: &mut Cursor<'_>) -> Result<ReferenceProfile, CheckpointErro
     Ok(profile)
 }
 
-fn read_slots(cur: &mut Cursor<'_>) -> Result<Vec<Option<Matrix>>, CheckpointError> {
+/// Whether the payload walker materializes optimizer slot tables or only
+/// checks and steps over them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slots {
+    Keep,
+    Skip,
+}
+
+/// Reads one slot table. Every slot's flag and shape is checked, and its
+/// data must be present, whether it is kept or skipped; a skipped table
+/// comes back empty.
+fn read_slots(cur: &mut Cursor<'_>, slots: Slots) -> Result<Vec<Option<Matrix>>, CheckpointError> {
     let n = cur.u32()? as usize;
     if n > 1 << 20 {
         return Err(malformed("slot count implausibly large"));
     }
-    let mut slots = Vec::with_capacity(n);
+    let mut out = Vec::new();
     for _ in 0..n {
-        match cur.u8()? {
-            0 => slots.push(None),
+        let slot = match cur.u8()? {
+            0 => None,
             1 => {
                 let rows = cur.u32()? as usize;
                 let cols = cur.u32()? as usize;
                 if rows.saturating_mul(cols) > 1 << 28 {
                     return Err(malformed("slot tensor too large"));
                 }
-                // Bounds-check against the remaining buffer *before*
-                // allocating, so a forged shape cannot balloon memory.
-                let raw = cur.take(rows * cols * 4)?;
-                let mut data = Vec::with_capacity(rows * cols);
-                for chunk in raw.chunks_exact(4) {
-                    data.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
+                match slots {
+                    Slots::Keep => Some(Matrix::from_vec(rows, cols, cur.f32s(rows * cols)?)),
+                    Slots::Skip => {
+                        cur.take(rows * cols * 4)?;
+                        None
+                    }
                 }
-                slots.push(Some(Matrix::from_vec(rows, cols, data)));
             }
             other => return Err(malformed(format!("bad slot flag {other}"))),
+        };
+        if slots == Slots::Keep {
+            out.push(slot);
         }
     }
-    Ok(slots)
+    Ok(out)
 }
 
-/// Bounds-checked little-endian reader over an in-memory payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> CheckpointError {
+        CheckpointError::Truncated
     }
 }
 
@@ -1107,10 +1162,72 @@ mod tests {
         assert!(matches!(broken.encode(), Err(CheckpointError::Malformed(_))));
     }
 
+    /// The bytewise table loop the sliced [`crc32`] replaced, kept as its
+    /// reference. Table 0 is pinned by the check value below.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn random_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = SeedRng::new(seed);
+        (0..n).map(|_| rng.below(256).to_le_bytes()[0]).collect()
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        // Every length 0–300 at every start offset 0–15: each tail length
+        // and each alignment of the 16-byte blocks.
+        let buf = random_bytes(316, 5);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let slice = &buf[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+        let big = random_bytes((3 << 20) + 7, 6);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn encoder_seals_with_the_bytewise_value() {
+        // The header CRC the encoder writes is the bytewise loop's value,
+        // so checkpoints written before the sliced CRC load now, and ones
+        // written now load in a build with the bytewise loop.
+        let mut ck = sample_checkpoint();
+        ck.profile = Some(sample_profile());
+        let bytes = ck.encode().unwrap();
+        let sealed = u32::from_le_bytes([bytes[20], bytes[21], bytes[22], bytes[23]]);
+        assert_eq!(sealed, crc32_bytewise(&bytes[HEADER_LEN..]));
+    }
+
+    #[test]
+    fn weights_only_decode_keeps_everything_but_the_optimizer_state() {
+        let mut ck = sample_checkpoint();
+        ck.profile = Some(sample_profile());
+        let bytes = ck.encode().unwrap();
+        let weights = Checkpoint::decode_weights(&bytes).unwrap();
+        assert!(weights.opts.is_empty());
+        let mut expected = ck.clone();
+        expected.opts.clear();
+        assert_checkpoints_equal(&weights, &expected);
+        // A resume handed a weights-only decode fails typed.
+        match weights.opt(0) {
+            Err(CheckpointError::Malformed(msg)) => {
+                assert!(msg.contains("missing optimizer state"), "{msg}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 }

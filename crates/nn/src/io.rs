@@ -15,7 +15,7 @@
 
 use crate::store::{ParamId, ParamStore};
 use adec_tensor::Matrix;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ADECPS01";
@@ -67,78 +67,115 @@ pub fn write_store<W: Write>(store: &ParamStore, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserializes a store previously written with [`write_store`].
+/// Deserializes a store previously written with [`write_store`], from the
+/// whole blob in memory.
 ///
 /// Parameter ids are assigned in file order, so a store saved and reloaded
 /// in the same program structure keeps its ids stable.
 ///
-/// The parser is hardened against malformed input: truncated streams,
-/// absurd header values (a forged dimension header never allocates more
-/// than the bytes actually present in the stream), and trailing bytes
+/// The parser is hardened against malformed input: truncated blobs, absurd
+/// header values (each tensor is decoded from an exact-size slice taken
+/// only after the bytes it needs are known to be present, so a forged
+/// dimension header never allocates past the blob), and trailing bytes
 /// after the last parameter all fail with [`io::ErrorKind::InvalidData`]
 /// or [`io::ErrorKind::UnexpectedEof`] rather than panicking, aborting on
 /// allocation, or silently succeeding.
-pub fn read_store<R: Read>(mut r: R) -> io::Result<ParamStore> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an ADEC parameter store (bad magic)",
-        ));
+pub fn read_store(bytes: &[u8]) -> io::Result<ParamStore> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut cur = Cursor::new(bytes);
+    if cur.take(MAGIC.len())? != MAGIC {
+        return Err(invalid("not an ADEC parameter store (bad magic)"));
     }
-    let count = read_u32(&mut r)? as usize;
+    let count = cur.u32()? as usize;
     if count > 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "parameter count implausibly large",
-        ));
+        return Err(invalid("parameter count implausibly large"));
     }
     let mut store = ParamStore::new();
     for _ in 0..count {
-        let name_len = read_u32(&mut r)? as usize;
+        let name_len = cur.u32()? as usize;
         if name_len > 1 << 20 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "name too long"));
+            return Err(invalid("name too long"));
         }
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let rows = read_u32(&mut r)? as usize;
-        let cols = read_u32(&mut r)? as usize;
+        let name = std::str::from_utf8(cur.take(name_len)?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .to_owned();
+        let rows = cur.u32()? as usize;
+        let cols = cur.u32()? as usize;
         if rows.saturating_mul(cols) > 1 << 28 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "tensor too large"));
+            return Err(invalid("tensor too large"));
         }
-        // Decode through a bounded scratch buffer so the data vector only
-        // grows as bytes actually arrive — a forged header claiming 2^28
-        // elements costs nothing unless the stream really contains them.
-        let mut data: Vec<f32> = Vec::new();
-        let mut buf = [0u8; 4096];
-        let mut remaining = rows * cols * 4;
-        while remaining > 0 {
-            let take = remaining.min(buf.len());
-            r.read_exact(&mut buf[..take])?;
-            for chunk in buf[..take].chunks_exact(4) {
-                data.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-            }
-            remaining -= take;
-        }
-        store.register(name, Matrix::from_vec(rows, cols, data));
+        store.register(name, Matrix::from_vec(rows, cols, cur.f32s(rows * cols)?));
     }
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trailing bytes after last parameter",
-        ));
+    if !cur.done() {
+        return Err(invalid("trailing bytes after last parameter"));
     }
     Ok(store)
 }
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+/// The input ended before a field it announced.
+#[derive(Debug)]
+pub(crate) struct Truncated;
+
+impl From<Truncated> for io::Error {
+    fn from(_: Truncated) -> io::Error {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "store blob truncated")
+    }
+}
+
+/// Bounds-checked little-endian reader over an in-memory blob: the one
+/// cursor behind both the store format here and the checkpoint payload.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes, or [`Truncated`] (consuming nothing) when fewer
+    /// remain.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        let end = self.pos.checked_add(n).ok_or(Truncated)?;
+        let out = self.buf.get(self.pos..end).ok_or(Truncated)?;
+        self.pos = end;
+        Ok(out)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, Truncated> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, Truncated> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, Truncated> {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    pub(crate) fn f32(&mut self) -> Result<f32, Truncated> {
+        Ok(f32::from_bits(self.u32()?))
+    }
+
+    /// The next `n` little-endian `f32`s, decoded into one exact-size
+    /// vector. The bytes are taken first, so a forged `n` fails without
+    /// allocating.
+    pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, Truncated> {
+        let raw = self.take(n.checked_mul(4).ok_or(Truncated)?)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
+    pub(crate) fn done(&self) -> bool {
+        self.pos == self.buf.len()
+    }
 }
 
 /// Saves a store to a file path.
@@ -147,10 +184,9 @@ pub fn save_store(store: &ParamStore, path: impl AsRef<Path>) -> io::Result<()> 
     write_store(store, io::BufWriter::new(file))
 }
 
-/// Loads a store from a file path.
+/// Loads a store from a file path: reads the whole file, then decodes it.
 pub fn load_store(path: impl AsRef<Path>) -> io::Result<ParamStore> {
-    let file = std::fs::File::open(path)?;
-    read_store(io::BufReader::new(file))
+    read_store(&std::fs::read(path)?)
 }
 
 /// Copies values from `src` into `dst` for every id in `ids`, in order —
@@ -247,8 +283,8 @@ mod tests {
     #[test]
     fn plausible_header_with_missing_data_fails_without_big_alloc() {
         // Dimensions pass the cap (2^20 × 16 = 2^24 elements) but the
-        // stream ends immediately; incremental decode hits EOF after one
-        // scratch-buffer read instead of allocating 64 MiB upfront.
+        // blob ends immediately; the exact-size slice is refused before
+        // any of the 64 MiB is allocated.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());

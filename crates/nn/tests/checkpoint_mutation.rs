@@ -7,44 +7,94 @@
 //! distinguish, e.g. in ignored padding — there are none today) a valid
 //! checkpoint. Nothing may panic, and a failed `load` must never leave a
 //! partially-restored [`ParamStore`] behind.
+//!
+//! The checkpoint carries SGD and Adam state and a reference profile, so
+//! mutations land in the optimizer slot tables and the profile section
+//! too, and every case runs through both [`Checkpoint::decode`] and the
+//! weights-only [`Checkpoint::decode_weights`], which must agree on the
+//! error. A resealed pass recomputes the checksum after each flip, so the
+//! payload walker itself meets the damage.
 
 // Test code: unwraps are the assertions themselves here.
 #![allow(clippy::unwrap_used, clippy::panic)]
 
-use adec_nn::{Activation, Checkpoint, CheckpointError, Mlp, ParamStore};
+use adec_nn::checkpoint::reseal_checksum;
+use adec_nn::{
+    soft_assignment, Activation, Adam, Checkpoint, CheckpointError, Mlp, OptState, Optimizer,
+    ParamStore, ReferenceProfile, Sgd,
+};
 use adec_tensor::{Matrix, SeedRng};
 
-/// A checkpoint with some of everything: params, optimizer state, RNG
-/// cache, extra words.
+/// A checkpoint with some of everything: params, SGD and Adam state, RNG
+/// cache, extra words, and a reference profile.
 fn make_checkpoint() -> (Checkpoint, ParamStore) {
     let mut rng = SeedRng::new(77);
     // Burn a normal so the checkpoint carries a cached gaussian word.
     let _ = rng.standard_normal();
     let mut store = ParamStore::new();
     Mlp::new(&mut store, &[5, 4, 2], Activation::Relu, Activation::Linear, &mut rng);
-    store.register("dec.centroids", Matrix::randn(3, 2, 0.0, 1.0, &mut rng));
+    let mu = store.register("dec.centroids", Matrix::randn(3, 2, 0.0, 1.0, &mut rng));
+    // Step both optimizers so every kind of slot table holds real data;
+    // the centroids get no gradient, so each table has an absent slot.
+    let grads: Vec<_> = store
+        .iter()
+        .filter(|&(id, _, _)| id != mu)
+        .map(|(id, _, m)| (id, Matrix::randn(m.rows(), m.cols(), 0.0, 0.1, &mut rng)))
+        .collect();
+    let mut sgd = Sgd::new(0.01, 0.9);
+    let mut adam = Adam::new(1e-3);
+    let mut scratch = store.clone();
+    sgd.step_grads(&mut scratch, &grads);
+    adam.step_grads(&mut scratch, &grads);
+    let z = Matrix::randn(24, 2, 0.0, 1.0, &mut rng);
+    let q = soft_assignment(&z, store.get(mu), 1.0);
+    let profile = ReferenceProfile::compute(&z, &q, store.get(mu));
     let ck = Checkpoint {
         phase: "dec".into(),
         iter: 42,
         rng: rng.export_state(),
         store: store.clone(),
-        opts: vec![],
+        opts: vec![OptState::capture_sgd(&sgd), OptState::capture_adam(&adam)],
         extra: vec![9, 8, 7],
-        profile: None,
+        profile: Some(profile),
     };
     (ck, store)
 }
 
-/// A decode that fails must be a typed error, never a panic. Returns the
-/// error for classification. (A decode that *succeeds* under mutation is
-/// only acceptable if the bytes were actually unchanged.)
-fn decode_must_be_total(bytes: &[u8], original: &[u8]) -> Option<CheckpointError> {
-    match Checkpoint::decode(bytes) {
-        Err(e) => {
+/// Decodes `bytes` both ways. They must agree: the same error variant and
+/// message, or both succeed with the same weights, `decode_weights`
+/// without the optimizer state. Returns the shared result.
+fn decode_both(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let full = Checkpoint::decode(bytes);
+    let weights = Checkpoint::decode_weights(bytes);
+    match (&full, &weights) {
+        (Err(a), Err(b)) => {
+            assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "decode gave {a:?}, decode_weights gave {b:?}"
+            );
             // The Display impl must be total too (it feeds CLI errors).
-            let _ = e.to_string();
-            Some(e)
+            assert_eq!(a.to_string(), b.to_string());
         }
+        (Ok(a), Ok(b)) => {
+            assert!(b.opts.is_empty(), "decode_weights kept optimizer state");
+            let mut a = a.clone();
+            a.opts.clear();
+            assert_eq!(a.encode().unwrap(), b.encode().unwrap());
+        }
+        _ => panic!("decode gave {full:?}, decode_weights gave {weights:?}"),
+    }
+    full
+}
+
+/// A decode that fails must be a typed error, never a panic, and the
+/// same from both decoders. Returns the error for classification. (A
+/// decode that *succeeds* under mutation is only acceptable if the bytes
+/// were actually unchanged.)
+fn decode_must_be_total(bytes: &[u8], original: &[u8]) -> Option<CheckpointError> {
+    match decode_both(bytes) {
+        Err(e) => Some(e),
         Ok(_) => {
             assert_eq!(
                 bytes, original,
@@ -59,7 +109,7 @@ fn decode_must_be_total(bytes: &[u8], original: &[u8]) -> Option<CheckpointError
 fn every_truncation_length_errors_cleanly() {
     let (ck, _) = make_checkpoint();
     let bytes = ck.encode().unwrap();
-    assert!(Checkpoint::decode(&bytes).is_ok());
+    assert!(decode_both(&bytes).is_ok());
     // Every proper prefix, byte by byte — including the empty file.
     for cut in 0..bytes.len() {
         let prefix = bytes.get(..cut).unwrap();
@@ -112,6 +162,39 @@ fn every_single_byte_zeroing_errors_cleanly() {
 }
 
 #[test]
+fn resealed_flips_reach_the_payload_walker() {
+    // Every bit of every byte, with the checksum recomputed afterwards:
+    // the damage gets past the CRC, so the walker's own framing, flag and
+    // bounds checks must catch what they can, identically in both modes.
+    let (ck, _) = make_checkpoint();
+    let bytes = ck.encode().unwrap();
+    let mut bad_slot_flags = 0usize;
+    let mut overlong_fields = 0usize;
+    let mut decoded = 0usize;
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut mutated = bytes.clone();
+            *mutated.get_mut(pos).unwrap() ^= 1 << bit;
+            assert!(reseal_checksum(&mut mutated));
+            match decode_both(&mutated) {
+                Ok(_) => decoded += 1,
+                Err(CheckpointError::Malformed(msg)) if msg.starts_with("bad slot flag") => {
+                    bad_slot_flags += 1;
+                }
+                Err(CheckpointError::Truncated) => overlong_fields += 1,
+                Err(_) => {}
+            }
+        }
+    }
+    // Flips in float data decode (to other values); flag flips, and
+    // lengths or shapes claiming more data than the payload holds, must
+    // not.
+    assert!(decoded > 0);
+    assert!(bad_slot_flags > 0, "no flip reached a slot flag");
+    assert!(overlong_fields > 0, "no flip forged an overlong field");
+}
+
+#[test]
 fn failed_restore_never_partially_applies() {
     let (ck, template) = make_checkpoint();
     // A live store with the right names/shapes but different values.
@@ -139,9 +222,22 @@ fn failed_restore_never_partially_applies() {
     assert_eq!(restored, expected);
 }
 
+/// Loads `path` both ways; they must agree on the error variant.
+fn load_both(path: &std::path::Path) -> Result<Checkpoint, CheckpointError> {
+    let full = Checkpoint::load(path);
+    let weights = Checkpoint::load_weights(path);
+    match (&full, &weights) {
+        (Err(a), Err(b)) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
+        (Ok(_), Ok(_)) => {}
+        _ => panic!("load gave {full:?}, load_weights gave {weights:?}"),
+    }
+    full
+}
+
 #[test]
 fn mutated_files_on_disk_error_cleanly_via_load() {
-    // The same guarantee through the file-based path the CLI uses.
+    // The same guarantee through the file-based paths the CLI (`load`)
+    // and serve (`load_weights`) use.
     let (ck, _) = make_checkpoint();
     let dir = std::env::temp_dir().join(format!("adec-ckpt-mutation-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -152,7 +248,7 @@ fn mutated_files_on_disk_error_cleanly_via_load() {
     for _ in 0..20 {
         let cut = rng.below(bytes.len());
         std::fs::write(&path, bytes.get(..cut).unwrap()).unwrap();
-        assert!(Checkpoint::load(&path).is_err(), "prefix {cut} loaded");
+        assert!(load_both(&path).is_err(), "prefix {cut} loaded");
     }
     for _ in 0..20 {
         let pos = rng.below(bytes.len());
@@ -161,7 +257,7 @@ fn mutated_files_on_disk_error_cleanly_via_load() {
             *b = b.wrapping_add(1 + rng.below(255) as u8);
         }
         std::fs::write(&path, &mutated).unwrap();
-        match Checkpoint::load(&path) {
+        match load_both(&path) {
             Err(e) => {
                 let _ = e.to_string();
             }

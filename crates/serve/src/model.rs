@@ -332,14 +332,16 @@ pub struct InferenceModel {
 }
 
 impl InferenceModel {
-    /// Reads and verifies a checkpoint file, then builds the model.
+    /// Reads and verifies a checkpoint file, then builds the model. The
+    /// optimizer state is verified but not decoded
+    /// ([`Checkpoint::load_weights`]).
     ///
     /// # Errors
     ///
     /// [`ModelError::Checkpoint`] on unreadable/corrupt files, otherwise
     /// the errors of [`InferenceModel::from_checkpoint`].
     pub fn load(path: impl AsRef<Path>, alpha: f32) -> Result<InferenceModel, ModelError> {
-        let ck = Checkpoint::load(path)?;
+        let ck = Checkpoint::load_weights(path)?;
         InferenceModel::from_checkpoint(&ck, alpha)
     }
 

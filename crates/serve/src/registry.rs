@@ -6,10 +6,12 @@
 //! no observable torn version/weights pair, ever.
 //!
 //! A reload is **staged**: the candidate checkpoint is read, CRC-verified
-//! ([`Checkpoint::decode`]), rebuilt into an [`InferenceModel`], re-checked
-//! against the architecture validator ([`adec_analysis::ArchSpec`]) and a
-//! serving-compatibility gate (same input width, latent width, and cluster
-//! count as the live model), and only then swapped in. Any failure on that
+//! and decoded without its optimizer state
+//! ([`Checkpoint::decode_weights`]), rebuilt into an [`InferenceModel`],
+//! re-checked against the architecture validator
+//! ([`adec_analysis::ArchSpec`]) and a serving-compatibility gate (same
+//! input width, latent width, and cluster count as the live model), and
+//! only then swapped in. Any failure on that
 //! path refuses the reload with a typed [`ReloadError`] and a
 //! `serve.reload.refused` event — the live `Arc` is never touched.
 //!
@@ -228,7 +230,9 @@ impl ModelRegistry {
     fn stage(&self, path: &Path, source: &str) -> Result<ModelVersion, ReloadError> {
         let bytes = std::fs::read(path).map_err(ReloadError::Io)?;
         let checksum = crc32(&bytes);
-        let ck = Checkpoint::decode(&bytes).map_err(ReloadError::Checkpoint)?;
+        let ck = Checkpoint::decode_weights(&bytes).map_err(ReloadError::Checkpoint)?;
+        // Free the file image before the model build packs its weights.
+        drop(bytes);
         let model = InferenceModel::from_checkpoint(&ck, self.alpha).map_err(ReloadError::Model)?;
         let report = arch_spec_of(&model).validate();
         if !report.is_pass() {

@@ -113,6 +113,24 @@ class KernelsMode(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertTrue(failures[0].startswith("matmul/paper/scalar:"))
 
+    def test_bytewise_speed_crc32_fails(self):
+        # The sliced checksum is gated like a packed gemm: a fresh entry
+        # back at the bytewise loop's speed (~5x slower) fails.
+        def crc_doc(ns_crc):
+            return {"schema": bc.KERNELS_SCHEMA, "isa": "avx2", "entries": [
+                {"name": "crc32", "tier": "payload", "isa": "scalar",
+                 "shape": [8388608], "ns_per_op": ns_crc,
+                 "gb_per_s": 8388608 / ns_crc},
+            ]}
+        rows, failures = quiet(bc.compare_kernels, crc_doc(5_000_000),
+                               crc_doc(6_000_000))
+        self.assertEqual(failures, [])
+        self.assertEqual([r["name"] for r in rows], ["crc32"])
+        _, failures = quiet(bc.compare_kernels, crc_doc(5_000_000),
+                            crc_doc(25_000_000))
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith("crc32/payload/scalar:"))
+
 
 class KernelsPerIsaLevel(unittest.TestCase):
     def test_entry_without_isa_reads_as_scalar(self):
