@@ -9,7 +9,11 @@ use adec_loadgen::client::{get, post};
 use adec_loadgen::csv_rows;
 use adec_nn::checkpoint::reseal_checksum;
 use adec_nn::io::write_store;
-use adec_nn::{Activation, Checkpoint, Mlp, OptState, Optimizer, ParamStore, Sgd};
+use adec_nn::{
+    soft_assignment, Activation, Checkpoint, Mlp, OptState, Optimizer, ParamStore,
+    ReferenceProfile, Sgd,
+};
+use adec_tensor::kernels::NR;
 use adec_tensor::{Matrix, SeedRng};
 use std::io::{BufRead, BufReader};
 use std::net::{Ipv4Addr, SocketAddr};
@@ -223,4 +227,109 @@ fn serve_usage_errors_exit_2() {
         let out = Command::new(env!("CARGO_BIN_EXE_adec")).args(&bad).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
     }
+}
+
+/// The encoder widths of the paper tier, d–500–500–2000–10 (Mrabah et al.,
+/// and VaDE before them), at a data width of 784.
+const PAPER_DIMS: [usize; 5] = [784, 500, 500, 2000, 10];
+
+/// Writes a checkpoint shaped like a paper-tier ADEC run, from seeded
+/// weights: encoder, mirror decoder, centroids, SGD velocity for every
+/// tensor, and a reference profile. Returns the bytes its two served
+/// networks take once packed into the gemm's `NR`-wide panels.
+fn write_paper_checkpoint(path: &Path) -> u64 {
+    let mut rng = SeedRng::new(47);
+    let mut store = ParamStore::new();
+    let encoder = Mlp::new(&mut store, &PAPER_DIMS, Activation::Relu, Activation::Linear, &mut rng);
+    let mut mirror = PAPER_DIMS;
+    mirror.reverse();
+    Mlp::new(&mut store, &mirror, Activation::Relu, Activation::Linear, &mut rng);
+    let latent = PAPER_DIMS[4];
+    let mu = store.register("adec.centroids", Matrix::randn(10, latent, 0.0, 1.0, &mut rng));
+    let packed = store
+        .iter()
+        .filter(|(_, name, _)| name.ends_with(".w"))
+        .map(|(_, _, w)| (w.rows() * w.cols().div_ceil(NR) * NR * 4) as u64)
+        .sum();
+    let grads: Vec<_> = store
+        .iter()
+        .map(|(id, _, m)| (id, Matrix::full(m.rows(), m.cols(), 0.01)))
+        .collect();
+    let mut sgd = Sgd::new(0.01, 0.9);
+    sgd.step_grads(&mut store.clone(), &grads);
+    let x = Matrix::randn(64, PAPER_DIMS[0], 0.0, 1.0, &mut rng);
+    let z = encoder.infer(&store, &x);
+    let q = soft_assignment(&z, store.get(mu), 1.0);
+    let profile = ReferenceProfile::compute(&z, &q, store.get(mu));
+    let ck = Checkpoint {
+        phase: "adec".into(),
+        iter: 20,
+        rng: rng.export_state(),
+        store,
+        opts: vec![OptState::capture_sgd(&sgd)],
+        extra: vec![],
+        profile: Some(profile),
+    };
+    ck.save_atomic(path).unwrap();
+    packed
+}
+
+/// A `kB` field of `/proc/<pid>/status`, in bytes, where the platform
+/// reports it.
+fn status_bytes(pid: u32, key: &str) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib * 1024)
+}
+
+fn shutdown(mut child: Child, addr: SocketAddr) {
+    assert_eq!(post(addr, "/shutdown", b"").unwrap().unwrap().0, 200);
+    assert_eq!(wait_with_deadline(&mut child, 60).code(), Some(0));
+}
+
+#[test]
+fn serve_boots_and_reloads_in_bounded_memory() {
+    let dir = temp_dir("memory");
+    let tiny = dir.join("tiny.ckpt");
+    write_checkpoint(&tiny, "dec", true);
+    let paper = dir.join("paper.ckpt");
+    let packed = write_paper_checkpoint(&paper);
+    let file = std::fs::metadata(&paper).unwrap().len();
+
+    // The process's own footprint: the boot peak on a tiny checkpoint.
+    let (child, addr) = spawn_serve(&tiny, &[]);
+    let base = status_bytes(child.id(), "VmHWM");
+    shutdown(child, addr);
+    let Some(base) = base else {
+        let _ = std::fs::remove_dir_all(&dir);
+        return; // no /proc/<pid>/status on this platform
+    };
+
+    // Booting streams the file through a fixed window and packs each
+    // served layer as it releases its raw weight, so the peak stays well
+    // under the file: the packed networks are about half of it, since
+    // the optimizer state is verified but never decoded.
+    let (child, addr) = spawn_serve(&paper, &[]);
+    let boot = status_bytes(child.id(), "VmHWM").unwrap().saturating_sub(base);
+    let bound = file * 4 / 5;
+    assert!(boot < bound, "boot peak {boot} B over the tiny boot, bound 0.8 x {file} B file = {bound} B");
+
+    // A retired version keeps a record, not its weights: reloads do not
+    // accumulate packed networks.
+    let mut after_two = 0;
+    for i in 1..=10 {
+        let (status, body) = post(addr, "/reload", b"").unwrap().unwrap();
+        assert_eq!(status, 200, "reload {i}: {}", String::from_utf8_lossy(&body));
+        if i == 2 {
+            after_two = status_bytes(child.id(), "VmRSS").unwrap();
+        }
+    }
+    let after_ten = status_bytes(child.id(), "VmRSS").unwrap();
+    assert!(
+        after_ten <= after_two + packed,
+        "RSS {after_two} B after 2 reloads, {after_ten} B after 10; one packed network is {packed} B"
+    );
+    shutdown(child, addr);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -38,7 +38,7 @@ fn sample_model(seed: u64) -> InferenceModel {
         extra: vec![],
         profile: None,
     };
-    InferenceModel::from_checkpoint(&ck, 1.0).unwrap()
+    InferenceModel::from_checkpoint(ck, 1.0).unwrap()
 }
 
 #[test]

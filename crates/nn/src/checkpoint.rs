@@ -50,12 +50,25 @@
 //! The checksum is [`crc32`], a slicing-by-16 CRC: sixteen 256-entry
 //! tables built at compile time fold sixteen bytes per step, with the
 //! same IEEE polynomial and the same value as the bytewise table loop it
-//! replaced (its unit tests keep that loop as their reference). Encoding,
-//! decoding, [`reseal_checksum`], the serve reload stage and the
-//! checkpoint watcher all call it.
+//! replaced (its unit tests keep that loop as their reference). A running
+//! form of it (update, then finish, same values at any split) checks a
+//! streamed load; encoding, [`reseal_checksum`] and tests call the
+//! one-shot function.
 //!
-//! Two decodes share one payload walker, which reads the in-memory image
-//! through exact-size, bounds-checked slices:
+//! Every decode and load runs one payload walker over a stream, through
+//! the bounds-checked reader of [`crate::io`]: [`Checkpoint::decode`] and
+//! [`Checkpoint::decode_weights`] over a slice, [`Checkpoint::load`],
+//! [`Checkpoint::load_weights`] and [`Checkpoint::read_weights`] over the
+//! file through a 64 KB read window, so a load never holds the file
+//! image: what is resident during a load is the window and what the
+//! walker decodes. The reader folds every payload byte, the skipped
+//! optimizer slots included, into a running CRC, and a second one seeded
+//! with the header gives the whole file's CRC in the same pass. Errors
+//! keep the format's order: the header, then a stream shorter or longer
+//! than the declared payload, then the checksum, then the walker's own
+//! error (a failing walker has the rest of the payload drained through
+//! the CRC first); nothing is returned before the whole payload's CRC
+//! matches.
 //!
 //! - [`Checkpoint::decode`] / [`Checkpoint::load`] materialize everything.
 //!   Training resume uses them.
@@ -63,17 +76,17 @@
 //!   every check `decode` makes, the checksum over the whole payload and
 //!   the framing, flags and bounds of every optimizer slot table included,
 //!   but step over the slot data instead of decoding it, so `opts` comes
-//!   back empty. `adec serve` boots (`InferenceModel::load`) and stages hot
-//!   reloads (`ModelRegistry::stage`) through them: serving never reads
-//!   the optimizer state, which is half of a trained checkpoint. Every
-//!   byte string gets the same error variant from both.
+//!   back empty. `adec serve` boots through `load_weights` and stages hot
+//!   reloads through [`Checkpoint::read_weights`]: serving never reads the
+//!   optimizer state, which is half of a trained checkpoint. Every byte
+//!   string gets the same error variant from all of them.
 
-use crate::io::{read_store, u32_len, write_store, Cursor, Truncated};
+use crate::io::{u32_len, walk_store, write_store, Reader, Short, StoreError, READ_WINDOW};
 use crate::optim::{Adam, AdamState, Sgd, SgdState};
 use crate::profile::{ReferenceProfile, DISTANCE_QUANTILES};
 use crate::store::ParamStore;
 use adec_tensor::{Matrix, RngState};
-use std::io::{self, Write};
+use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ADECCKP1";
@@ -232,26 +245,49 @@ pub fn reseal_checksum(bytes: &mut [u8]) -> bool {
     true
 }
 
-/// CRC32 (IEEE) of a byte slice — the payload integrity check. Sixteen
-/// bytes per step; a tail shorter than that goes a byte at a time.
+/// CRC32 (IEEE) of a byte slice — the payload integrity check.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = bytes.chunks_exact(CRC_SLICE);
-    for block in &mut blocks {
-        let mut x = [0u8; CRC_SLICE];
-        x.copy_from_slice(block);
-        // The register folds into the block's first four bytes.
-        let head = c ^ u32::from_le_bytes([x[0], x[1], x[2], x[3]]);
-        x[..4].copy_from_slice(&head.to_le_bytes());
-        c = x
-            .iter()
-            .zip(CRC_TABLES.iter().rev())
-            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A running CRC32 (IEEE): [`crc32`] split into `update` and `finish`.
+/// Folding a byte string in any number of pieces, split anywhere, gives
+/// the one-shot value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
     }
-    for &b in blocks.remainder() {
-        c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ b)] ^ (c >> 8);
+
+    /// Folds `bytes` in: sixteen per step, a tail shorter than that a
+    /// byte at a time.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.0;
+        let mut blocks = bytes.chunks_exact(CRC_SLICE);
+        for block in &mut blocks {
+            let mut x = [0u8; CRC_SLICE];
+            x.copy_from_slice(block);
+            // The register folds into the block's first four bytes.
+            let head = c ^ u32::from_le_bytes([x[0], x[1], x[2], x[3]]);
+            x[..4].copy_from_slice(&head.to_le_bytes());
+            c = x
+                .iter()
+                .zip(CRC_TABLES.iter().rev())
+                .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+        }
+        for &b in blocks.remainder() {
+            c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ b)] ^ (c >> 8);
+        }
+        self.0 = c;
     }
-    c ^ 0xFFFF_FFFF
+
+    pub(crate) fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -408,9 +444,9 @@ impl Checkpoint {
 
     /// Parses a full file image previously produced by
     /// [`Checkpoint::encode`], verifying magic, version, declared length,
-    /// and checksum before decoding the payload.
+    /// and checksum before returning the payload.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::decode_with(bytes, Slots::Keep)
+        first(Checkpoint::read(bytes, Slots::Keep))
     }
 
     /// [`Checkpoint::decode`] for serving, which never reads optimizer
@@ -421,134 +457,40 @@ impl Checkpoint {
     /// Resuming from the result fails on the first
     /// [`Checkpoint::opt`] with "missing optimizer state".
     pub fn decode_weights(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::decode_with(bytes, Slots::Skip)
+        first(Checkpoint::read(bytes, Slots::Skip))
     }
 
-    fn decode_with(bytes: &[u8], slots: Slots) -> Result<Checkpoint, CheckpointError> {
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::Truncated);
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let mut len_buf = [0u8; 8];
-        len_buf.copy_from_slice(&bytes[12..20]);
-        let payload_len = u64::from_le_bytes(len_buf);
-        if payload_len > MAX_PAYLOAD {
-            return Err(malformed("declared payload length implausibly large"));
-        }
-        let expected = u32::from_le_bytes([bytes[20], bytes[21], bytes[22], bytes[23]]);
-        let body = &bytes[HEADER_LEN..];
-        let payload_len = usize::try_from(payload_len).map_err(|_| CheckpointError::Truncated)?;
-        if body.len() < payload_len {
-            return Err(CheckpointError::Truncated);
-        }
-        if body.len() > payload_len {
-            return Err(malformed("trailing bytes after payload"));
-        }
-        let actual = crc32(body);
-        if actual != expected {
-            return Err(CheckpointError::BadChecksum { expected, actual });
-        }
-        Checkpoint::decode_payload(body, slots)
-    }
-
-    /// The one payload walker behind both decodes.
-    fn decode_payload(payload: &[u8], slots: Slots) -> Result<Checkpoint, CheckpointError> {
-        let mut cur = Cursor::new(payload);
-        let phase_len = cur.u32()? as usize;
-        if phase_len > 256 {
-            return Err(malformed("phase name too long"));
-        }
-        let phase = String::from_utf8(cur.take(phase_len)?.to_vec())
-            .map_err(|_| malformed("phase name is not UTF-8"))?;
-        let iter = cur.u64()?;
-        let words = [cur.u64()?, cur.u64()?, cur.u64()?, cur.u64()?];
-        let gauss_flag = cur.u8()?;
-        let gauss_value = cur.f32()?;
-        let gauss_cache = match gauss_flag {
-            0 => None,
-            1 => Some(gauss_value),
-            other => return Err(malformed(format!("bad gauss-cache flag {other}"))),
-        };
-        let blob_len = usize::try_from(cur.u64()?).map_err(|_| CheckpointError::Truncated)?;
-        let blob = cur.take(blob_len)?;
-        // A store blob from a different serializer version is in the
-        // `ADECPS` family but fails the exact-magic check inside
-        // `read_store`; detect it here so the caller gets the precise
-        // found/expected pair instead of a generic bad-magic parse error.
-        if let Some(found) = crate::io::store_blob_version(blob) {
-            if found != crate::io::STORE_FORMAT_VERSION {
-                return Err(CheckpointError::StoreVersionMismatch {
-                    found,
-                    supported: crate::io::STORE_FORMAT_VERSION,
-                });
-            }
-        }
-        let store = read_store(blob).map_err(|e| malformed(format!("parameter store: {e}")))?;
-        let n_opts = cur.u32()? as usize;
-        if n_opts > 64 {
-            return Err(malformed("optimizer count implausibly large"));
-        }
-        let mut opts = Vec::new();
-        for _ in 0..n_opts {
-            let opt = match cur.u8()? {
-                0 => {
-                    let lr = cur.f32()?;
-                    let velocity = read_slots(&mut cur, slots)?;
-                    OptState::Sgd(SgdState { lr, velocity })
-                }
-                1 => {
-                    let lr = cur.f32()?;
-                    let t = cur.u64()?;
-                    let m = read_slots(&mut cur, slots)?;
-                    let v = read_slots(&mut cur, slots)?;
-                    OptState::Adam(AdamState { lr, m, v, t })
-                }
-                other => return Err(malformed(format!("unknown optimizer tag {other}"))),
-            };
-            if slots == Slots::Keep {
-                opts.push(opt);
-            }
-        }
-        let n_extra = cur.u32()? as usize;
-        if n_extra > 1 << 24 {
-            return Err(malformed("extra word count implausibly large"));
-        }
-        let extra = cur
-            .take(n_extra * 8)?
-            .chunks_exact(8)
-            .map(|w| {
-                let mut word = [0u8; 8];
-                word.copy_from_slice(w);
-                u64::from_le_bytes(word)
+    /// The one reader behind every decode and load. It checks the header,
+    /// runs the payload walker over the declared payload, then settles the
+    /// verdict in the format's order: a stream that ends before the
+    /// declared length or runs past it, then the checksum over the whole
+    /// payload, then the walker's own verdict. A failing walker therefore
+    /// first has the rest of the payload drained through the CRC, and
+    /// nothing is returned before the CRC matches. With the checkpoint,
+    /// and with an error whenever the stream reached the payload's end,
+    /// comes the CRC32 of the whole file, header included.
+    fn read<R: BufRead>(src: R, slots: Slots) -> Verified {
+        let mut r = Reader::new(src);
+        let (payload_len, expected) = read_header(&mut r).map_err(|e| (e, None))?;
+        // The payload's own CRC starts here; the file's keeps the header.
+        r.crc = Crc32::new();
+        let walked = r
+            .framed(payload_len, |r| {
+                let walked = walk_payload(r, slots);
+                r.drain().map(|()| walked)
             })
-            .collect();
-        // Optional trailing section: the cursor ending exactly here is the
-        // pre-profile format; anything else must be a whole profile.
-        let profile = if cur.done() { None } else { Some(read_profile(&mut cur)?) };
-        if !cur.done() {
-            return Err(malformed("trailing bytes inside payload"));
-        }
-        Ok(Checkpoint {
-            phase,
-            iter,
-            rng: RngState { words, gauss_cache },
-            store,
-            opts,
-            extra,
-            profile,
-        })
+            .map_err(|short: Short| (short.into(), None))?;
+        let file_crc = r.file_crc.finish();
+        let verdict = match r.has_more() {
+            Err(short) => Err(short.into()),
+            Ok(true) => Err(malformed("trailing bytes after payload")),
+            Ok(false) if r.crc.finish() != expected => Err(CheckpointError::BadChecksum {
+                expected,
+                actual: r.crc.finish(),
+            }),
+            Ok(false) => walked,
+        };
+        verdict.map(|ckpt| (ckpt, file_crc)).map_err(|e| (e, Some(file_crc)))
     }
 
     /// Writes the checkpoint atomically: the bytes go to a temp file in
@@ -604,22 +546,37 @@ impl Checkpoint {
 
     /// Loads and verifies a checkpoint file.
     pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::load_with(path.as_ref(), Slots::Keep)
+        Ok(Checkpoint::load_with(path.as_ref(), Slots::Keep)?.0)
     }
 
     /// Loads and verifies a checkpoint file through
     /// [`Checkpoint::decode_weights`]: what serving needs, `opts` empty.
-    pub fn load_weights(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
+    /// Also returns the CRC32 of the whole file, which `adec serve` records
+    /// as the loaded version's checksum.
+    pub fn load_weights(path: impl AsRef<Path>) -> Result<(Checkpoint, u32), CheckpointError> {
         Checkpoint::load_with(path.as_ref(), Slots::Skip)
     }
 
+    /// [`Checkpoint::load_weights`] without the `checkpoint.load` event. A
+    /// refusal carries the whole-file CRC32 too whenever the read got to
+    /// the end of the payload: a hot-reload stage tells a touched but
+    /// unchanged file, refused or not, by it.
+    pub fn read_weights(path: impl AsRef<Path>) -> Verified {
+        Checkpoint::read_file(path.as_ref(), Slots::Skip)
+    }
+
+    /// Reads the file through a [`READ_WINDOW`] buffer: what a load keeps
+    /// resident is the window plus what the walker decodes.
+    fn read_file(path: &Path, slots: Slots) -> Verified {
+        let file = std::fs::File::open(path).map_err(|e| (CheckpointError::Io(e), None))?;
+        Checkpoint::read(io::BufReader::with_capacity(READ_WINDOW, file), slots)
+    }
+
     /// Reads the file, decodes it, and emits `checkpoint.load`.
-    fn load_with(path: &Path, slots: Slots) -> Result<Checkpoint, CheckpointError> {
-        let result = std::fs::read(path)
-            .map_err(CheckpointError::Io)
-            .and_then(|bytes| Checkpoint::decode_with(&bytes, slots));
+    fn load_with(path: &Path, slots: Slots) -> Result<(Checkpoint, u32), CheckpointError> {
+        let result = Checkpoint::read_file(path, slots).map_err(|(err, _)| err);
         match &result {
-            Ok(ckpt) => adec_obs::emit(
+            Ok((ckpt, _)) => adec_obs::emit(
                 adec_obs::Event::new(adec_obs::Level::Info, "checkpoint.load")
                     .field("event", "end")
                     .field("path", path.display().to_string())
@@ -725,12 +682,12 @@ fn write_f32s(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
-fn read_f32s(cur: &mut Cursor<'_>, what: &str, max: usize) -> Result<Vec<f32>, CheckpointError> {
-    let n = cur.u32()? as usize;
+fn read_f32s<R: BufRead>(r: &mut Reader<R>, what: &str, max: usize) -> Result<Vec<f32>, CheckpointError> {
+    let n = r.u32()? as usize;
     if n > max {
         return Err(malformed(format!("profile {what} length implausibly large")));
     }
-    Ok(cur.f32s(n)?)
+    Ok(r.f32s(n)?)
 }
 
 fn write_profile(out: &mut Vec<u8>, profile: &ReferenceProfile) {
@@ -751,27 +708,27 @@ fn write_profile(out: &mut Vec<u8>, profile: &ReferenceProfile) {
     write_f32s(out, &profile.occupancy);
 }
 
-fn read_profile(cur: &mut Cursor<'_>) -> Result<ReferenceProfile, CheckpointError> {
-    let magic = cur.take(PROFILE_MAGIC.len())?;
-    if magic != PROFILE_MAGIC {
+fn read_profile<R: BufRead>(r: &mut Reader<R>) -> Result<ReferenceProfile, CheckpointError> {
+    let magic: [u8; 4] = r.array()?;
+    if &magic != PROFILE_MAGIC {
         return Err(malformed("unrecognized trailing section (expected profile magic)"));
     }
-    let version = cur.u8()?;
+    let version = r.u8()?;
     if version != PROFILE_SECTION_VERSION {
         return Err(malformed(format!(
             "profile section version {version} unsupported \
              (this build reads {PROFILE_SECTION_VERSION})"
         )));
     }
-    let rows = cur.u64()?;
-    let latent_mean = read_f32s(cur, "latent mean", 1 << 20)?;
-    let latent_var = read_f32s(cur, "latent variance", 1 << 20)?;
-    let entropy_mean = cur.f32()?;
-    let entropy_std = cur.f32()?;
-    let confidence_mean = cur.f32()?;
-    let confidence_std = cur.f32()?;
-    let distance_quantiles = read_f32s(cur, "distance quantiles", DISTANCE_QUANTILES.len())?;
-    let occupancy = read_f32s(cur, "occupancy", 1 << 20)?;
+    let rows = r.u64()?;
+    let latent_mean = read_f32s(r, "latent mean", 1 << 20)?;
+    let latent_var = read_f32s(r, "latent variance", 1 << 20)?;
+    let entropy_mean = r.f32()?;
+    let entropy_std = r.f32()?;
+    let confidence_mean = r.f32()?;
+    let confidence_std = r.f32()?;
+    let distance_quantiles = read_f32s(r, "distance quantiles", DISTANCE_QUANTILES.len())?;
+    let occupancy = read_f32s(r, "occupancy", 1 << 20)?;
     let profile = ReferenceProfile {
         rows,
         latent_mean,
@@ -798,25 +755,25 @@ enum Slots {
 /// Reads one slot table. Every slot's flag and shape is checked, and its
 /// data must be present, whether it is kept or skipped; a skipped table
 /// comes back empty.
-fn read_slots(cur: &mut Cursor<'_>, slots: Slots) -> Result<Vec<Option<Matrix>>, CheckpointError> {
-    let n = cur.u32()? as usize;
+fn read_slots<R: BufRead>(r: &mut Reader<R>, slots: Slots) -> Result<Vec<Option<Matrix>>, CheckpointError> {
+    let n = r.u32()? as usize;
     if n > 1 << 20 {
         return Err(malformed("slot count implausibly large"));
     }
     let mut out = Vec::new();
     for _ in 0..n {
-        let slot = match cur.u8()? {
+        let slot = match r.u8()? {
             0 => None,
             1 => {
-                let rows = cur.u32()? as usize;
-                let cols = cur.u32()? as usize;
+                let rows = r.u32()? as usize;
+                let cols = r.u32()? as usize;
                 if rows.saturating_mul(cols) > 1 << 28 {
                     return Err(malformed("slot tensor too large"));
                 }
                 match slots {
-                    Slots::Keep => Some(Matrix::from_vec(rows, cols, cur.f32s(rows * cols)?)),
+                    Slots::Keep => Some(Matrix::from_vec(rows, cols, r.f32s(rows * cols)?)),
                     Slots::Skip => {
-                        cur.take(rows * cols * 4)?;
+                        r.skip(rows as u64 * cols as u64 * 4)?;
                         None
                     }
                 }
@@ -830,9 +787,128 @@ fn read_slots(cur: &mut Cursor<'_>, slots: Slots) -> Result<Vec<Option<Matrix>>,
     Ok(out)
 }
 
-impl From<Truncated> for CheckpointError {
-    fn from(_: Truncated) -> CheckpointError {
-        CheckpointError::Truncated
+/// The one payload walker behind every decode and load.
+fn walk_payload<R: BufRead>(r: &mut Reader<R>, slots: Slots) -> Result<Checkpoint, CheckpointError> {
+    let phase_len = r.u32()? as usize;
+    if phase_len > 256 {
+        return Err(malformed("phase name too long"));
+    }
+    let phase =
+        String::from_utf8(r.bytes(phase_len)?).map_err(|_| malformed("phase name is not UTF-8"))?;
+    let iter = r.u64()?;
+    let words = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let gauss_flag = r.u8()?;
+    let gauss_value = r.f32()?;
+    let gauss_cache = match gauss_flag {
+        0 => None,
+        1 => Some(gauss_value),
+        other => return Err(malformed(format!("bad gauss-cache flag {other}"))),
+    };
+    let blob_len = r.u64()?;
+    let store = r.framed(blob_len, |r| {
+        walk_store(r).map_err(|e| match e {
+            // A store blob from a different serializer version gets the
+            // precise found/expected pair, not a generic parse error.
+            StoreError::Foreign(found) => CheckpointError::StoreVersionMismatch {
+                found,
+                supported: crate::io::STORE_FORMAT_VERSION,
+            },
+            StoreError::Invalid(e) => malformed(format!("parameter store: {e}")),
+        })
+    })?;
+    let n_opts = r.u32()? as usize;
+    if n_opts > 64 {
+        return Err(malformed("optimizer count implausibly large"));
+    }
+    let mut opts = Vec::new();
+    for _ in 0..n_opts {
+        let opt = match r.u8()? {
+            0 => {
+                let lr = r.f32()?;
+                let velocity = read_slots(r, slots)?;
+                OptState::Sgd(SgdState { lr, velocity })
+            }
+            1 => {
+                let lr = r.f32()?;
+                let t = r.u64()?;
+                let m = read_slots(r, slots)?;
+                let v = read_slots(r, slots)?;
+                OptState::Adam(AdamState { lr, m, v, t })
+            }
+            other => return Err(malformed(format!("unknown optimizer tag {other}"))),
+        };
+        if slots == Slots::Keep {
+            opts.push(opt);
+        }
+    }
+    let n_extra = r.u32()? as usize;
+    if n_extra > 1 << 24 {
+        return Err(malformed("extra word count implausibly large"));
+    }
+    let extra = r
+        .bytes(n_extra * 8)?
+        .chunks_exact(8)
+        .map(|w| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    // Optional trailing section: the payload ending exactly here is the
+    // pre-profile format; anything else must be a whole profile.
+    let profile = if r.at_end()? { None } else { Some(read_profile(r)?) };
+    if !r.at_end()? {
+        return Err(malformed("trailing bytes inside payload"));
+    }
+    Ok(Checkpoint {
+        phase,
+        iter,
+        rng: RngState { words, gauss_cache },
+        store,
+        opts,
+        extra,
+        profile,
+    })
+}
+
+/// A checkpoint with the CRC32 of its whole file, or the refusal with
+/// that CRC when the read got to the end of the payload.
+pub type Verified = Result<(Checkpoint, u32), (CheckpointError, Option<u32>)>;
+
+fn first(read: Verified) -> Result<Checkpoint, CheckpointError> {
+    read.map(|(ckpt, _)| ckpt).map_err(|(err, _)| err)
+}
+
+/// Reads and checks the header; returns the declared payload length and
+/// checksum.
+fn read_header<R: BufRead>(r: &mut Reader<R>) -> Result<(u64, u32), CheckpointError> {
+    let magic: [u8; 8] = r.array()?;
+    if &magic != MAGIC {
+        return Err(CheckpointError::BadMagic);
+    }
+    // The rest of the header is read whole before any field is checked.
+    let rest: [u8; HEADER_LEN - 8] = r.array()?;
+    let [v0, v1, v2, v3, l0, l1, l2, l3, l4, l5, l6, l7, c0, c1, c2, c3] = rest;
+    let version = u32::from_le_bytes([v0, v1, v2, v3]);
+    if version != FORMAT_VERSION {
+        return Err(CheckpointError::VersionMismatch {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    let payload_len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+    if payload_len > MAX_PAYLOAD {
+        return Err(malformed("declared payload length implausibly large"));
+    }
+    Ok((payload_len, u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
+impl From<Short> for CheckpointError {
+    fn from(short: Short) -> CheckpointError {
+        match short {
+            Short::Frame | Short::Eof => CheckpointError::Truncated,
+            Short::Io(e) => CheckpointError::Io(e),
+        }
     }
 }
 
@@ -1198,6 +1274,35 @@ mod tests {
         }
         let big = random_bytes((3 << 20) + 7, 6);
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn running_crc32_matches_the_one_shot_value_at_any_split() {
+        let buf = random_bytes(4099, 8);
+        let whole = crc32(&buf);
+        let mut rng = SeedRng::new(9);
+        // Splits at 1..=3 random points, including every split inside the
+        // first 16-byte block.
+        let firsts: Vec<usize> = (1..16).chain((0..64).map(|_| 1 + rng.below(buf.len() - 1))).collect();
+        for first in firsts {
+            let mut cuts = vec![first, 1 + rng.below(buf.len() - 1), 1 + rng.below(buf.len() - 1)];
+            cuts.truncate(1 + rng.below(3));
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([buf.len()]) {
+                crc.update(&buf[at..cut]);
+                at = cut;
+            }
+            assert_eq!(crc.finish(), whole, "first split at {first}");
+        }
+        // Byte by byte, and with empty pieces.
+        let mut crc = Crc32::new();
+        for b in &buf[..100] {
+            crc.update(&[]);
+            crc.update(std::slice::from_ref(b));
+        }
+        assert_eq!(crc.finish(), crc32(&buf[..100]));
     }
 
     #[test]

@@ -10,20 +10,23 @@
 //!
 //! The checkpoint carries SGD and Adam state and a reference profile, so
 //! mutations land in the optimizer slot tables and the profile section
-//! too, and every case runs through both [`Checkpoint::decode`] and the
-//! weights-only [`Checkpoint::decode_weights`], which must agree on the
-//! error. A resealed pass recomputes the checksum after each flip, so the
-//! payload walker itself meets the damage.
+//! too, and every case runs through all four entry points of the one
+//! streamed walker: the in-memory [`Checkpoint::decode`] and weights-only
+//! [`Checkpoint::decode_weights`], and the file loads [`Checkpoint::load`]
+//! and [`Checkpoint::load_weights`], which read through a fixed window.
+//! All four must agree on the error. A resealed pass recomputes the
+//! checksum after each flip, so the payload walker itself meets the damage.
 
 // Test code: unwraps are the assertions themselves here.
 #![allow(clippy::unwrap_used, clippy::panic)]
 
-use adec_nn::checkpoint::reseal_checksum;
+use adec_nn::checkpoint::{crc32, reseal_checksum};
 use adec_nn::{
     soft_assignment, Activation, Adam, Checkpoint, CheckpointError, Mlp, OptState, Optimizer,
     ParamStore, ReferenceProfile, Sgd,
 };
 use adec_tensor::{Matrix, SeedRng};
+use std::path::PathBuf;
 
 /// A checkpoint with some of everything: params, SGD and Adam state, RNG
 /// cache, extra words, and a reference profile.
@@ -61,39 +64,72 @@ fn make_checkpoint() -> (Checkpoint, ParamStore) {
     (ck, store)
 }
 
-/// Decodes `bytes` both ways. They must agree: the same error variant and
-/// message, or both succeed with the same weights, `decode_weights`
-/// without the optimizer state. Returns the shared result.
-fn decode_both(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+/// A temporary file for the file loads of one test.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(tag: &str) -> TempFile {
+        TempFile(std::env::temp_dir().join(format!(
+            "adec-ckpt-mutation-{tag}-{}.ckpt",
+            std::process::id()
+        )))
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Runs `bytes` through all four entry points: `decode` and
+/// `decode_weights` in memory, `load` and `load_weights` from `file`.
+/// They must agree: the same error variant and message, or all succeed
+/// with the same weights, the weights-only pair without the optimizer
+/// state and `load_weights` with the CRC32 of the whole file. Returns the
+/// shared result.
+fn decode_all(bytes: &[u8], file: &TempFile) -> Result<Checkpoint, CheckpointError> {
+    std::fs::write(&file.0, bytes).unwrap();
     let full = Checkpoint::decode(bytes);
-    let weights = Checkpoint::decode_weights(bytes);
-    match (&full, &weights) {
-        (Err(a), Err(b)) => {
-            assert_eq!(
-                std::mem::discriminant(a),
-                std::mem::discriminant(b),
-                "decode gave {a:?}, decode_weights gave {b:?}"
-            );
-            // The Display impl must be total too (it feeds CLI errors).
-            assert_eq!(a.to_string(), b.to_string());
+    let results = [
+        Checkpoint::decode_weights(bytes),
+        Checkpoint::load(&file.0),
+        Checkpoint::load_weights(&file.0).map(|(ck, crc)| {
+            assert_eq!(crc, crc32(bytes), "load_weights returned another file's CRC");
+            ck
+        }),
+    ];
+    for (name, other) in ["decode_weights", "load", "load_weights"].iter().zip(&results) {
+        match (&full, other) {
+            (Err(a), Err(b)) => {
+                assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "decode gave {a:?}, {name} gave {b:?}"
+                );
+                // The Display impl must be total too (it feeds CLI errors).
+                assert_eq!(a.to_string(), b.to_string(), "{name}");
+            }
+            (Ok(a), Ok(b)) => {
+                let mut a = a.clone();
+                if name.ends_with("_weights") {
+                    assert!(b.opts.is_empty(), "{name} kept optimizer state");
+                    a.opts.clear();
+                }
+                assert_eq!(a.encode().unwrap(), b.encode().unwrap(), "{name}");
+            }
+            _ => panic!("decode gave {full:?}, {name} gave {other:?}"),
         }
-        (Ok(a), Ok(b)) => {
-            assert!(b.opts.is_empty(), "decode_weights kept optimizer state");
-            let mut a = a.clone();
-            a.opts.clear();
-            assert_eq!(a.encode().unwrap(), b.encode().unwrap());
-        }
-        _ => panic!("decode gave {full:?}, decode_weights gave {weights:?}"),
     }
     full
 }
 
 /// A decode that fails must be a typed error, never a panic, and the
-/// same from both decoders. Returns the error for classification. (A
-/// decode that *succeeds* under mutation is only acceptable if the bytes
-/// were actually unchanged.)
-fn decode_must_be_total(bytes: &[u8], original: &[u8]) -> Option<CheckpointError> {
-    match decode_both(bytes) {
+/// same from all four entry points. Returns the error for
+/// classification. (A decode that *succeeds* under mutation is only
+/// acceptable if the bytes were actually unchanged.)
+fn decode_must_be_total(bytes: &[u8], original: &[u8], file: &TempFile) -> Option<CheckpointError> {
+    match decode_all(bytes, file) {
         Err(e) => Some(e),
         Ok(_) => {
             assert_eq!(
@@ -109,11 +145,12 @@ fn decode_must_be_total(bytes: &[u8], original: &[u8]) -> Option<CheckpointError
 fn every_truncation_length_errors_cleanly() {
     let (ck, _) = make_checkpoint();
     let bytes = ck.encode().unwrap();
-    assert!(decode_both(&bytes).is_ok());
+    let file = TempFile::new("truncation");
+    assert!(decode_all(&bytes, &file).is_ok());
     // Every proper prefix, byte by byte — including the empty file.
     for cut in 0..bytes.len() {
         let prefix = bytes.get(..cut).unwrap();
-        let err = decode_must_be_total(prefix, &bytes)
+        let err = decode_must_be_total(prefix, &bytes, &file)
             .unwrap_or_else(|| panic!("truncation to {cut} bytes decoded successfully"));
         drop(err);
     }
@@ -123,6 +160,7 @@ fn every_truncation_length_errors_cleanly() {
 fn seeded_single_byte_flips_error_cleanly() {
     let (ck, _) = make_checkpoint();
     let bytes = ck.encode().unwrap();
+    let file = TempFile::new("flips");
     let mut rng = SeedRng::new(2024);
     let mut flips_rejected = 0usize;
     for _ in 0..500 {
@@ -131,7 +169,7 @@ fn seeded_single_byte_flips_error_cleanly() {
         let mut mutated = bytes.clone();
         let byte = mutated.get_mut(pos).unwrap();
         *byte ^= 1 << bit;
-        if decode_must_be_total(&mutated, &bytes).is_some() {
+        if decode_must_be_total(&mutated, &bytes, &file).is_some() {
             flips_rejected += 1;
         }
     }
@@ -146,6 +184,7 @@ fn every_single_byte_zeroing_errors_cleanly() {
     // that are already zero, where nothing changes).
     let (ck, _) = make_checkpoint();
     let bytes = ck.encode().unwrap();
+    let file = TempFile::new("zeroing");
     for pos in 0..bytes.len() {
         if bytes.get(pos).copied() == Some(0) {
             continue;
@@ -155,7 +194,7 @@ fn every_single_byte_zeroing_errors_cleanly() {
             *b = 0;
         }
         assert!(
-            decode_must_be_total(&mutated, &bytes).is_some(),
+            decode_must_be_total(&mutated, &bytes, &file).is_some(),
             "zeroing byte {pos} went undetected"
         );
     }
@@ -165,9 +204,11 @@ fn every_single_byte_zeroing_errors_cleanly() {
 fn resealed_flips_reach_the_payload_walker() {
     // Every bit of every byte, with the checksum recomputed afterwards:
     // the damage gets past the CRC, so the walker's own framing, flag and
-    // bounds checks must catch what they can, identically in both modes.
+    // bounds checks must catch what they can, identically through all four
+    // entry points.
     let (ck, _) = make_checkpoint();
     let bytes = ck.encode().unwrap();
+    let file = TempFile::new("resealed");
     let mut bad_slot_flags = 0usize;
     let mut overlong_fields = 0usize;
     let mut decoded = 0usize;
@@ -176,7 +217,7 @@ fn resealed_flips_reach_the_payload_walker() {
             let mut mutated = bytes.clone();
             *mutated.get_mut(pos).unwrap() ^= 1 << bit;
             assert!(reseal_checksum(&mut mutated));
-            match decode_both(&mutated) {
+            match decode_all(&mutated, &file) {
                 Ok(_) => decoded += 1,
                 Err(CheckpointError::Malformed(msg)) if msg.starts_with("bad slot flag") => {
                     bad_slot_flags += 1;
@@ -220,49 +261,4 @@ fn failed_restore_never_partially_applies() {
     let restored: Vec<Vec<f32>> = live.iter().map(|(_, _, m)| m.as_slice().to_vec()).collect();
     let expected: Vec<Vec<f32>> = ck.store.iter().map(|(_, _, m)| m.as_slice().to_vec()).collect();
     assert_eq!(restored, expected);
-}
-
-/// Loads `path` both ways; they must agree on the error variant.
-fn load_both(path: &std::path::Path) -> Result<Checkpoint, CheckpointError> {
-    let full = Checkpoint::load(path);
-    let weights = Checkpoint::load_weights(path);
-    match (&full, &weights) {
-        (Err(a), Err(b)) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
-        (Ok(_), Ok(_)) => {}
-        _ => panic!("load gave {full:?}, load_weights gave {weights:?}"),
-    }
-    full
-}
-
-#[test]
-fn mutated_files_on_disk_error_cleanly_via_load() {
-    // The same guarantee through the file-based paths the CLI (`load`)
-    // and serve (`load_weights`) use.
-    let (ck, _) = make_checkpoint();
-    let dir = std::env::temp_dir().join(format!("adec-ckpt-mutation-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("m.ckpt");
-    let bytes = ck.encode().unwrap();
-
-    let mut rng = SeedRng::new(5);
-    for _ in 0..20 {
-        let cut = rng.below(bytes.len());
-        std::fs::write(&path, bytes.get(..cut).unwrap()).unwrap();
-        assert!(load_both(&path).is_err(), "prefix {cut} loaded");
-    }
-    for _ in 0..20 {
-        let pos = rng.below(bytes.len());
-        let mut mutated = bytes.clone();
-        if let Some(b) = mutated.get_mut(pos) {
-            *b = b.wrapping_add(1 + rng.below(255) as u8);
-        }
-        std::fs::write(&path, &mutated).unwrap();
-        match load_both(&path) {
-            Err(e) => {
-                let _ = e.to_string();
-            }
-            Ok(_) => assert_eq!(mutated, bytes, "mutated file at byte {pos} loaded"),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

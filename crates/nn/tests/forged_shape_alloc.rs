@@ -1,9 +1,10 @@
 //! A forged tensor shape must fail without allocating for it.
 //!
-//! The payload walker takes a tensor's bytes from the in-memory image
-//! before it allocates the tensor, so a shape claiming far more data than
-//! the file holds fails typed and costs nothing, in the embedded store and
-//! in an optimizer slot table, through both decoders. The check reads the
+//! The payload walker checks a tensor's length against its frame before it
+//! reads it, and grows the tensor only as its bytes arrive, so a shape
+//! claiming far more data than the file holds fails typed and costs
+//! nothing, in the embedded store and in an optimizer slot table, through
+//! both in-memory decoders and both file loads. The check reads the
 //! process's peak virtual size (`VmPeak`, Linux), which every thread
 //! moves: this file holds one test so that no other test runs beside it.
 
@@ -14,6 +15,7 @@ use adec_nn::checkpoint::reseal_checksum;
 use adec_nn::io::write_store;
 use adec_nn::{Activation, Checkpoint, CheckpointError, Mlp, OptState, Optimizer, ParamStore, Sgd};
 use adec_tensor::{Matrix, SeedRng};
+use std::path::Path;
 
 /// Bytes before the payload: magic, version, length, CRC.
 const HEADER_LEN: usize = 24;
@@ -42,6 +44,19 @@ fn forge_shape(bytes: &[u8], at: usize) -> Vec<u8> {
     }
     assert!(reseal_checksum(&mut forged));
     forged
+}
+
+const ENTRY_POINTS: [&str; 4] = ["decode", "decode_weights", "load", "load_weights"];
+
+/// `bytes` through the in-memory decoders, and `file`, which holds them,
+/// through the file loads.
+fn all_four(bytes: &[u8], file: &Path) -> [Result<Checkpoint, CheckpointError>; 4] {
+    [
+        Checkpoint::decode(bytes),
+        Checkpoint::decode_weights(bytes),
+        Checkpoint::load(file),
+        Checkpoint::load_weights(file).map(|(ck, _)| ck),
+    ]
 }
 
 #[test]
@@ -79,25 +94,39 @@ fn forged_shapes_fail_typed_without_allocating_for_them() {
     let slot_shape_at = blob_at + blob.len() + 4 + 1 + 4 + 4 + 1;
     assert_eq!(bytes.get(slot_shape_at - 1), Some(&1), "first slot is present");
 
-    // Warm up: the decoders' own small allocations are made once here.
-    Checkpoint::decode(&bytes).unwrap();
-    Checkpoint::decode_weights(&bytes).unwrap();
-    let before = vm_peak_kib();
-
+    let dir = std::env::temp_dir().join(format!("adec-forged-shape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store_file = dir.join("store.ckpt");
+    let slot_file = dir.join("slot.ckpt");
     let forged_store = forge_shape(&bytes, store_shape_at);
     let forged_slot = forge_shape(&bytes, slot_shape_at);
-    for decode in [Checkpoint::decode, Checkpoint::decode_weights] {
-        match decode(&forged_store) {
+    std::fs::write(&store_file, &forged_store).unwrap();
+    std::fs::write(&slot_file, &forged_slot).unwrap();
+
+    // Warm up: the decoders' own small allocations, and the file loads'
+    // read window, are made once here, on the intact bytes.
+    let intact_file = dir.join("intact.ckpt");
+    std::fs::write(&intact_file, &bytes).unwrap();
+    for result in all_four(&bytes, &intact_file) {
+        result.unwrap();
+    }
+    let before = vm_peak_kib();
+
+    for (name, result) in ENTRY_POINTS.iter().zip(all_four(&forged_store, &store_file)) {
+        match result {
             Err(CheckpointError::Malformed(msg)) => {
-                assert!(msg.starts_with("parameter store:"), "{msg}");
+                assert!(msg.starts_with("parameter store:"), "{name}: {msg}");
             }
-            other => panic!("forged store shape: expected Malformed, got {other:?}"),
-        }
-        match decode(&forged_slot) {
-            Err(CheckpointError::Truncated) => {}
-            other => panic!("forged slot shape: expected Truncated, got {other:?}"),
+            other => panic!("{name}, forged store shape: expected Malformed, got {other:?}"),
         }
     }
+    for (name, result) in ENTRY_POINTS.iter().zip(all_four(&forged_slot, &slot_file)) {
+        match result {
+            Err(CheckpointError::Truncated) => {}
+            other => panic!("{name}, forged slot shape: expected Truncated, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     if let (Some(before), Some(after)) = (before, vm_peak_kib()) {
         // Allocating either forged tensor would raise the peak by 1 GiB.

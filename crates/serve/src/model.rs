@@ -7,9 +7,11 @@
 //! `adec.centroids`). Serving only needs the *assignment function* — the
 //! encoder `E_φ` and the centroids `μ` of the paper's Eq. 1 — so this
 //! module reconstructs exactly that from the store, by name and shape,
-//! without registering anything new. The served weights are packed into
-//! gemm panels once, here, and only the packed copy is kept: a request
-//! multiplies against them and packs nothing.
+//! without registering anything new. The build consumes the decoded
+//! checkpoint and packs the served weights into gemm panels once, here,
+//! releasing each raw weight from the store as soon as it is packed; only
+//! the packed copy is kept, and a request multiplies against it and packs
+//! nothing.
 //!
 //! The degradation ladder (also reported in every response):
 //!
@@ -27,7 +29,7 @@
 
 use crate::drift::BatchDriftStats;
 use adec_nn::profile::row_stats;
-use adec_nn::{soft_assignment, Checkpoint, CheckpointError, ParamStore, ReferenceProfile};
+use adec_nn::{soft_assignment, Checkpoint, CheckpointError, ParamId, ParamStore, ReferenceProfile};
 use adec_tensor::kernels::{self, PackedB};
 use adec_tensor::{finite_scan, FusedAct, Matrix};
 use std::path::Path;
@@ -187,15 +189,18 @@ struct Net {
 }
 
 impl Net {
-    /// Packs a group of store layers ([`collect_nets`]) for serving.
-    fn pack(group: &[LayerRef<'_>]) -> Net {
+    /// Packs a group of store layers ([`collect_nets`]) for serving,
+    /// releasing each raw weight from the store once it is packed, before
+    /// the next layer packs: the build holds the decoded weights plus one
+    /// packed tensor at most.
+    fn pack(store: &mut ParamStore, group: &[Layer]) -> Net {
         let last = group.len().saturating_sub(1);
         let layers = group
             .iter()
             .enumerate()
-            .map(|(i, (w, b))| DenseW {
-                w: PackedB::new(w),
-                b: b.row(0).to_vec(),
+            .map(|(i, &(w, b))| DenseW {
+                w: PackedB::new(&std::mem::replace(store.get_mut(w), Matrix::zeros(0, 0))),
+                b: store.get(b).row(0).to_vec(),
                 act: if i == last { FusedAct::Identity } else { FusedAct::Relu },
             })
             .collect();
@@ -224,22 +229,23 @@ impl Net {
     }
 }
 
-/// One dense layer as the store holds it: the `in × out` weight and its
-/// `1 × out` bias.
-type LayerRef<'a> = (&'a Matrix, &'a Matrix);
+/// One dense layer as the store holds it: the ids of its `in × out`
+/// weight and its `1 × out` bias.
+type Layer = (ParamId, ParamId);
 
-fn group_input_dim(group: &[LayerRef<'_>]) -> usize {
-    group.first().map_or(0, |(w, _)| w.rows())
+fn group_input_dim(store: &ParamStore, group: &[Layer]) -> usize {
+    group.first().map_or(0, |&(w, _)| store.get(w).rows())
 }
 
-fn group_output_dim(group: &[LayerRef<'_>]) -> usize {
-    group.last().map_or(0, |(w, _)| w.cols())
+fn group_output_dim(store: &ParamStore, group: &[Layer]) -> usize {
+    group.last().map_or(0, |&(w, _)| store.get(w).cols())
 }
 
-fn group_is_finite(group: &[LayerRef<'_>]) -> bool {
-    group
-        .iter()
-        .all(|(w, b)| finite_scan(w.as_slice()).is_clean() && finite_scan(b.as_slice()).is_clean())
+fn group_is_finite(store: &ParamStore, group: &[Layer]) -> bool {
+    group.iter().all(|&(w, b)| {
+        finite_scan(store.get(w).as_slice()).is_clean()
+            && finite_scan(store.get(b).as_slice()).is_clean()
+    })
 }
 
 /// Splits a parameter name of the form `{prefix}.l{idx}.{w|b}` into its
@@ -255,25 +261,25 @@ fn parse_layer_name(name: &str) -> Option<(&str, usize, bool)> {
     Some((prefix, idx, is_w))
 }
 
-/// Groups the store's parameters into candidate networks, borrowed from
-/// the store: a run of `{p}.l0.w, {p}.l0.b, {p}.l1.w, …` becomes one
-/// group. Registration order is preserved (the encoder is always the
-/// first group a trainer registers). Malformed runs are skipped, not
-/// fatal — serving degrades instead of refusing.
-fn collect_nets<'a>(store: &'a ParamStore) -> Vec<Vec<LayerRef<'a>>> {
-    let mut nets: Vec<Vec<LayerRef<'a>>> = Vec::new();
-    let mut current: Vec<LayerRef<'a>> = Vec::new();
-    let mut pending: Option<(&'a str, usize, &'a Matrix)> = None;
+/// Groups the store's parameters into candidate networks: a run of
+/// `{p}.l0.w, {p}.l0.b, {p}.l1.w, …` becomes one group. Registration
+/// order is preserved (the encoder is always the first group a trainer
+/// registers). Malformed runs are skipped, not fatal — serving degrades
+/// instead of refusing.
+fn collect_nets(store: &ParamStore) -> Vec<Vec<Layer>> {
+    let mut nets: Vec<Vec<Layer>> = Vec::new();
+    let mut current: Vec<Layer> = Vec::new();
+    let mut pending: Option<(&str, usize, ParamId)> = None;
     let mut current_prefix = "";
 
-    let mut flush = |current: &mut Vec<LayerRef<'a>>, pending: &mut Option<(&'a str, usize, &'a Matrix)>| {
+    let mut flush = |current: &mut Vec<Layer>, pending: &mut Option<(&str, usize, ParamId)>| {
         *pending = None;
         if !current.is_empty() {
             nets.push(std::mem::take(current));
         }
     };
 
-    for (_, name, value) in store.iter() {
+    for (id, name, value) in store.iter() {
         match parse_layer_name(name) {
             Some((prefix, idx, true)) => {
                 // A `.w` starts a new layer; layer 0 starts a new group, as
@@ -286,7 +292,7 @@ fn collect_nets<'a>(store: &'a ParamStore) -> Vec<Vec<LayerRef<'a>>> {
                     }
                     current_prefix = prefix;
                 }
-                pending = Some((prefix, idx, value));
+                pending = Some((prefix, idx, id));
             }
             Some((prefix, idx, false)) => {
                 // A `.b` completes the pending `.w` of the same layer.
@@ -295,15 +301,17 @@ fn collect_nets<'a>(store: &'a ParamStore) -> Vec<Vec<LayerRef<'a>>> {
                         if p == prefix
                             && i == idx
                             && value.rows() == 1
-                            && value.cols() == w.cols()
-                            && current.last().is_none_or(|(prev, _)| prev.cols() == w.rows()) =>
+                            && value.cols() == store.get(w).cols()
+                            && current
+                                .last()
+                                .is_none_or(|&(prev, _)| store.get(prev).cols() == store.get(w).rows()) =>
                     {
                         Some(w)
                     }
                     _ => None,
                 };
                 match matched {
-                    Some(w) => current.push((w, value)),
+                    Some(w) => current.push((w, id)),
                     None => flush(&mut current, &mut pending),
                 }
             }
@@ -329,6 +337,8 @@ pub struct InferenceModel {
     /// Training-time reference profile, when the checkpoint carried one
     /// whose shape matches the reconstructed model (drift sentinel input).
     profile: Option<ReferenceProfile>,
+    /// CRC32 of the whole checkpoint file the model was read from.
+    checksum: u32,
 }
 
 impl InferenceModel {
@@ -341,11 +351,14 @@ impl InferenceModel {
     /// [`ModelError::Checkpoint`] on unreadable/corrupt files, otherwise
     /// the errors of [`InferenceModel::from_checkpoint`].
     pub fn load(path: impl AsRef<Path>, alpha: f32) -> Result<InferenceModel, ModelError> {
-        let ck = Checkpoint::load_weights(path)?;
-        InferenceModel::from_checkpoint(&ck, alpha)
+        let (ck, checksum) = Checkpoint::load_weights(path)?;
+        Ok(InferenceModel::from_checkpoint(ck, alpha)?.with_checksum(checksum))
     }
 
-    /// Builds the model from an in-memory checkpoint.
+    /// Builds the model from a decoded checkpoint, which it consumes: each
+    /// served layer is packed and its raw weight released before the next
+    /// packs, so the build holds at most the decoded weights plus one
+    /// packed tensor, and the rest of the store goes when it returns.
     ///
     /// # Errors
     ///
@@ -353,9 +366,9 @@ impl InferenceModel {
     /// `*.centroids` tensor, [`ModelError::DegradedCentroids`] when it has
     /// one but it is non-finite, [`ModelError::BadTopology`] when the
     /// centroid tensor is degenerate.
-    pub fn from_checkpoint(ck: &Checkpoint, alpha: f32) -> Result<InferenceModel, ModelError> {
-        let store = &ck.store;
-        let preferred = format!("{}.centroids", ck.phase);
+    pub fn from_checkpoint(ck: Checkpoint, alpha: f32) -> Result<InferenceModel, ModelError> {
+        let Checkpoint { phase, mut store, profile, .. } = ck;
+        let preferred = format!("{phase}.centroids");
         let mut candidates: Vec<(&str, &Matrix)> = store
             .iter()
             .filter(|(_, name, _)| name.ends_with(".centroids"))
@@ -367,9 +380,8 @@ impl InferenceModel {
         let (_, mu) = match candidates.as_slice() {
             [] => {
                 return Err(ModelError::NoCentroids(format!(
-                    "checkpoint phase '{}' has no '*.centroids' parameter \
-                     (serve needs a clustering-phase checkpoint, not 'pretrain')",
-                    ck.phase
+                    "checkpoint phase '{phase}' has no '*.centroids' parameter \
+                     (serve needs a clustering-phase checkpoint, not 'pretrain')"
                 )))
             }
             [one] => *one,
@@ -394,18 +406,19 @@ impl InferenceModel {
         let centroids = mu.clone();
         let latent = centroids.cols();
 
-        let nets = collect_nets(store);
+        let nets = collect_nets(&store);
         // The encoder is the first group whose output lands in centroid
         // space (trainers register it first); degrade it away if its
         // tensors went non-finite.
         let encoder = nets
             .iter()
-            .find(|g| group_output_dim(g) == latent)
-            .filter(|g| group_is_finite(g));
+            .find(|g| group_output_dim(&store, g) == latent)
+            .filter(|g| group_is_finite(&store, g));
         let decoder = encoder.and_then(|enc| {
+            let data = group_input_dim(&store, enc);
             nets.iter()
-                .find(|g| group_input_dim(g) == latent && group_output_dim(g) == group_input_dim(enc))
-                .filter(|g| group_is_finite(g))
+                .find(|g| group_input_dim(&store, g) == latent && group_output_dim(&store, g) == data)
+                .filter(|g| group_is_finite(&store, g))
         });
         let mode = match (encoder, decoder) {
             (Some(_), Some(_)) => ServeMode::Full,
@@ -415,21 +428,40 @@ impl InferenceModel {
         // Keep the reference profile only when it describes *this* model:
         // a profile from a differently-shaped run would feed the sentinel
         // garbage, which is worse than disabling it.
-        let profile = ck
-            .profile
-            .as_ref()
-            .filter(|p| p.matches(latent, centroids.rows()) && p.validate().is_ok())
-            .cloned();
+        let profile =
+            profile.filter(|p| p.matches(latent, centroids.rows()) && p.validate().is_ok());
+        // Pack only the served networks, once. A group serving as both
+        // encoder and decoder (data width equal to the latent width) packs
+        // once: its raw weights are gone after the first.
+        let encoder_net = encoder.map(|g| Net::pack(&mut store, g));
+        let decoder = decoder.map(|g| match (encoder, &encoder_net) {
+            (Some(enc), Some(net)) if std::ptr::eq(enc, g) => net.clone(),
+            _ => Net::pack(&mut store, g),
+        });
         Ok(InferenceModel {
-            phase: ck.phase.clone(),
+            phase,
             mode,
             alpha,
-            // Pack only the served networks, once, straight from the store.
-            encoder: encoder.map(|g| Net::pack(g)),
-            decoder: decoder.map(|g| Net::pack(g)),
+            encoder: encoder_net,
+            decoder,
             centroids,
             profile,
+            checksum: 0,
         })
+    }
+
+    /// The model, recorded as read from a file whose whole-file CRC32 is
+    /// `checksum`.
+    pub(crate) fn with_checksum(self, checksum: u32) -> InferenceModel {
+        InferenceModel { checksum, ..self }
+    }
+
+    /// CRC32 of the whole checkpoint file the model was read from, 0 when
+    /// it was built from a checkpoint in memory: the hot-reload watcher
+    /// tells a touched but unchanged file by it, and the reload events
+    /// report it.
+    pub fn checksum(&self) -> u32 {
+        self.checksum
     }
 
     /// Features per input row this model accepts: the data dimension in
@@ -684,7 +716,7 @@ pub(crate) mod tests {
     fn assign_matches_a_reference_forward_over_the_store_at_every_tier() {
         let mut rng = SeedRng::new(17);
         for (ck, data, latent) in [(sample_checkpoint(), 6, 3), (ragged_checkpoint(), 45, 6)] {
-            let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+            let model = InferenceModel::from_checkpoint(ck.clone(), 1.0).unwrap();
             assert_eq!(model.mode, ServeMode::Full);
             let mu = ck.store.iter().find(|(_, n, _)| *n == "dec.centroids").unwrap().2;
             // 70 rows: taller than the gemm's 64-row `A` block.
@@ -726,8 +758,7 @@ pub(crate) mod tests {
 
     #[test]
     fn full_mode_round_trip() {
-        let ck = sample_checkpoint();
-        let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+        let model = InferenceModel::from_checkpoint(sample_checkpoint(), 1.0).unwrap();
         assert_eq!(model.mode, ServeMode::Full);
         assert_eq!(model.input_dim(), 6);
         assert_eq!(model.latent_dim(), 3);
@@ -765,7 +796,7 @@ pub(crate) mod tests {
             }
         }
         ck.store = store;
-        let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+        let model = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
         assert_eq!(model.mode, ServeMode::NoDecoder);
         let x = Matrix::zeros(2, 6);
         let out = model.assign(&x).unwrap();
@@ -784,7 +815,7 @@ pub(crate) mod tests {
             .map(|(id, _, _)| id)
             .unwrap();
         ck.store.get_mut(poisoned).set(0, 0, f32::NAN);
-        let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+        let model = InferenceModel::from_checkpoint(ck.clone(), 1.0).unwrap();
         assert_eq!(model.mode, ServeMode::CentroidOnly);
         // Centroid-only accepts latent-dim rows and answers hard labels.
         assert_eq!(model.input_dim(), 3);
@@ -807,7 +838,7 @@ pub(crate) mod tests {
             }
         }
         ck.store = store;
-        match InferenceModel::from_checkpoint(&ck, 1.0) {
+        match InferenceModel::from_checkpoint(ck, 1.0) {
             Err(ModelError::NoCentroids(msg)) => assert!(msg.contains("pretrain")),
             other => panic!("expected NoCentroids, got {other:?}"),
         }
@@ -824,14 +855,14 @@ pub(crate) mod tests {
             .unwrap();
         ck.store.get_mut(mu_id).set(1, 1, f32::INFINITY);
         assert!(matches!(
-            InferenceModel::from_checkpoint(&ck, 1.0),
+            InferenceModel::from_checkpoint(ck, 1.0),
             Err(ModelError::DegradedCentroids(_))
         ));
     }
 
     #[test]
     fn validation_rejects_bad_width_and_magnitude() {
-        let model = InferenceModel::from_checkpoint(&sample_checkpoint(), 1.0).unwrap();
+        let model = InferenceModel::from_checkpoint(sample_checkpoint(), 1.0).unwrap();
         let narrow = Matrix::zeros(1, 4);
         assert_eq!(
             model.validate(&narrow),
@@ -855,7 +886,7 @@ pub(crate) mod tests {
 
     #[test]
     fn shed_tiers_keep_width_and_labels_but_shed_payload() {
-        let model = InferenceModel::from_checkpoint(&sample_checkpoint(), 1.0).unwrap();
+        let model = InferenceModel::from_checkpoint(sample_checkpoint(), 1.0).unwrap();
         assert_eq!(model.mode, ServeMode::Full);
         let mut rng = SeedRng::new(13);
         let x = Matrix::randn(4, 6, 0.0, 1.0, &mut rng);

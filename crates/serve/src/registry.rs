@@ -5,9 +5,10 @@
 //! with the weights belonging to the `model_version` it reports — there is
 //! no observable torn version/weights pair, ever.
 //!
-//! A reload is **staged**: the candidate checkpoint is read, CRC-verified
-//! and decoded without its optimizer state
-//! ([`Checkpoint::decode_weights`]), rebuilt into an [`InferenceModel`],
+//! A reload is **staged**: the candidate checkpoint is streamed once,
+//! CRC-verified and decoded without its optimizer state
+//! ([`Checkpoint::read_weights`], which also yields the whole file's
+//! CRC32), rebuilt into an [`InferenceModel`],
 //! re-checked against the architecture validator
 //! ([`adec_analysis::ArchSpec`]) and a serving-compatibility gate (same
 //! input width, latent width, and cluster count as the live model), and
@@ -18,16 +19,20 @@
 //! After a successful swap the old version *drains*: in-flight requests
 //! holding its `Arc` finish on the old weights while new requests land on
 //! the new ones. The supervisor polls [`ModelRegistry::poll_drains`] so the
-//! drain end is visible as a `serve.reload.drain` lifecycle event.
+//! drain end is visible as a `serve.reload.drain` lifecycle event. Neither
+//! the drain queue nor the retired history holds a retired version's
+//! weights: they keep its number, phase and served counter, and watch the
+//! version through a `Weak`, so its packed network is freed as soon as its
+//! last request finishes.
 
 use crate::model::{InferenceModel, ModelError};
 use adec_analysis::{ActKind, ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec, LayerSpec};
-use adec_nn::checkpoint::crc32;
+use adec_nn::checkpoint::Verified;
 use adec_nn::{Checkpoint, CheckpointError};
 use adec_obs::{emit, Event, Level};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 /// How many retired versions to keep for per-version `/metrics` labels.
@@ -42,10 +47,7 @@ pub struct ModelVersion {
     pub version: u64,
     /// Where the weights came from (checkpoint path, or "initial").
     pub source: String,
-    /// CRC32 of the full checkpoint file bytes (0 for the initial load,
-    /// whose bytes the registry never saw).
-    pub checksum: u32,
-    served: AtomicU64,
+    served: Arc<AtomicU64>,
 }
 
 impl ModelVersion {
@@ -57,6 +59,32 @@ impl ModelVersion {
     /// Counts one answered request against this version.
     pub fn count_served(&self) {
         self.served.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What the registry keeps of a version once it retires: its number,
+/// phase and served counter, for `/metrics` and the drain event, and a
+/// `Weak` that tells when its last in-flight request let go of it.
+#[derive(Debug, Clone)]
+pub(crate) struct VersionRecord {
+    pub(crate) version: u64,
+    pub(crate) phase: String,
+    served: Arc<AtomicU64>,
+    weights: Weak<ModelVersion>,
+}
+
+impl VersionRecord {
+    fn of(v: &Arc<ModelVersion>) -> VersionRecord {
+        VersionRecord {
+            version: v.version,
+            phase: v.model.phase.clone(),
+            served: Arc::clone(&v.served),
+            weights: Arc::downgrade(v),
+        }
+    }
+
+    pub(crate) fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
     }
 }
 
@@ -122,10 +150,10 @@ impl ReloadError {
 #[derive(Debug)]
 pub struct ModelRegistry {
     current: Mutex<Arc<ModelVersion>>,
-    retired: Mutex<Vec<Arc<ModelVersion>>>,
+    retired: Mutex<Vec<VersionRecord>>,
     /// Old versions still owed a `serve.reload.drain` end event, with the
     /// instant their swap completed.
-    draining: Mutex<Vec<(Arc<ModelVersion>, Instant)>>,
+    draining: Mutex<Vec<(VersionRecord, Instant)>>,
     /// Completed reloads (the initial load is generation 0).
     generation: AtomicU64,
     /// Refused reloads.
@@ -141,8 +169,7 @@ impl ModelRegistry {
             model,
             version: 1,
             source: source.into(),
-            checksum: 0,
-            served: AtomicU64::new(0),
+            served: Arc::new(AtomicU64::new(0)),
         });
         ModelRegistry {
             current: Mutex::new(first),
@@ -177,8 +204,8 @@ impl ModelRegistry {
 
     /// Live + retired versions, newest live first — for per-version
     /// `/metrics` labels.
-    pub fn versions(&self) -> Vec<Arc<ModelVersion>> {
-        let mut out = vec![self.current()];
+    pub(crate) fn versions(&self) -> Vec<VersionRecord> {
+        let mut out = vec![VersionRecord::of(&self.current())];
         if let Ok(retired) = self.retired.lock() {
             out.extend(retired.iter().rev().cloned());
         }
@@ -196,14 +223,51 @@ impl ModelRegistry {
     /// untouched and `serve.reload.refused` is emitted (Warn, so the
     /// refusal is also a stderr log line).
     pub fn reload(&self, path: &Path) -> Result<Arc<ModelVersion>, ReloadError> {
-        let source = path.display().to_string();
+        self.begin(path);
+        self.settle(path, self.stage(Checkpoint::read_weights(path)))
+    }
+
+    /// A watched reload: reads `path` and swaps or refuses it as
+    /// [`ModelRegistry::reload`] does, unless the whole-file checksum the
+    /// read computed is `seen` — a touched but unchanged file, whether it
+    /// was swapped in or refused the last time, which is dropped before
+    /// the model build. Returns that checksum (`None` when the read stopped
+    /// short of the payload's end), with the outcome when the candidate
+    /// was new. `serve.reload.begin` comes only then, after the read.
+    pub(crate) fn reload_changed(
+        &self,
+        path: &Path,
+        seen: Option<u32>,
+    ) -> (Option<u32>, Option<Result<Arc<ModelVersion>, ReloadError>>) {
+        let read = Checkpoint::read_weights(path);
+        let checksum = match &read {
+            Ok((_, checksum)) => Some(*checksum),
+            Err((_, checksum)) => *checksum,
+        };
+        if checksum.is_some() && checksum == seen {
+            return (checksum, None);
+        }
+        self.begin(path);
+        (checksum, Some(self.settle(path, self.stage(read))))
+    }
+
+    fn begin(&self, path: &Path) {
         emit(
             Event::new(Level::Info, "serve.reload.begin")
-                .field("source", source.as_str())
+                .field("source", path.display().to_string())
                 .field("live_version", self.current().version),
         );
-        match self.stage(path, &source) {
-            Ok(next) => Ok(self.swap(next)),
+    }
+
+    /// Swaps a staged model live, or counts and logs its refusal.
+    fn settle(
+        &self,
+        path: &Path,
+        staged: Result<InferenceModel, ReloadError>,
+    ) -> Result<Arc<ModelVersion>, ReloadError> {
+        let source = path.display().to_string();
+        match staged {
+            Ok(model) => Ok(self.swap(model, source)),
             Err(err) => {
                 self.refused.fetch_add(1, Ordering::Relaxed);
                 let mut ev = Event::new(Level::Warn, "serve.reload.refused")
@@ -226,14 +290,18 @@ impl ModelRegistry {
     }
 
     /// Validates the candidate in a staging slot; never touches the live
-    /// `Arc`.
-    fn stage(&self, path: &Path, source: &str) -> Result<ModelVersion, ReloadError> {
-        let bytes = std::fs::read(path).map_err(ReloadError::Io)?;
-        let checksum = crc32(&bytes);
-        let ck = Checkpoint::decode_weights(&bytes).map_err(ReloadError::Checkpoint)?;
-        // Free the file image before the model build packs its weights.
-        drop(bytes);
-        let model = InferenceModel::from_checkpoint(&ck, self.alpha).map_err(ReloadError::Model)?;
+    /// `Arc`. `read` is one streamed read of the file
+    /// ([`Checkpoint::read_weights`]): verified, its weights decoded, with
+    /// the whole file's CRC32. The build and the architecture and
+    /// serving-compatibility gates follow.
+    fn stage(&self, read: Verified) -> Result<InferenceModel, ReloadError> {
+        let (ck, checksum) = read.map_err(|(err, _)| match err {
+            CheckpointError::Io(e) => ReloadError::Io(e),
+            err => ReloadError::Checkpoint(err),
+        })?;
+        let model = InferenceModel::from_checkpoint(ck, self.alpha)
+            .map_err(ReloadError::Model)?
+            .with_checksum(checksum);
         let report = arch_spec_of(&model).validate();
         if !report.is_pass() {
             return Err(ReloadError::Arch(report.to_string()));
@@ -249,19 +317,18 @@ impl ModelRegistry {
                 return Err(ReloadError::Incompatible { what, have, found });
             }
         }
-        Ok(ModelVersion {
-            model,
-            version: self.next_version.fetch_add(1, Ordering::Relaxed),
-            source: source.to_string(),
-            checksum,
-            served: AtomicU64::new(0),
-        })
+        Ok(model)
     }
 
-    /// Swaps a validated version live and retires the old one into the
-    /// drain queue.
-    fn swap(&self, next: ModelVersion) -> Arc<ModelVersion> {
-        let next = Arc::new(next);
+    /// Swaps a validated model live as the next version and retires the
+    /// old one into the drain queue, keeping only its record.
+    fn swap(&self, model: InferenceModel, source: String) -> Arc<ModelVersion> {
+        let next = Arc::new(ModelVersion {
+            model,
+            version: self.next_version.fetch_add(1, Ordering::Relaxed),
+            source,
+            served: Arc::new(AtomicU64::new(0)),
+        });
         let old = {
             let mut guard = match self.current.lock() {
                 Ok(guard) => guard,
@@ -276,18 +343,21 @@ impl ModelRegistry {
                 .field("old_version", old.version)
                 .field("generation", generation)
                 .field("source", next.source.as_str())
-                .field("checksum", u64::from(next.checksum)),
+                .field("checksum", u64::from(next.model.checksum())),
         );
         emit(
             Event::new(Level::Info, "serve.reload.drain")
                 .field("phase", "begin")
                 .field("version", old.version),
         );
+        let record = VersionRecord::of(&old);
+        // The weights go now unless an in-flight request still holds them.
+        drop(old);
         if let Ok(mut draining) = self.draining.lock() {
-            draining.push((Arc::clone(&old), Instant::now()));
+            draining.push((record.clone(), Instant::now()));
         }
         if let Ok(mut retired) = self.retired.lock() {
-            retired.push(old);
+            retired.push(record);
             if retired.len() > RETIRED_CAP {
                 retired.remove(0);
             }
@@ -302,11 +372,9 @@ impl ModelRegistry {
     pub fn poll_drains(&self) -> usize {
         let mut done = Vec::new();
         if let Ok(mut draining) = self.draining.lock() {
-            // An entry is drained when only the drain queue itself and the
-            // retired history still hold the Arc (≤ 2 owners; < 2 if the
-            // retired history already evicted it).
+            // An entry is drained once no request holds its version.
             draining.retain(|(old, since)| {
-                if Arc::strong_count(old) <= 2 {
+                if old.weights.strong_count() == 0 {
                     let waited =
                         u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX);
                     done.push((old.version, old.served(), waited));
@@ -399,7 +467,7 @@ mod tests {
     }
 
     fn sample_model() -> InferenceModel {
-        InferenceModel::from_checkpoint(&sample_checkpoint(), 1.0).unwrap()
+        InferenceModel::from_checkpoint(sample_checkpoint(), 1.0).unwrap()
     }
 
     #[test]
@@ -476,7 +544,7 @@ mod tests {
             }
         }
         ck.store = store;
-        let centroid_only = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+        let centroid_only = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
         let reg = ModelRegistry::new(centroid_only, 1.0, "initial");
         let err = reg.reload(&path).unwrap_err();
         assert_eq!(err.reason(), "incompatible-shape");

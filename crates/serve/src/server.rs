@@ -42,7 +42,6 @@ use crate::http::{read_request, write_response, HttpError, Limits, Method, Reque
 use crate::model::{AssignError, Assignment, ServeMode, MAX_FEATURE_MAGNITUDE};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::InferenceModel;
-use adec_nn::checkpoint::crc32;
 use adec_obs::json::escape;
 use adec_obs::trace::{self, TraceContext, TraceRing, TraceTree};
 use adec_obs::{Counter, Histogram, Registry, Span, DURATION_BUCKETS};
@@ -311,10 +310,14 @@ impl Shared {
     /// regime, so stale evidence (and any latched alarm) is dropped.
     fn do_reload(&self, path: &std::path::Path) -> Result<Arc<ModelVersion>, crate::ReloadError> {
         let res = self.registry.reload(path);
-        if let Ok(next) = &res {
+        self.rearm(&res);
+        res
+    }
+
+    fn rearm(&self, res: &Result<Arc<ModelVersion>, crate::ReloadError>) {
+        if let Ok(next) = res {
             self.drift.reset(next.model.profile().cloned());
         }
-        res
     }
 }
 
@@ -597,13 +600,16 @@ fn supervise_slot(
     }
 }
 
-/// Checkpoint watcher: poll mtime, confirm with a checksum, hot reload on
-/// a real change. A refused candidate is remembered by checksum so a bad
-/// file is refused once, not every poll.
+/// Checkpoint watcher: poll mtime and reload the file when it moves. The
+/// one streamed read of a reload also yields the whole file's checksum,
+/// and a candidate whose checksum is the last one seen (the live model's
+/// file at first) is dropped before the model build, so a touched but
+/// unchanged file swaps nothing and a bad file is refused once, not every
+/// poll or touch.
 fn watch_loop(shared: &Arc<Shared>, path: &std::path::Path) {
     let mtime_of = |p: &std::path::Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
     let mut last_mtime = mtime_of(path);
-    let mut last_crc = std::fs::read(path).ok().map(|bytes| crc32(&bytes));
+    let mut last_crc = Some(shared.registry.current().model.checksum()).filter(|&c| c != 0);
     let interval = shared.config.watch_interval_ms.max(WEDGE_SLICE_MS);
     let mut since_poll = 0u64;
     while !shared.shutting_down.load(Ordering::SeqCst) {
@@ -614,19 +620,20 @@ fn watch_loop(shared: &Arc<Shared>, path: &std::path::Path) {
         }
         since_poll = 0;
         let mtime = mtime_of(path);
-        if mtime == last_mtime && last_crc.is_some() {
+        if mtime == last_mtime {
             continue;
         }
         last_mtime = mtime;
-        let Ok(bytes) = std::fs::read(path) else { continue };
-        let crc = crc32(&bytes);
-        if last_crc == Some(crc) {
-            continue;
+        if mtime.is_none() {
+            continue; // gone: nothing to stage until it reappears
         }
-        last_crc = Some(crc);
         // Swap or refusal are both fully logged by the registry; the
         // watcher only decides *when* to try.
-        let _ = shared.do_reload(path);
+        let (crc, outcome) = shared.registry.reload_changed(path, last_crc);
+        if let Some(res) = &outcome {
+            shared.rearm(res);
+        }
+        last_crc = crc;
     }
 }
 
@@ -1096,7 +1103,7 @@ fn render_fleet_metrics(shared: &Shared) -> String {
         out.push_str(&format!(
             "adec_serve_model_served{{version=\"{}\",phase=\"{}\"}} {}\n",
             v.version,
-            v.model.phase,
+            v.phase,
             v.served()
         ));
     }

@@ -108,7 +108,7 @@ pub fn sample_body(cols: usize, rows: usize, seed: u64) -> Vec<u8> {
 
 /// Full-mode model from the sample checkpoint.
 pub fn sample_model(seed: u64) -> InferenceModel {
-    match InferenceModel::from_checkpoint(&sample_checkpoint(seed), 1.0) {
+    match InferenceModel::from_checkpoint(sample_checkpoint(seed), 1.0) {
         Ok(m) => m,
         Err(e) => panic!("model build failed: {e}"),
     }

@@ -84,7 +84,7 @@ fn blob_checkpoint(ds: &Dataset, with_profile: bool) -> Checkpoint {
 }
 
 fn blob_model(ds: &Dataset, with_profile: bool) -> InferenceModel {
-    match InferenceModel::from_checkpoint(&blob_checkpoint(ds, with_profile), 1.0) {
+    match InferenceModel::from_checkpoint(blob_checkpoint(ds, with_profile), 1.0) {
         Ok(m) => m,
         Err(e) => panic!("blob model build failed: {e}"),
     }
@@ -215,7 +215,7 @@ fn gate_policy_lifecycle_and_events_over_http() {
     let ck = blob_checkpoint(&ds, true);
     let reload_path = dir.join("model.ckpt");
     ck.save_atomic(&reload_path).unwrap();
-    let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+    let model = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
     let reload = reload_path.clone();
     let handle = common::start_server(model, move |c| {
         c.reload_path = Some(reload);
@@ -481,7 +481,7 @@ fn degrade_policy_stamps_responses_but_keeps_readiness() {
 fn served_window_matches_offline_drift_stats_across_chunks() {
     const ROWS: usize = 100;
     let ck = common::profiled_checkpoint(9);
-    let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+    let model = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
     // Shifted off the profile's inputs, so every signal is non-trivial.
     let x = Matrix::randn(ROWS, common::INPUT_DIM, 0.5, 1.5, &mut SeedRng::new(12));
     let config = DriftConfig { window_rows: ROWS, ..DriftConfig::default() };

@@ -59,8 +59,8 @@ fn drift_sentinel_adds_no_kernel_dispatch_to_an_assign() {
     let profiled = common::profiled_checkpoint(7);
     let mut stripped = profiled.clone();
     stripped.profile = None;
-    let with_sentinel = InferenceModel::from_checkpoint(&profiled, 1.0).unwrap();
-    let without_sentinel = InferenceModel::from_checkpoint(&stripped, 1.0).unwrap();
+    let with_sentinel = InferenceModel::from_checkpoint(profiled, 1.0).unwrap();
+    let without_sentinel = InferenceModel::from_checkpoint(stripped, 1.0).unwrap();
     assert!(with_sentinel.profile().is_some() && without_sentinel.profile().is_none());
 
     let body = common::sample_body(common::INPUT_DIM, 16, 3);
@@ -91,7 +91,7 @@ fn served_weights_are_packed_once_at_load_and_never_per_request() {
         .sum();
 
     let before = packed_values();
-    let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+    let model = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
     assert_eq!(
         packed_values() - before,
         padded_panels as u64,

@@ -8,10 +8,11 @@
 mod common;
 
 use adec_loadgen::client;
+use adec_serve::{InferenceModel, ServerHandle};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant, SystemTime};
 
 fn assign(addr: SocketAddr, body: &[u8]) -> (u16, String) {
     match client::post(addr, "/assign", body) {
@@ -141,5 +142,62 @@ fn different_checkpoint_swaps_version_atomically() {
     handle.shutdown();
     let stats = handle.join();
     assert_eq!(stats.caught_panics, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Polls `done` for up to ten seconds.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn watcher_swaps_changed_files_only_and_refuses_a_bad_one_once() {
+    let dir = common::scratch_dir("hotswap-watch");
+    let path = dir.join("model.ckpt");
+    common::write_checkpoint(&path, 7);
+    // Booted from the file, the live model carries its checksum.
+    let model = InferenceModel::load(&path, 1.0).unwrap();
+    assert_ne!(model.checksum(), 0);
+    let watched = path.clone();
+    let handle: ServerHandle = common::start_server(model, move |c| {
+        c.watch_path = Some(watched);
+        c.watch_interval_ms = 25;
+    });
+    // A distinct mtime whatever the filesystem's granularity.
+    let touch = |ahead: u64| {
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(SystemTime::now() + Duration::from_secs(ahead)).unwrap();
+    };
+    // A dozen watcher polls.
+    let settle = || std::thread::sleep(Duration::from_millis(300));
+
+    // Touched but unchanged: nothing swaps, nothing is refused.
+    touch(10);
+    settle();
+    assert_eq!((handle.stats().reloads, handle.stats().reloads_refused), (0, 0));
+
+    // A corrupt file is refused once, however often it is touched.
+    let mut bad = std::fs::read(&path).unwrap();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x40;
+    std::fs::write(&path, &bad).unwrap();
+    touch(20);
+    wait_for("the refusal", || handle.stats().reloads_refused == 1);
+    touch(30);
+    settle();
+    assert_eq!((handle.stats().reloads, handle.stats().reloads_refused), (0, 1));
+
+    // A new checkpoint swaps in.
+    common::write_checkpoint(&path, 8);
+    touch(40);
+    wait_for("the swap", || handle.stats().reloads == 1);
+    assert_eq!(handle.stats().reloads_refused, 1);
+
+    handle.shutdown();
+    assert_eq!(handle.join().caught_panics, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,7 +95,7 @@ fn unknown_paths_and_methods_get_typed_errors() {
 
 #[test]
 fn degraded_no_decoder_serves_and_says_so() {
-    let model = InferenceModel::from_checkpoint(&decoderless_checkpoint(5), 1.0).unwrap();
+    let model = InferenceModel::from_checkpoint(decoderless_checkpoint(5), 1.0).unwrap();
     assert_eq!(model.mode, ServeMode::NoDecoder);
     let server = start_server(model, |_| {});
     let addr = server.addr();
@@ -125,7 +125,7 @@ fn centroid_only_mode_serves_latent_vectors() {
         .map(|(id, _, _)| id)
         .unwrap();
     ck.store.get_mut(id).set(0, 0, f32::NAN);
-    let model = InferenceModel::from_checkpoint(&ck, 1.0).unwrap();
+    let model = InferenceModel::from_checkpoint(ck, 1.0).unwrap();
     assert_eq!(model.mode, ServeMode::CentroidOnly);
     let latent = model.latent_dim();
 
