@@ -757,6 +757,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_group_serving_as_encoder_and_decoder_packs_once() {
+        // Data width equal to the latent width: the one `3 → 5 → 3` group
+        // is both the encoder and the decoder.
+        let mut rng = SeedRng::new(19);
+        let mut store = ParamStore::new();
+        Mlp::new(&mut store, &[3, 5, 3], Activation::Relu, Activation::Linear, &mut rng);
+        store.register("dec.centroids", Matrix::randn(4, 3, 0.0, 1.0, &mut rng));
+        let ck = Checkpoint { store, ..sample_checkpoint() };
+        let model = InferenceModel::from_checkpoint(ck.clone(), 1.0).unwrap();
+        assert_eq!(model.mode, ServeMode::Full);
+        assert_eq!(model.decoder_dims(), Some(vec![3, 5, 3]));
+        let x = Matrix::randn(6, 3, 0.0, 1.0, &mut rng);
+        let z = reference_forward(&ck.store, "mlp3x3", &x);
+        let xhat = reference_forward(&ck.store, "mlp3x3", &z);
+        assert_eq!(model.embed(&x).unwrap(), z);
+        for (i, a) in model.assign(&x).unwrap().iter().enumerate() {
+            let d: f32 = xhat.row(i).iter().zip(x.row(i)).map(|(a, b)| (a - b) * (a - b)).sum();
+            assert_eq!(a.recon_error, Some(d / 3.0), "row {i}");
+        }
+    }
+
+    #[test]
     fn full_mode_round_trip() {
         let model = InferenceModel::from_checkpoint(sample_checkpoint(), 1.0).unwrap();
         assert_eq!(model.mode, ServeMode::Full);
