@@ -310,25 +310,36 @@ fn serve_boots_and_reloads_in_bounded_memory() {
     // served layer as it releases its raw weight, so the peak stays well
     // under the file: the packed networks are about half of it, since
     // the optimizer state is verified but never decoded.
-    let (child, addr) = spawn_serve(&paper, &[]);
-    let boot = status_bytes(child.id(), "VmHWM").unwrap().saturating_sub(base);
+    let (mut child, addr) = spawn_serve(&paper, &[]);
+    let pid = child.id();
+    // A failed check stops the server before it fails the test.
+    let mut check = |ok: bool, msg: String| {
+        if !ok {
+            let _ = child.kill();
+            panic!("{msg}");
+        }
+    };
+    let boot = status_bytes(pid, "VmHWM").unwrap().saturating_sub(base);
     let bound = file * 4 / 5;
-    assert!(boot < bound, "boot peak {boot} B over the tiny boot, bound 0.8 x {file} B file = {bound} B");
+    check(
+        boot < bound,
+        format!("boot peak {boot} B over the tiny boot, bound 0.8 x {file} B file = {bound} B"),
+    );
 
     // A retired version keeps a record, not its weights: reloads do not
     // accumulate packed networks.
     let mut after_two = 0;
     for i in 1..=10 {
         let (status, body) = post(addr, "/reload", b"").unwrap().unwrap();
-        assert_eq!(status, 200, "reload {i}: {}", String::from_utf8_lossy(&body));
+        check(status == 200, format!("reload {i}: {}", String::from_utf8_lossy(&body)));
         if i == 2 {
-            after_two = status_bytes(child.id(), "VmRSS").unwrap();
+            after_two = status_bytes(pid, "VmRSS").unwrap();
         }
     }
-    let after_ten = status_bytes(child.id(), "VmRSS").unwrap();
-    assert!(
+    let after_ten = status_bytes(pid, "VmRSS").unwrap();
+    check(
         after_ten <= after_two + packed,
-        "RSS {after_two} B after 2 reloads, {after_ten} B after 10; one packed network is {packed} B"
+        format!("RSS {after_two} B after 2 reloads, {after_ten} B after 10; one packed network is {packed} B"),
     );
     shutdown(child, addr);
     let _ = std::fs::remove_dir_all(&dir);
