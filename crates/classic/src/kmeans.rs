@@ -81,8 +81,10 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut SeedRng) -> Matrix {
     data.gather_rows(&centers)
 }
 
-/// Nearest-centroid assignment; returns `(labels, inertia)`.
-fn assign(data: &Matrix, centroids: &Matrix) -> (Vec<usize>, f32) {
+/// Nearest-centroid assignment; returns `(labels, inertia)`. Each row
+/// goes to the centroid at the smallest squared distance, ties to the
+/// lowest index. Lloyd's iterations and DCN's hard assignment both use it.
+pub fn assign(data: &Matrix, centroids: &Matrix) -> (Vec<usize>, f32) {
     let d = pairwise_sq_dists(data, centroids);
     let mut labels = Vec::with_capacity(data.rows());
     let mut inertia = 0.0f32;
@@ -196,6 +198,13 @@ mod tests {
             }
         }
         (Matrix::from_rows(&rows), labels)
+    }
+
+    #[test]
+    fn nearest_centroid_assignment() {
+        let z = Matrix::from_vec(2, 1, vec![0.1, 4.9]);
+        let c = Matrix::from_vec(2, 1, vec![0.0, 5.0]);
+        assert_eq!(assign(&z, &c).0, vec![0, 1]);
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::guard::{
     GuardConfig, TrainError, TrainGuard,
 };
 use crate::trace::{ClusterOutput, TraceConfig};
+use adec_classic::kmeans::assign;
 use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
-use adec_tensor::{linalg::pairwise_sq_dists, Matrix, SeedRng};
+use adec_tensor::{Matrix, SeedRng};
 
 /// DCN configuration.
 #[derive(Debug, Clone)]
@@ -71,24 +72,6 @@ impl DcnConfig {
 
 /// DCN runner.
 pub struct Dcn;
-
-fn nearest_centroids(z: &Matrix, centroids: &Matrix) -> Vec<usize> {
-    let d = pairwise_sq_dists(z, centroids);
-    (0..z.rows())
-        .map(|i| {
-            let row = d.row(i);
-            let mut best = 0usize;
-            let mut best_v = f32::INFINITY;
-            for (j, &v) in row.iter().enumerate() {
-                if v < best_v {
-                    best_v = v;
-                    best = j;
-                }
-            }
-            best
-        })
-        .collect()
-}
 
 impl Dcn {
     /// Runs DCN fine-tuning.
@@ -163,7 +146,7 @@ impl ClusterTrainer for DcnTrainer<'_> {
     fn refresh(&mut self, store: &ParamStore, guard: &TrainGuard) -> Result<Vec<usize>, Fault> {
         guard.check_params(store)?;
         let z = self.ae.embed(store, self.data);
-        Ok(nearest_centroids(&z, store.get(self.mu_id)))
+        Ok(assign(&z, store.get(self.mu_id)).0)
     }
 
     fn step(
@@ -176,8 +159,8 @@ impl ClusterTrainer for DcnTrainer<'_> {
 
         // Assignments with the current network (fixed during the step).
         let z_now = self.ae.embed(store, &x_b);
-        let assign = nearest_centroids(&z_now, store.get(self.mu_id));
-        let targets = store.get(self.mu_id).gather_rows(&assign);
+        let (labels, _) = assign(&z_now, store.get(self.mu_id));
+        let targets = store.get(self.mu_id).gather_rows(&labels);
 
         // Network update on L_r + (λ/2)‖z − M s‖².
         let _prof_tape = adec_nn::profiler::phase("dcn.step");
@@ -192,7 +175,7 @@ impl ClusterTrainer for DcnTrainer<'_> {
         // learning rate 1/count.
         let z_new = self.ae.embed(store, &x_b);
         let centroids = store.get_mut(self.mu_id);
-        for (row, &c) in assign.iter().enumerate() {
+        for (row, &c) in labels.iter().enumerate() {
             self.counts[c] += 1;
             let lr_c = 1.0 / self.counts[c] as f32;
             for t in 0..centroids.cols() {
@@ -233,7 +216,7 @@ impl ClusterTrainer for DcnTrainer<'_> {
     /// DCN is hard-assignment: nearest-centroid labels and a one-hot Q
     /// for interface parity.
     fn output(&self, z: &Matrix, _q: Matrix, store: &ParamStore) -> (Vec<usize>, Matrix) {
-        let labels = nearest_centroids(z, store.get(self.mu_id));
+        let (labels, _) = assign(z, store.get(self.mu_id));
         let mut q = Matrix::zeros(z.rows(), self.cfg.k);
         for (i, &l) in labels.iter().enumerate() {
             q.set(i, l, 1.0);
@@ -316,12 +299,5 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-6);
             assert!(out.q.row(i).iter().all(|&v| v == 0.0 || v == 1.0));
         }
-    }
-
-    #[test]
-    fn nearest_centroid_assignment() {
-        let z = Matrix::from_vec(2, 1, vec![0.1, 4.9]);
-        let c = Matrix::from_vec(2, 1, vec![0.0, 5.0]);
-        assert_eq!(nearest_centroids(&z, &c), vec![0, 1]);
     }
 }

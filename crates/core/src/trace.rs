@@ -114,74 +114,6 @@ impl TrainTrace {
         }
     }
 
-    /// Serializes the trace as JSONL: one object per recorded point, in
-    /// order. Floats use [`adec_obs::json::format_f32`], so every `f32`
-    /// bit pattern (including `NaN`, infinities and `-0.0`) survives a
-    /// [`TrainTrace::from_jsonl`] round trip exactly; absent metrics are
-    /// written as `null`.
-    pub fn to_jsonl(&self) -> String {
-        use adec_obs::json::format_f32;
-        let opt = |v: Option<f32>| v.map_or_else(|| "null".to_string(), format_f32);
-        let mut out = String::new();
-        for p in &self.points {
-            out.push_str(&format!(
-                "{{\"iter\":{},\"kl_loss\":{},\"acc\":{},\"nmi\":{},\"delta_fr\":{},\"delta_fd\":{}}}\n",
-                p.iter,
-                format_f32(p.kl_loss),
-                opt(p.acc),
-                opt(p.nmi),
-                opt(p.delta_fr),
-                opt(p.delta_fd),
-            ));
-        }
-        out
-    }
-
-    /// Parses a trace previously written by [`TrainTrace::to_jsonl`].
-    /// Blank lines are skipped; any malformed line is an error naming the
-    /// 1-based line number.
-    pub fn from_jsonl(text: &str) -> Result<TrainTrace, String> {
-        use adec_obs::json::{parse_f32, Json};
-        let req_f32 = |obj: &Json, key: &str| -> Result<f32, String> {
-            obj.get(key)
-                .and_then(parse_f32)
-                .ok_or_else(|| format!("missing or invalid field `{key}`"))
-        };
-        let opt_f32 = |obj: &Json, key: &str| -> Result<Option<f32>, String> {
-            match obj.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => parse_f32(v)
-                    .map(Some)
-                    .ok_or_else(|| format!("invalid field `{key}`")),
-            }
-        };
-        let mut trace = TrainTrace::default();
-        for (li, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parse_line = |line: &str| -> Result<TracePoint, String> {
-                let obj = Json::parse(line)?;
-                let iter = obj
-                    .get("iter")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "missing or invalid field `iter`".to_string())?;
-                Ok(TracePoint {
-                    iter: usize::try_from(iter).map_err(|e| e.to_string())?,
-                    acc: opt_f32(&obj, "acc")?,
-                    nmi: opt_f32(&obj, "nmi")?,
-                    delta_fr: opt_f32(&obj, "delta_fr")?,
-                    delta_fd: opt_f32(&obj, "delta_fd")?,
-                    kl_loss: req_f32(&obj, "kl_loss")?,
-                })
-            };
-            let point =
-                parse_line(line).map_err(|e| format!("trace jsonl line {}: {e}", li + 1))?;
-            trace.points.push(point);
-        }
-        Ok(trace)
-    }
-
     /// Root-mean-square step-to-step fluctuation of the ACC curve — the
     /// quantity behind the paper's "IDEC* fluctuates, ADEC is smooth"
     /// observation (Figures 11–12).
@@ -417,37 +349,6 @@ mod tests {
         assert!((gradient_cosine(&g_kl, &g_kl) - 1.0).abs() < 1e-5);
         let c = gradient_cosine(&g_kl, &g_rec);
         assert!((-1.0..=1.0).contains(&c));
-    }
-
-    #[test]
-    fn trace_jsonl_round_trip_is_lossless() {
-        let mut trace = TrainTrace::default();
-        let specials = [
-            (0usize, Some(0.5f32), Some(0.42f32), None, Some(-0.5f32), 1.25f32),
-            (10, None, None, Some(f32::NAN), Some(f32::INFINITY), f32::MIN_POSITIVE),
-            (20, Some(-0.0), Some(f32::MAX), Some(f32::NEG_INFINITY), None, -0.0),
-            (4096, Some(1.0e-40), None, None, None, std::f32::consts::PI),
-        ];
-        for (iter, acc, nmi, delta_fr, delta_fd, kl_loss) in specials {
-            trace.points.push(TracePoint { iter, acc, nmi, delta_fr, delta_fd, kl_loss });
-        }
-        let text = trace.to_jsonl();
-        assert_eq!(text.lines().count(), trace.points.len());
-        let back = TrainTrace::from_jsonl(&text).unwrap();
-        assert_eq!(back.points.len(), trace.points.len());
-        let bits = |v: Option<f32>| v.map(f32::to_bits);
-        for (a, b) in trace.points.iter().zip(back.points.iter()) {
-            assert_eq!(a.iter, b.iter);
-            assert_eq!(a.kl_loss.to_bits(), b.kl_loss.to_bits());
-            assert_eq!(bits(a.acc), bits(b.acc));
-            assert_eq!(bits(a.nmi), bits(b.nmi));
-            assert_eq!(bits(a.delta_fr), bits(b.delta_fr));
-            assert_eq!(bits(a.delta_fd), bits(b.delta_fd));
-        }
-        // Blank lines are tolerated; malformed lines are located exactly.
-        assert!(TrainTrace::from_jsonl("\n\n").unwrap().points.is_empty());
-        let err = TrainTrace::from_jsonl("{\"iter\":1,\"kl_loss\":0.5}\n{}").unwrap_err();
-        assert!(err.contains("line 2"), "unexpected error: {err}");
     }
 
     #[test]

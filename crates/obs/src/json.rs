@@ -1,8 +1,8 @@
 //! A minimal JSON reader/writer for the workspace's own artifacts.
 //!
 //! This is not a general-purpose JSON library: it exists so the JSONL
-//! event log, `TrainTrace` exports, and the `/statz` endpoint can be
-//! parsed back strictly in tests and tooling without an external
+//! event log and the serve endpoints (`/statz`, `/readyz`, `/driftz`) can
+//! be parsed back strictly in tests and tooling without an external
 //! dependency. It accepts exactly RFC 8259 JSON (no comments, no
 //! trailing commas, no NaN literals) and preserves object key order.
 
@@ -305,37 +305,6 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f32` losslessly for JSON: finite values use Rust's
-/// shortest round-trip `Display`; non-finite values become the strings
-/// `"NaN"` / `"Infinity"` / `"-Infinity"` (JSON has no literals for
-/// them). [`parse_f32`] reverses both forms exactly.
-pub fn format_f32(v: f32) -> String {
-    if v.is_finite() {
-        // Distinguish -0.0: Display prints "-0", which round-trips.
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"Infinity\"".to_string()
-    } else {
-        "\"-Infinity\"".to_string()
-    }
-}
-
-/// Reads back a value written by [`format_f32`].
-pub fn parse_f32(value: &Json) -> Option<f32> {
-    match value {
-        Json::Num(n) => Some(*n as f32),
-        Json::Str(s) => match s.as_str() {
-            "NaN" => Some(f32::NAN),
-            "Infinity" => Some(f32::INFINITY),
-            "-Infinity" => Some(f32::NEG_INFINITY),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::float_cmp, clippy::indexing_slicing)]
 mod tests {
@@ -373,31 +342,6 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\\u0001");
         let round = Json::parse(&format!("\"{}\"", escape("x\t\"\\\u{2}y"))).unwrap();
         assert_eq!(round, Json::Str("x\t\"\\\u{2}y".to_string()));
-    }
-
-    #[test]
-    fn f32_round_trip_is_exact_over_tricky_values() {
-        let cases = [
-            0.0f32,
-            -0.0,
-            1.0,
-            0.1,
-            f32::MIN_POSITIVE,
-            f32::MIN_POSITIVE / 8.0, // subnormal
-            f32::MAX,
-            -f32::MAX,
-            1.0 / 3.0,
-            std::f32::consts::PI,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-        ];
-        for v in cases {
-            let text = format_f32(v);
-            let back = parse_f32(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(v.to_bits(), back.to_bits(), "{v} via {text}");
-        }
-        let nan_back = parse_f32(&Json::parse(&format_f32(f32::NAN)).unwrap()).unwrap();
-        assert!(nan_back.is_nan());
     }
 
     #[test]

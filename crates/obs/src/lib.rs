@@ -18,7 +18,9 @@
 //!    a histogram observation is one bucket add plus a CAS loop on the
 //!    sum bits. Event emission with no sink installed and a level below
 //!    `Warn` returns before any formatting. Kernel-level recording in
-//!    `adec-tensor` is additionally behind a compile-out-able feature.
+//!    `adec-tensor` is always on and stays off the per-element path: one
+//!    counter add per dispatch or pack, two clock reads per parallel
+//!    chunk.
 //! 3. **No dependencies.** Std only, like the rest of the workspace, so
 //!    the crate can sit underneath `adec-tensor`.
 //!

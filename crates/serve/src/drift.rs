@@ -6,10 +6,10 @@
 //! see [`adec_nn::profile`]). At serve time the embedding each `/assign`
 //! request was answered from is reduced, after the response is written,
 //! to a [`BatchDriftStats`] summary (`BatchDriftStats::add_rows`, over
-//! the same per-row routine as the profile); replicas accumulate
-//! those summaries locally and the sentinel closes a *window* every
-//! `window_rows` rows fleet-wide, reducing it to five standardized drift
-//! signals:
+//! the same per-row routine as the profile); every worker merges its
+//! summary into the sentinel's one pending window, which closes once it
+//! holds `window_rows` rows fleet-wide and reduces to five standardized
+//! drift signals:
 //!
 //! | signal       | what it watches                                        |
 //! |--------------|--------------------------------------------------------|
@@ -44,8 +44,8 @@ use adec_nn::profile::{row_stats, DISTANCE_QUANTILES};
 use adec_nn::{soft_assignment, ReferenceProfile};
 use adec_obs::{emit, Event, Level};
 use adec_tensor::Matrix;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Default rows per detection window.
 pub const DEFAULT_WINDOW_ROWS: usize = 256;
@@ -112,8 +112,8 @@ impl Default for DriftConfig {
 }
 
 /// One `/assign` batch reduced to the sums the window signals need.
-/// Filled by `BatchDriftStats::add_rows`; additive, so replica-local
-/// accumulators merge into one window.
+/// Filled by `BatchDriftStats::add_rows`; additive, so batches merge into
+/// one window.
 #[derive(Debug, Clone, Default)]
 pub struct BatchDriftStats {
     /// Rows summarized.
@@ -243,11 +243,14 @@ pub struct DriftSnapshot {
     pub signals: Vec<SignalSnapshot>,
 }
 
-/// Detector state guarded by one mutex: windows close one at a time, so
-/// the `serve.drift.*` event stream is totally ordered.
+/// Detector state guarded by one mutex: batches merge into the pending
+/// window and windows close under it one at a time, in the order their
+/// rows arrived, so the `serve.drift.*` event stream is totally ordered.
 #[derive(Debug)]
 struct DetectorState {
     profile: Option<ReferenceProfile>,
+    /// Rows accumulated toward the next window.
+    pending: BatchDriftStats,
     cusums: [Cusum; 5],
     last_signals: [f32; 5],
     windows: u64,
@@ -257,19 +260,16 @@ struct DetectorState {
     alarmed: bool,
 }
 
-/// Fleet-wide drift sentinel: per-replica accumulation, global windows.
+/// Fleet-wide drift sentinel: one pending window for the whole fleet.
 ///
-/// Replicas merge batch summaries into their own slot (no cross-replica
-/// contention on the hot path); whichever replica's batch pushes the
-/// fleet-wide pending total past `window_rows` closes the window under the
-/// detector lock, draining every slot.
+/// Every worker merges its batch summaries into the pending window under
+/// the detector lock; the batch that brings it to `window_rows` rows
+/// closes it there and then.
 #[derive(Debug)]
 pub struct DriftSentinel {
     config: DriftConfig,
     /// Label for `serve.drift.*` events (the server's port).
     instance: u64,
-    per_replica: Vec<Mutex<BatchDriftStats>>,
-    pending_rows: AtomicU64,
     state: Mutex<DetectorState>,
     // Lock-free mirrors for the request path (ladder + readiness gate).
     alarmed_flag: AtomicBool,
@@ -277,23 +277,20 @@ pub struct DriftSentinel {
 }
 
 impl DriftSentinel {
-    /// Builds a sentinel for a fleet of `replicas` workers. With no
-    /// profile the sentinel is permanently disabled (pre-profile
-    /// checkpoints keep serving; `/driftz` reports `profile: absent`).
+    /// Builds a sentinel. With no profile the sentinel is permanently
+    /// disabled (pre-profile checkpoints keep serving; `/driftz` reports
+    /// `profile: absent`).
     pub fn new(
         config: DriftConfig,
         profile: Option<ReferenceProfile>,
-        replicas: usize,
         instance: u64,
     ) -> DriftSentinel {
-        assert!(replicas > 0, "DriftSentinel: empty fleet");
         assert!(config.window_rows > 0, "DriftSentinel: zero window");
         let cusums = std::array::from_fn(|_| Cusum::new(config.allowance, config.threshold));
         DriftSentinel {
-            per_replica: (0..replicas).map(|_| Mutex::new(BatchDriftStats::default())).collect(),
-            pending_rows: AtomicU64::new(0),
             state: Mutex::new(DetectorState {
                 profile,
+                pending: BatchDriftStats::default(),
                 cusums,
                 last_signals: [0.0; 5],
                 windows: 0,
@@ -309,12 +306,20 @@ impl DriftSentinel {
         }
     }
 
+    /// The detector state, locked.
+    fn state(&self) -> MutexGuard<'_, DetectorState> {
+        // Counters, detectors and a window of sums stay structurally valid
+        // even if a holder panicked mid-update, so a poisoned lock is
+        // recoverable.
+        match self.state.lock() {
+            Ok(s) => s,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     /// Whether a reference profile is loaded and detection is running.
     pub fn enabled(&self) -> bool {
-        match self.state.lock() {
-            Ok(s) => s.profile.is_some(),
-            Err(poisoned) => poisoned.into_inner().profile.is_some(),
-        }
+        self.state().profile.is_some()
     }
 
     /// The mitigation policy in force.
@@ -359,25 +364,20 @@ impl DriftSentinel {
         self.config.policy == DriftPolicy::Gate && self.alarmed()
     }
 
-    /// Feeds one batch summary from `replica`. Cheap: one short replica-
-    /// local lock; the detector lock is only taken by the batch that
-    /// completes a window.
-    pub fn record(&self, replica: usize, batch: &BatchDriftStats) {
+    /// Feeds one batch summary into the pending window, and closes the
+    /// window when this batch brings it to `window_rows` rows. A disabled
+    /// sentinel keeps nothing.
+    pub fn record(&self, batch: &BatchDriftStats) {
         if batch.rows == 0 {
             return;
         }
-        let slot = self.per_replica.get(replica % self.per_replica.len());
-        let Some(slot) = slot else { return };
-        {
-            let mut acc = match slot.lock() {
-                Ok(acc) => acc,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            acc.merge(batch);
+        let mut state = self.state();
+        if state.profile.is_none() {
+            return;
         }
-        let pending = self.pending_rows.fetch_add(batch.rows, Ordering::SeqCst) + batch.rows;
-        if pending >= self.config.window_rows as u64 {
-            self.close_window();
+        state.pending.merge(batch);
+        if state.pending.rows >= self.config.window_rows as u64 {
+            self.close_window(&mut state);
         }
     }
 
@@ -385,18 +385,8 @@ impl DriftSentinel {
     /// score — the hot-reload hook. If the alarm latch was set, emits the
     /// `serve.drift.clear` event with reason `reload`.
     pub fn reset(&self, profile: Option<ReferenceProfile>) {
-        for slot in &self.per_replica {
-            let mut acc = match slot.lock() {
-                Ok(acc) => acc,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *acc = BatchDriftStats::default();
-        }
-        self.pending_rows.store(0, Ordering::SeqCst);
-        let mut state = match self.state.lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut state = self.state();
+        state.pending = BatchDriftStats::default();
         let was_alarmed = state.alarmed;
         for c in &mut state.cusums {
             c.reset();
@@ -419,10 +409,7 @@ impl DriftSentinel {
 
     /// Point-in-time view for `/driftz` and the `/metrics` gauges.
     pub fn snapshot(&self) -> DriftSnapshot {
-        let state = match self.state.lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let state = self.state();
         let severity = state
             .cusums
             .iter()
@@ -434,7 +421,7 @@ impl DriftSentinel {
             window_rows: self.config.window_rows,
             windows: state.windows,
             rows: state.rows,
-            pending_rows: self.pending_rows.load(Ordering::Relaxed),
+            pending_rows: state.pending.rows,
             alarmed: state.alarmed,
             severity,
             alarms: state.alarms,
@@ -452,46 +439,10 @@ impl DriftSentinel {
         }
     }
 
-    /// Drains every replica accumulator into one window and feeds the
-    /// detectors. Serialized on the detector lock; a racing caller whose
-    /// pending total was already consumed finds it below the bar and
-    /// returns without closing anything.
-    fn close_window(&self) {
-        let mut state = match self.state.lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if state.profile.is_none() {
-            // Disabled: discard accumulation so pending can't grow forever.
-            for slot in &self.per_replica {
-                let mut acc = match slot.lock() {
-                    Ok(acc) => acc,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                *acc = BatchDriftStats::default();
-            }
-            self.pending_rows.store(0, Ordering::SeqCst);
-            return;
-        }
-        if self.pending_rows.load(Ordering::SeqCst) < self.config.window_rows as u64 {
-            return; // another closer consumed this window first
-        }
-        let mut window = BatchDriftStats::default();
-        for slot in &self.per_replica {
-            let mut acc = match slot.lock() {
-                Ok(acc) => acc,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            window.merge(&acc);
-            *acc = BatchDriftStats::default();
-        }
-        if window.rows == 0 {
-            return;
-        }
-        self.pending_rows.fetch_sub(
-            window.rows.min(self.pending_rows.load(Ordering::SeqCst)),
-            Ordering::SeqCst,
-        );
+    /// Closes the pending window: scores it and feeds the detectors. Runs
+    /// under the detector lock its caller holds.
+    fn close_window(&self, state: &mut DetectorState) {
+        let window = std::mem::take(&mut state.pending);
         let signals = match &state.profile {
             Some(profile) => window_signals(&window, profile),
             None => return,
@@ -721,13 +672,13 @@ mod tests {
     fn sentinel_alarm_latches_and_resets() {
         let (profile, z, mu) = tiny_profile();
         let config = DriftConfig { window_rows: 96, ..DriftConfig::default() };
-        let sentinel = DriftSentinel::new(config, Some(profile.clone()), 2, 0);
+        let sentinel = DriftSentinel::new(config, Some(profile.clone()), 0);
         assert!(sentinel.enabled());
         assert!(!sentinel.alarmed());
 
         // Stationary windows: never alarm.
         for _ in 0..6 {
-            sentinel.record(0, &stats_of(&z, &mu, &profile));
+            sentinel.record(&stats_of(&z, &mu, &profile));
         }
         let snap = sentinel.snapshot();
         assert_eq!(snap.windows, 6);
@@ -737,7 +688,7 @@ mod tests {
         let mut shifted = z.clone();
         shifted.map_inplace(|v| v + 2.0);
         for _ in 0..3 {
-            sentinel.record(1, &stats_of(&shifted, &mu, &profile));
+            sentinel.record(&stats_of(&shifted, &mu, &profile));
         }
         assert!(sentinel.alarmed(), "no alarm after 3 shifted windows");
         assert!(sentinel.severity() >= 1.0);
@@ -752,7 +703,7 @@ mod tests {
 
         // And the fresh profile keeps accepting stationary traffic.
         for _ in 0..3 {
-            sentinel.record(0, &stats_of(&z, &mu, &profile));
+            sentinel.record(&stats_of(&z, &mu, &profile));
         }
         assert!(!sentinel.alarmed());
     }
@@ -767,13 +718,13 @@ mod tests {
         ] {
             let config =
                 DriftConfig { policy, window_rows: 96, ..DriftConfig::default() };
-            let sentinel = DriftSentinel::new(config, Some(profile.clone()), 1, 0);
+            let sentinel = DriftSentinel::new(config, Some(profile.clone()), 0);
             assert_eq!(sentinel.shed_contribution(), ServeMode::Full);
             assert!(!sentinel.gates_readiness());
             let mut shifted = z.clone();
             shifted.map_inplace(|v| v + 2.0);
             for _ in 0..4 {
-                sentinel.record(0, &stats_of(&shifted, &mu, &profile));
+                sentinel.record(&stats_of(&shifted, &mu, &profile));
             }
             assert!(sentinel.alarmed());
             // 4 saturating windows push severity past 2 for the degrading
@@ -786,11 +737,11 @@ mod tests {
 
     #[test]
     fn profileless_sentinel_is_inert() {
-        let sentinel = DriftSentinel::new(DriftConfig::default(), None, 2, 0);
+        let sentinel = DriftSentinel::new(DriftConfig::default(), None, 0);
         assert!(!sentinel.enabled());
         let mut batch = BatchDriftStats::new(2, 3);
         batch.rows = 10_000; // way past the window bar
-        sentinel.record(0, &batch);
+        sentinel.record(&batch);
         let snap = sentinel.snapshot();
         assert_eq!(snap.windows, 0);
         assert!(!snap.alarmed);

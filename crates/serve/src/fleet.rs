@@ -1,9 +1,9 @@
 //! Replica fleet plumbing: per-replica state, seeded respawn backoff, and
 //! the supervisor's liveness/wedge bookkeeping.
 //!
-//! A replica is one worker thread with its own bounded connection queue.
-//! The supervisor (one thread per server) ticks a few dozen times a second
-//! and, per replica:
+//! A replica is a slot for one worker thread; every worker pops the
+//! server's one connection queue. The supervisor (one thread per server)
+//! ticks a few dozen times a second and, per replica:
 //!
 //! * **death** — the worker thread finished (panic already converted to a
 //!   clean exit by the worker's catch-unwind, or a chaos kill): schedule a
@@ -17,14 +17,9 @@
 //! Every transition emits a `serve.replica.*` lifecycle event so the JSONL
 //! sink shows the full spawn → death → respawn story in `seq` order.
 
-use adec_obs::trace::TraceContext;
 use adec_obs::{emit, Event, Level};
 use adec_tensor::SeedRng;
-use std::collections::VecDeque;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// Backoff base delay (attempt 0) in milliseconds.
 const BACKOFF_BASE_MS: u64 = 10;
@@ -39,12 +34,6 @@ const BACKOFF_JITTER_MS: u64 = 16;
 pub(crate) struct Replica {
     /// Slot index, stable across respawns (the `replica` metrics label).
     pub id: usize,
-    /// This replica's own connection queue: (stream, accept instant,
-    /// trace context captured at enqueue — the explicit handoff that
-    /// lets the worker thread backfill queue wait into the span tree).
-    pub queue: Mutex<VecDeque<(TcpStream, Instant, TraceContext)>>,
-    /// Wakes the replica's worker when work arrives or state changes.
-    pub wake: Condvar,
     /// Incremented when the supervisor supersedes a wedged worker; a
     /// worker observing a newer epoch than its own exits immediately.
     pub epoch: AtomicU64,
@@ -52,12 +41,6 @@ pub(crate) struct Replica {
     pub kill: AtomicBool,
     /// Chaos: injected busy-sleep in ms, consumed once at loop top.
     pub wedge_ms: AtomicU64,
-    /// True from the moment the worker pops a connection (or enters an
-    /// injected wedge) until it finishes. Routing counts an occupied
-    /// worker as one unit of load on top of the queue depth — otherwise a
-    /// replica whose worker is mid-slow-read looks idle (empty queue) and
-    /// keeps attracting connections that then wait head-of-line.
-    pub occupied: AtomicBool,
     /// Busy watermark: 1 + ms-since-server-start when the worker began
     /// its current unit of work, 0 when idle.
     pub busy_since_ms: AtomicU64,
@@ -74,12 +57,9 @@ impl Replica {
     pub fn new(id: usize) -> Replica {
         Replica {
             id,
-            queue: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
             epoch: AtomicU64::new(0),
             kill: AtomicBool::new(false),
             wedge_ms: AtomicU64::new(0),
-            occupied: AtomicBool::new(false),
             busy_since_ms: AtomicU64::new(0),
             busy_epoch: AtomicU64::new(0),
             served: AtomicU64::new(0),

@@ -1,15 +1,16 @@
 //! The service proper: acceptor + supervised replica fleet + hot reload.
 //!
 //! Threading model (all std): one acceptor thread owns the listener and
-//! routes each accepted socket to the least-loaded *replica* — a worker
-//! thread with its own bounded `Mutex<VecDeque>` + `Condvar` queue.
-//! Admission is gated on the fleet-wide queued total: when the fleet
-//! already holds `max_inflight` unserved connections the acceptor answers
-//! `503` with `Retry-After` and closes, so memory stays bounded no matter
-//! how fast connections arrive — the backpressure contract. Workers pop
-//! sockets, read one request under byte + time budgets
-//! ([`crate::http::read_request`]), answer it, and close: the service is
-//! one-request-per-connection by design.
+//! pushes each accepted socket onto the fleet's one FIFO (a
+//! `Mutex<VecDeque>` + `Condvar`), which every *replica* worker thread
+//! pops, so a queued connection goes to whichever worker frees up first.
+//! Admission is gated on the FIFO's length, the fleet-wide queued total:
+//! when the fleet already holds `max_inflight` unserved connections the
+//! acceptor answers `503` with `Retry-After` and closes, so memory stays
+//! bounded no matter how fast connections arrive — the backpressure
+//! contract. Workers pop sockets, read one request under byte + time
+//! budgets ([`crate::http::read_request`]), answer it, and close: the
+//! service is one-request-per-connection by design.
 //!
 //! A supervisor thread ticks a few dozen times a second and keeps the
 //! fleet whole: a finished worker thread (panic already downgraded to a
@@ -31,10 +32,11 @@
 //! [`ServerHandle::join`] then returns the final [`ServeStats`]. Nothing
 //! in-flight is dropped.
 //!
-//! Two deadlines bound every request: the *read* deadline starts at accept
-//! time (so a connection cannot dodge it by waiting in the queue) and the
-//! *compute* deadline bounds the forward pass, checked between row chunks
-//! so even a maximal batch cannot overshoot by much.
+//! Two deadlines bound every request: the *read* deadline starts when a
+//! worker begins reading the socket (time spent queued is not charged to
+//! the peer; reported latency still runs from accept) and the *compute*
+//! deadline bounds the forward pass, checked between row chunks so even a
+//! maximal batch cannot overshoot by much.
 
 use crate::drift::{DriftConfig, DriftSentinel};
 use crate::fleet::{backoff_ms, replica_event, Replica};
@@ -46,12 +48,13 @@ use adec_obs::json::escape;
 use adec_obs::trace::{self, TraceContext, TraceRing, TraceTree};
 use adec_obs::{Counter, Histogram, Registry, Span, DURATION_BUCKETS};
 use adec_tensor::Matrix;
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,7 +86,8 @@ pub struct ServerConfig {
     /// Per-request compute budget in milliseconds (0 = reject all compute,
     /// useful for drills).
     pub deadline_ms: u64,
-    /// Per-socket read budget in milliseconds, measured from accept.
+    /// Per-socket read budget in milliseconds, measured from when a
+    /// worker starts reading the request (queue wait is not charged).
     pub read_deadline_ms: u64,
     /// Busy-watermark budget before the supervisor supersedes a wedged
     /// worker; 0 derives `read_deadline_ms + deadline_ms + 2000`.
@@ -240,10 +244,16 @@ struct Shared {
     registry: ModelRegistry,
     config: ServerConfig,
     replicas: Vec<Arc<Replica>>,
-    /// Accepted-but-unserved connections across the whole fleet; the
-    /// acceptor's admission gate and the shed ladder both read this, so
-    /// fleet size never changes the backpressure contract.
-    queued_total: AtomicUsize,
+    /// The fleet's one FIFO of accepted-but-unserved connections: (stream,
+    /// accept instant, trace context captured at enqueue — the explicit
+    /// handoff that lets the worker thread backfill queue wait into the
+    /// span tree). Its length is the fleet-wide queued total that the
+    /// admission gate and the shed ladder read, so fleet size never
+    /// changes the backpressure contract.
+    queue: Mutex<VecDeque<(TcpStream, Instant, TraceContext)>>,
+    /// Wakes one idle worker per queued connection, and every worker when
+    /// a chaos flag, a supersession or shutdown changes.
+    wake: Condvar,
     /// Replica slots currently occupied by a live worker (supervisor's
     /// view, refreshed every tick).
     replicas_live: AtomicUsize,
@@ -289,16 +299,24 @@ impl Shared {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
+    /// The connection FIFO, locked.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<(TcpStream, Instant, TraceContext)>> {
+        // A deque of sockets is valid whatever a panicking holder did, so
+        // a poisoned lock is recoverable.
+        match self.queue.lock() {
+            Ok(q) => q,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     /// Flips the shutdown flag and wakes everyone: replica workers via
-    /// their condvars, the acceptor via a loopback self-connect (the only
-    /// way to interrupt a blocking `accept` with std alone).
+    /// the queue's condvar, the acceptor via a loopback self-connect (the
+    /// only way to interrupt a blocking `accept` with std alone).
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        for replica in &self.replicas {
-            replica.wake.notify_all();
-        }
+        self.wake.notify_all();
         if let Ok(s) = TcpStream::connect(self.addr) {
             drop(s);
         }
@@ -357,14 +375,14 @@ impl ServerHandle {
         let drift = DriftSentinel::new(
             config.drift.clone(),
             model.profile().cloned(),
-            fleet_size,
             u64::from(addr.port()),
         );
         let traces = config.trace_slow_ms.map(|_| TraceRing::new(TRACE_RING_CAPACITY));
         let shared = Arc::new(Shared {
             registry: ModelRegistry::new(model, alpha, source),
             replicas: (0..fleet_size).map(|i| Arc::new(Replica::new(i))).collect(),
-            queued_total: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
             replicas_live: AtomicUsize::new(fleet_size),
             config,
             shutting_down: AtomicBool::new(false),
@@ -439,7 +457,7 @@ impl ServerHandle {
         self.shared.registry.generation()
     }
 
-    /// Requests a graceful shutdown: stop accepting, drain the queues.
+    /// Requests a graceful shutdown: stop accepting, drain the queue.
     /// Idempotent; returns immediately (pair with [`ServerHandle::join`]).
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();
@@ -568,9 +586,9 @@ fn supervise_slot(
     if replica.busy_for_ms(now).is_some_and(|busy| busy > wedge_budget) {
         // Supersede: std threads cannot be killed, so bump the epoch (the
         // stale thread exits at its next check), park the old handle, and
-        // seat a replacement immediately — its queue must not starve.
+        // seat a replacement immediately — the fleet keeps its width.
         let epoch = replica.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        replica.wake.notify_all();
+        shared.wake.notify_all();
         if let Some(h) = slot.handle.take() {
             graveyard.push(h);
         }
@@ -637,21 +655,22 @@ fn watch_loop(shared: &Arc<Shared>, path: &std::path::Path) {
     }
 }
 
-/// Acceptor: admit into the least-loaded replica queue, or 503 on the
-/// spot when the fleet-wide queued total is at the cap.
+/// Acceptor: admit onto the fleet's FIFO and wake one idle worker, or
+/// 503 on the spot when the queue already holds `max_inflight`.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     for conn in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match conn {
+        let mut stream = match conn {
             Ok(s) => s,
             Err(_) => continue, // transient accept error; keep serving
         };
         let accepted_at = Instant::now();
-        if shared.queued_total.load(Ordering::SeqCst) >= shared.config.max_inflight {
+        let mut q = shared.queue();
+        if q.len() >= shared.config.max_inflight {
+            drop(q);
             shared.metrics.rejected_busy.inc();
-            let mut stream = stream;
             let _ = write_response(
                 &mut stream,
                 503,
@@ -661,35 +680,13 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             );
             continue;
         }
-        // Route to the least-loaded replica — queue depth plus one for an
-        // occupied worker, so a replica blocked mid-slow-read (empty
-        // queue, busy worker) doesn't keep attracting head-of-line
-        // waiters. Ties go to the lowest id so a single-replica fleet is
-        // exactly the old single-queue server.
-        let target = shared
-            .replicas
-            .iter()
-            .min_by_key(|r| {
-                let q = match r.queue.lock() {
-                    Ok(q) => q,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                (q.len() + usize::from(r.occupied.load(Ordering::SeqCst)), r.id)
-            })
-            .cloned();
-        let Some(target) = target else { break };
-        {
-            let mut q = match target.queue.lock() {
-                Ok(q) => q,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // The explicit context handoff: the worker thread continues
-            // this trace and backfills the queue wait from `enqueued_ns`.
-            q.push_back((stream, accepted_at, TraceContext::capture()));
-        }
-        let depth = shared.queued_total.fetch_add(1, Ordering::SeqCst) + 1;
+        // The explicit context handoff: the worker thread continues this
+        // trace and backfills the queue wait from `enqueued_ns`.
+        q.push_back((stream, accepted_at, TraceContext::capture()));
+        let depth = q.len();
+        drop(q);
         shared.metrics.queue_depth.observe(depth as f64);
-        target.wake.notify_one();
+        shared.wake.notify_one();
     }
 }
 
@@ -703,7 +700,7 @@ enum Fetched {
     Done,
 }
 
-/// Replica worker: pop → serve → close, until shutdown *and* its queue is
+/// Replica worker: pop → serve → close, until shutdown *and* the queue is
 /// dry. Chaos flags (kill/wedge) and supersession are honoured between
 /// requests only — a worker never abandons a connection it already popped,
 /// which is why a kill drops zero in-flight requests.
@@ -721,25 +718,27 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
             continue;
         }
         let fetched = {
-            let mut q = match replica.queue.lock() {
-                Ok(q) => q,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut q = shared.queue();
             loop {
                 if replica.epoch.load(Ordering::SeqCst) != my_epoch
                     || replica.kill.load(Ordering::SeqCst)
                     || replica.wedge_ms.load(Ordering::SeqCst) > 0
                 {
+                    // Leave the queue to the other workers, and pass on
+                    // the wakeup this worker may have taken for a queued
+                    // connection.
+                    if !q.is_empty() {
+                        shared.wake.notify_one();
+                    }
                     break Fetched::Recheck;
                 }
                 if let Some((stream, at, ctx)) = q.pop_front() {
-                    shared.queued_total.fetch_sub(1, Ordering::SeqCst);
                     break Fetched::Conn(stream, at, ctx);
                 }
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     break Fetched::Done;
                 }
-                q = match replica.wake.wait(q) {
+                q = match shared.wake.wait(q) {
                     Ok(q) => q,
                     Err(poisoned) => poisoned.into_inner(),
                 };
@@ -750,7 +749,6 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
             Fetched::Recheck => continue,
             Fetched::Done => return,
         };
-        replica.occupied.store(true, Ordering::SeqCst);
         if shared.traces.is_some() {
             trace::begin_with(ctx, "request");
             let popped = trace::now_ns();
@@ -787,7 +785,6 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
             }
         }
         replica.mark_idle();
-        replica.occupied.store(false, Ordering::SeqCst);
         replica.served.fetch_add(1, Ordering::Relaxed);
         // Accept-to-response latency: includes queue wait by design, so
         // saturation shows up in the tail.
@@ -802,7 +799,6 @@ fn worker_loop(shared: &Shared, replica: &Replica, my_epoch: u64) {
 /// slices so a superseded or shutting-down wedge releases promptly.
 fn wedge_sleep(shared: &Shared, replica: &Replica, my_epoch: u64, wedge: u64) {
     replica.mark_busy(shared.now_ms());
-    replica.occupied.store(true, Ordering::SeqCst);
     let until = Instant::now() + Duration::from_millis(wedge);
     while Instant::now() < until {
         if replica.epoch.load(Ordering::SeqCst) != my_epoch
@@ -813,7 +809,6 @@ fn wedge_sleep(shared: &Shared, replica: &Replica, my_epoch: u64, wedge: u64) {
         std::thread::sleep(Duration::from_millis(WEDGE_SLICE_MS));
     }
     replica.mark_idle();
-    replica.occupied.store(false, Ordering::SeqCst);
 }
 
 /// Reads and answers exactly one request on an accepted socket. The model
@@ -867,7 +862,7 @@ fn serve_connection(shared: &Shared, replica: &Replica, stream: &mut TcpStream, 
     trace::attr("request_id", &rid);
     replica.mark_busy(shared.now_ms());
     let mv = shared.registry.current();
-    route(shared, stream, &request, &mv, replica.id, &rid);
+    route(shared, stream, &request, &mv, &rid);
 }
 
 /// Tail-sampling decision for a completed request trace: errors and shed
@@ -891,7 +886,6 @@ fn route(
     stream: &mut TcpStream,
     request: &Request,
     mv: &Arc<ModelVersion>,
-    replica_id: usize,
     rid: &str,
 ) {
     let draining = shared.shutting_down.load(Ordering::SeqCst);
@@ -979,16 +973,11 @@ fn route(
                 if i > 0 {
                     body.push(',');
                 }
-                let queued = match r.queue.lock() {
-                    Ok(q) => q.len(),
-                    Err(poisoned) => poisoned.into_inner().len(),
-                };
                 body.push_str(&format!(
-                    r#"{{"id":{},"served":{},"respawned":{},"queued":{}}}"#,
+                    r#"{{"id":{},"served":{},"respawned":{}}}"#,
                     r.id,
                     r.served.load(Ordering::Relaxed),
                     r.respawned.load(Ordering::Relaxed),
-                    queued,
                 ));
             }
             body.push_str("]}");
@@ -1024,7 +1013,7 @@ fn route(
         (Method::Post, "/chaos/wedge-replica") => {
             handle_chaos(shared, stream, request, ChaosOp::Wedge);
         }
-        (Method::Post, "/assign") => handle_assign(shared, stream, request, mv, replica_id, rid),
+        (Method::Post, "/assign") => handle_assign(shared, stream, request, mv, rid),
         (
             _,
             "/healthz" | "/readyz" | "/driftz" | "/statz" | "/metrics" | "/shutdown" | "/assign"
@@ -1280,14 +1269,14 @@ fn handle_chaos(shared: &Shared, stream: &mut TcpStream, request: &Request, op: 
     let body = match op {
         ChaosOp::Kill => {
             replica.kill.store(true, Ordering::SeqCst);
-            replica.wake.notify_all();
+            shared.wake.notify_all();
             format!(r#"{{"killed":{id}}}"#)
         }
         ChaosOp::Wedge => {
             // Sleep well past the budget so the supervisor provably fires.
             let sleep_ms = shared.config.wedge_budget().saturating_mul(2) + 250;
             replica.wedge_ms.store(sleep_ms, Ordering::SeqCst);
-            replica.wake.notify_all();
+            shared.wake.notify_all();
             format!(r#"{{"wedged":{id},"sleep_ms":{sleep_ms}}}"#)
         }
     };
@@ -1321,7 +1310,6 @@ fn handle_assign(
     stream: &mut TcpStream,
     request: &Request,
     mv: &Arc<ModelVersion>,
-    replica_id: usize,
     rid: &str,
 ) {
     let rid_header: [(&str, &str); 1] = [("x-request-id", rid)];
@@ -1332,7 +1320,7 @@ fn handle_assign(
     // fleet held when this worker started. The drift sentinel's demand
     // (the degrade rung of the mitigation ladder) folds in as one more
     // pressure source on the same ladder.
-    let depth = shared.queued_total.load(Ordering::SeqCst);
+    let depth = shared.queue().len();
     let pressure =
         ServeMode::worse(shed_tier(depth, shared.config.max_inflight), shared.drift.shed_contribution());
     let model = &mv.model;
@@ -1413,7 +1401,7 @@ fn handle_assign(
     if shared.drift.enabled() {
         let _drift_span = trace::span("drift");
         if let Some(batch) = model.drift_reduce(&embeddings) {
-            shared.drift.record(replica_id, &batch);
+            shared.drift.record(&batch);
         }
     }
 }

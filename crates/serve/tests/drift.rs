@@ -155,11 +155,11 @@ fn stationary_never_alarms_and_every_shift_kind_is_detected() {
         DriftConfig { policy: DriftPolicy::Degrade, window_rows: WINDOW, ..DriftConfig::default() };
 
     // Stationary control: ten windows, not one alarm.
-    let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 1, 0);
+    let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 0);
     let mut sim = StreamSim::from_dataset(&ds, 21, ShiftSchedule::stationary());
     for _ in 0..10 {
         let batch = model.drift_stats(&sim.next_batch(WINDOW)).unwrap();
-        sentinel.record(0, &batch);
+        sentinel.record(&batch);
     }
     let snap = sentinel.snapshot();
     assert_eq!(snap.windows, 10);
@@ -174,7 +174,7 @@ fn stationary_never_alarms_and_every_shift_kind_is_detected() {
             ShiftKind::ClusterDeath => 1.0,
             ShiftKind::PriorShift => 4.0,
         };
-        let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 1, 0);
+        let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 0);
         let mut sim = StreamSim::from_dataset(
             &ds,
             100 + i as u64,
@@ -183,7 +183,7 @@ fn stationary_never_alarms_and_every_shift_kind_is_detected() {
         let mut detected = None;
         for w in 1..=DETECT_BOUND {
             let batch = model.drift_stats(&sim.next_batch(WINDOW)).unwrap();
-            sentinel.record(0, &batch);
+            sentinel.record(&batch);
             if sentinel.alarmed() {
                 detected = Some(w);
                 break;
@@ -486,8 +486,8 @@ fn served_window_matches_offline_drift_stats_across_chunks() {
     let x = Matrix::randn(ROWS, common::INPUT_DIM, 0.5, 1.5, &mut SeedRng::new(12));
     let config = DriftConfig { window_rows: ROWS, ..DriftConfig::default() };
 
-    let offline = DriftSentinel::new(config.clone(), model.profile().cloned(), 1, 0);
-    offline.record(0, &model.drift_stats(&x).unwrap());
+    let offline = DriftSentinel::new(config.clone(), model.profile().cloned(), 0);
+    offline.record(&model.drift_stats(&x).unwrap());
     let want = offline.snapshot();
     assert_eq!(want.windows, 1);
 

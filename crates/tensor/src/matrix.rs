@@ -221,11 +221,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     // ------------------------------------------------------------------
     // Structural operations
     // ------------------------------------------------------------------

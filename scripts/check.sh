@@ -31,7 +31,7 @@ cargo run -q --release -p adec-cli -- --check --size paper
 echo "==> adec --check --deep (tape dataflow + determinism audit, paper scale)"
 cargo run -q --release -p adec-cli -- --check --deep --size paper
 
-echo "==> serve fleet drill (replica-kill, wedge, hot reload under fire) + post-drill SLO ratchet"
+echo "==> serve fleet drill (replica-kill, wedge, hot reload under fire) + counter audit + post-drill SLO ratchet"
 FLEET_DIR=$(mktemp -d)
 FLEET_SERVER=""
 DRIFT_SERVER=""
@@ -57,6 +57,26 @@ FLEET_SERVER=$!
 target/release/adec-chaos --port 8427 --max-inflight 16 --read-deadline-ms 250 --seed 7 \
   --fleet --reload-path "$FLEET_DIR/a/dec.ckpt" --alt-checkpoint "$FLEET_DIR/b/dec.ckpt" \
   --wedge-budget-ms 400
+# Fleet counters after the drill: zero caught panics, both kill respawns
+# plus the wedge supersession, exactly two completed swaps and two typed
+# refusals, full fleet back alive.
+python3 - <<'EOF'
+import re
+import urllib.request
+text = urllib.request.urlopen("http://127.0.0.1:8427/metrics", timeout=10).read().decode()
+def sample(name):
+    m = re.search(rf"^{name}(?:{{[^}}]*}})?\s+([0-9.eE+-]+)$", text, re.M)
+    assert m, f"{name} missing from /metrics"
+    return float(m.group(1))
+assert sample("adec_serve_caught_panics_total") == 0
+respawns = sample("adec_serve_respawns_total")
+assert respawns >= 3, f"respawns {respawns} < 3 (2 kills + 1 wedge)"
+gen = sample("adec_serve_reload_generation")
+assert gen == 2, f"reload generation {gen} != 2 (under-fire + no-op)"
+assert sample("adec_serve_reloads_refused_total") == 2
+assert sample("adec_serve_replicas_live") == 8
+print(f"respawns={respawns} reload_generation={gen}")
+EOF
 # The drilled server (respawned replicas, twice-swapped model) must still
 # hold the committed SLO snapshot, then drain to exit 0.
 target/release/adec load --seed 7 --rps 500 --duration 10s --addr 127.0.0.1:8427 \
