@@ -1,6 +1,7 @@
 //! Kernel-layer benchmark: packed/register-tiled gemm (all three
 //! transpose variants) against the retained naive references, plus the
-//! fused elementwise ops, at small / medium / paper shapes; the serve
+//! fused elementwise ops (bias-ReLU forward and backward, bias-tanh,
+//! softmax, lerp), at small / medium / paper shapes; the serve
 //! path's gemm, `matmul` (packs `B` on every call) against `matmul_packed`
 //! (`B` packed once, as `adec serve` holds its weights), at one and
 //! sixteen rows through the paper-tier 500 → 2000 layer; and the
@@ -34,8 +35,9 @@ use adec_bench::HarnessCfg;
 use adec_datagen::Size;
 use adec_nn::checkpoint::crc32;
 use adec_tensor::kernels::{
-    add_bias_act, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
-    matmul_naive, matmul_packed, row_lerp, set_isa_override, softmax_rows, FusedAct, Isa, PackedB,
+    add_bias_act, add_bias_act_backward, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b,
+    matmul_at_b_naive, matmul_naive, matmul_packed, row_lerp, set_isa_override, softmax_rows,
+    FusedAct, Isa, PackedB,
 };
 use adec_tensor::{configured_threads, Matrix, SeedRng};
 use std::hint::black_box;
@@ -243,19 +245,29 @@ impl Fused {
     }
 
     /// The fused elementwise kernels, with rough per-element flop counts
-    /// for a comparable GFLOP/s column.
+    /// for a comparable GFLOP/s column. The fused bias-activation counts
+    /// with `FusedAct::flops_per_element`, as the tape profiler does, and
+    /// its backward, like the tape's, with twice that.
     fn ops<'a>(&'a self, jobs: &mut Vec<Job<'a>>) {
         let (x, y, bias, t) = (&self.x, &self.y, &self.bias, &self.t);
-        let ops: [(&str, f64, Call<'a>); 4] = [
+        let (relu, tanh) = (FusedAct::Relu, FusedAct::Tanh);
+        let relu_y = add_bias_act(x, bias, relu);
+        let per_elem = |act: FusedAct| act.flops_per_element() as f64;
+        let ops: [(&str, f64, Call<'a>); 5] = [
             (
                 "add_bias_relu",
-                2.0,
-                call(|| add_bias_act(x, bias, FusedAct::Relu)),
+                per_elem(relu),
+                call(move || add_bias_act(x, bias, relu)),
+            ),
+            (
+                "add_bias_relu_backward",
+                2.0 * per_elem(relu),
+                call(move || add_bias_act_backward(y, &relu_y, relu)),
             ),
             (
                 "add_bias_tanh",
-                6.0,
-                call(|| add_bias_act(x, bias, FusedAct::Tanh)),
+                per_elem(tanh),
+                call(move || add_bias_act(x, bias, tanh)),
             ),
             ("softmax_rows", 8.0, call(|| softmax_rows(x))),
             ("row_lerp", 3.0, call(|| row_lerp(x, y, t))),
@@ -341,7 +353,7 @@ fn main() {
             .unwrap_or_default();
         let (rate, _, unit) = job.work.rate(ns[i]);
         println!(
-            "{:<9} {:<17} {shape:<12} {:<6}: {:>12.1} ns ({rate:.2} {unit}){vs_naive}",
+            "{:<9} {:<22} {shape:<12} {:<6}: {:>12.1} ns ({rate:.2} {unit}){vs_naive}",
             job.tier, job.name, job.isa, ns[i]
         );
         body.push(job.json(ns[i], speedup(i)));

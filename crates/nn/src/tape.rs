@@ -191,7 +191,7 @@ impl Tape {
                 out.len() as u64
             }
             Op::Relu(_) | Op::Square(_) => out.len() as u64,
-            Op::AddBiasAct(..) => 9 * out.len() as u64,
+            Op::AddBiasAct(_, _, act) => act.flops_per_element() * out.len() as u64,
             Op::Sigmoid(_) | Op::Tanh(_) | Op::Softplus(_) | Op::Exp(_) => 8 * out.len() as u64,
             Op::MeanAll(a) | Op::SumAll(a) | Op::RowSum(a) => len(a),
             Op::RowScale(a, _) => len(a),

@@ -76,9 +76,12 @@ fn ladder_degrades_in_order_under_queue_pressure() {
     let server = start_server(sample_model(33), |c| {
         c.replicas = 1;
         c.max_inflight = CAP;
-        // The pin below holds the worker for this long; accepted requests
-        // wait in the queue meanwhile, so the compute deadline (which
-        // starts at accept) must comfortably cover pin + drain.
+        // The pin below holds the worker for up to the read deadline;
+        // accepted requests wait in the queue meanwhile. No deadline runs
+        // while a request waits: the read deadline starts when a worker
+        // begins reading it, the compute deadline when the worker begins
+        // handling `/assign`, after the read. The compute deadline covers
+        // one tiny request, so 15 s is a wide margin for a slow host.
         c.read_deadline_ms = 2_000;
         c.deadline_ms = 15_000;
     });

@@ -550,16 +550,43 @@ impl FusedAct {
             FusedAct::Tanh => 1.0 - y * y,
         }
     }
+
+    /// Nominal FLOPs of one element of the fused `act(x + bias)`: the add,
+    /// plus one for ReLU's max or eight for a transcendental (the profiler's
+    /// cost model). The tape and the kernel bench both count with it.
+    pub fn flops_per_element(self) -> u64 {
+        match self {
+            FusedAct::Identity => 1,
+            FusedAct::Relu => 2,
+            FusedAct::Sigmoid | FusedAct::Tanh => 9,
+        }
+    }
 }
 
 /// Fused `act(x + bias)` with `bias` broadcast over rows — one pass over
 /// the batch instead of an add pass followed by an activation pass.
+///
+/// The activation is matched once per call: each arm hands the row loop a
+/// closure over one constant variant, so the loop is compiled per
+/// activation and the ReLU and identity loops vectorize.
 ///
 /// # Panics
 /// Panics if `bias.len() != x.cols()`.
 pub fn add_bias_act(x: &Matrix, bias: &[f32], act: FusedAct) -> Matrix {
     assert_eq!(bias.len(), x.cols(), "add_bias_act: bias width mismatch");
     crate::debug_assert_finite!(x, "add_bias_act input");
+    match act {
+        FusedAct::Identity => add_bias_map(x, bias, |v| FusedAct::Identity.eval(v)),
+        FusedAct::Relu => add_bias_map(x, bias, |v| FusedAct::Relu.eval(v)),
+        FusedAct::Sigmoid => add_bias_map(x, bias, |v| FusedAct::Sigmoid.eval(v)),
+        FusedAct::Tanh => add_bias_map(x, bias, |v| FusedAct::Tanh.eval(v)),
+    }
+}
+
+/// `f(x + bias)` with `bias` broadcast over rows, split by rows across the
+/// pool.
+#[inline(always)]
+fn add_bias_map(x: &Matrix, bias: &[f32], f: impl Fn(f32) -> f32 + Sync) -> Matrix {
     let (rows, cols) = x.shape();
     let mut out = Matrix::zeros(rows, cols);
     let xs = x.as_slice();
@@ -567,8 +594,8 @@ pub fn add_bias_act(x: &Matrix, bias: &[f32], act: FusedAct) -> Matrix {
         for r in 0..nrows {
             let xrow = &xs[(r0 + r) * cols..(r0 + r + 1) * cols];
             let orow = &mut chunk[r * cols..(r + 1) * cols];
-            for ((o, &v), &bv) in orow.iter_mut().zip(xrow.iter()).zip(bias.iter()) {
-                *o = act.eval(v + bv);
+            for ((o, &v), &bv) in orow.iter_mut().zip(xrow).zip(bias) {
+                *o = f(v + bv);
             }
         }
     });
@@ -580,13 +607,37 @@ pub fn add_bias_act(x: &Matrix, bias: &[f32], act: FusedAct) -> Matrix {
 /// `dx = g ⊙ act′(y)` and `dbias` is the column sum of `dx` — the same
 /// arithmetic as the unfused activation-then-bias backward chain.
 ///
+/// One serial pass computes both, matching the activation once per call
+/// as [`add_bias_act`] does; `dbias` adds the rows of `dx` in ascending
+/// order from zero, as [`Matrix::col_sums`] does.
+///
 /// # Panics
 /// Panics on `g`/`y` shape mismatch.
 pub fn add_bias_act_backward(g: &Matrix, y: &Matrix, act: FusedAct) -> (Matrix, Vec<f32>) {
     assert_eq!(g.shape(), y.shape(), "add_bias_act_backward: shape mismatch");
     crate::debug_assert_finite!(g, "add_bias_act_backward upstream");
-    let dx = g.zip_with(y, |gi, yi| gi * act.grad_from_output(yi));
-    let dbias = dx.col_sums();
+    match act {
+        FusedAct::Identity => bias_act_grads(g, y, |v| FusedAct::Identity.grad_from_output(v)),
+        FusedAct::Relu => bias_act_grads(g, y, |v| FusedAct::Relu.grad_from_output(v)),
+        FusedAct::Sigmoid => bias_act_grads(g, y, |v| FusedAct::Sigmoid.grad_from_output(v)),
+        FusedAct::Tanh => bias_act_grads(g, y, |v| FusedAct::Tanh.grad_from_output(v)),
+    }
+}
+
+/// `dx = g ⊙ grad(y)` and the column sums of `dx`, in one pass over the
+/// rows.
+#[inline(always)]
+fn bias_act_grads(g: &Matrix, y: &Matrix, grad: impl Fn(f32) -> f32) -> (Matrix, Vec<f32>) {
+    let (rows, cols) = g.shape();
+    let mut dx = Matrix::zeros(rows, cols);
+    let mut dbias = vec![0.0f32; cols];
+    for r in 0..rows {
+        let (grow, yrow) = (g.row(r), y.row(r));
+        for (((d, s), &gv), &yv) in dx.row_mut(r).iter_mut().zip(&mut dbias).zip(grow).zip(yrow) {
+            *d = gv * grad(yv);
+            *s += *d;
+        }
+    }
     (dx, dbias)
 }
 
@@ -801,22 +852,89 @@ mod tests {
         assert_eq!(out.sum(), 0.0);
     }
 
+    const ACTS: [FusedAct; 4] = [
+        FusedAct::Identity,
+        FusedAct::Relu,
+        FusedAct::Sigmoid,
+        FusedAct::Tanh,
+    ];
+
+    /// Bit patterns, so that a NaN compares equal to the same NaN.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Overwrites every `step`-th value of `m`, from `first`, with `values`
+    /// in turn.
+    fn plant(m: &mut Matrix, first: usize, step: usize, values: &[f32]) {
+        let planted = m.as_mut_slice().iter_mut().skip(first).step_by(step);
+        for (v, &s) in planted.zip(values) {
+            *v = s;
+        }
+    }
+
     #[test]
     fn add_bias_act_matches_unfused() {
+        // Debug builds refuse a non-finite `x`, so the NaN and the
+        // infinities enter through the bias.
         let mut rng = SeedRng::new(13);
-        let x = Matrix::randn(5, 6, 0.0, 2.0, &mut rng);
-        let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.3 - 1.0).collect();
-        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Sigmoid, FusedAct::Tanh] {
-            let fused = add_bias_act(&x, &bias, act);
-            let mut unfused = x.add_row_broadcast(&bias);
-            unfused.map_inplace(|v| act.eval(v));
-            assert_eq!(fused, unfused, "{act:?}");
+        for &(rows, cols) in &[(5usize, 6usize), (1, 9), (9, 1)] {
+            let mut x = Matrix::randn(rows, cols, 0.0, 2.0, &mut rng);
+            plant(&mut x, 0, 2, &[0.0, -0.0, f32::MAX, -f32::MAX]);
+            let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for special in std::iter::once(None).chain(specials.map(Some)) {
+                let mut bias: Vec<f32> = (0..cols).map(|i| i as f32 * 0.3 - 1.0).collect();
+                if let Some(s) = special {
+                    bias[0] = s;
+                }
+                for act in ACTS {
+                    let fused = add_bias_act(&x, &bias, act);
+                    let mut unfused = x.add_row_broadcast(&bias);
+                    unfused.map_inplace(|v| act.eval(v));
+                    assert_eq!(
+                        bits(fused.as_slice()),
+                        bits(unfused.as_slice()),
+                        "{act:?} {rows}x{cols} bias[0] {special:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_bias_act_backward_matches_unfused() {
+        // Debug builds refuse a non-finite `g`; `y` carries the NaN and
+        // the infinities.
+        let mut rng = SeedRng::new(15);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        for cols in [1usize, 15, 17, 144] {
+            for rows in [1usize, 16] {
+                let mut g = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
+                let mut y = Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
+                plant(&mut g, 0, 3, &[0.0, -0.0, f32::MAX, -f32::MAX]);
+                plant(&mut y, 1, 2, &specials);
+                for act in ACTS {
+                    let (dx, dbias) = add_bias_act_backward(&g, &y, act);
+                    let want = g.zip_with(&y, |gi, yi| gi * act.grad_from_output(yi));
+                    let shape = format!("{act:?} {rows}x{cols}");
+                    assert_eq!(bits(dx.as_slice()), bits(want.as_slice()), "dx {shape}");
+                    assert_eq!(bits(&dbias), bits(&want.col_sums()), "dbias {shape}");
+                }
+            }
         }
     }
 
     #[test]
     fn grad_from_output_matches_finite_difference() {
-        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Sigmoid, FusedAct::Tanh] {
+        for act in ACTS {
             for &x in &[-1.7f32, -0.3, 0.4, 2.1] {
                 let eps = 1e-3;
                 let numeric = (act.eval(x + eps) - act.eval(x - eps)) / (2.0 * eps);

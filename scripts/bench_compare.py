@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Bench-regression tripwire for the packed gemm path, the checkpoint
-checksum, and the serve SLO.
+"""Bench-regression tripwire for the packed gemm path, the fused
+bias-ReLU kernels, the checkpoint checksum, and the serve SLO.
 
 Compares a fresh bench report against a committed baseline and fails on
 catastrophic regression. Two report schemas are understood, auto-detected
 from the `schema` field (both files must agree):
 
 * `adec-bench-kernels/v1` — per-kernel ns/op, keyed by (name, tier,
-  isa); any packed gemm or `crc32` entry more than REGRESSION_FACTOR
-  slower than baseline fails. An entry without `isa` predates the field and was
+  isa); any packed gemm, fused bias-ReLU (forward or backward) or
+  `crc32` entry more than REGRESSION_FACTOR slower than baseline fails. An entry without `isa` predates the field and was
   timed at `scalar`. Scalar entries are always gated and a missing one
   fails; a baseline entry at a level above the fresh report's top-level
   `isa` (the highest level the runner's CPU runs) is listed as "not run
@@ -22,8 +22,9 @@ from the `schema` field (both files must agree):
 
 The factor is deliberately tolerant (2x): CI runners are noisy and the
 tripwire is for catastrophic regressions (a dropped kernel path, an
-accidental naive fallback, a checksum back at bytewise speed, a serve
-path that fell off its SLO cliff), not for nanosecond drift.
+accidental naive fallback, a fused activation back on per-element
+dispatch, a checksum back at bytewise speed, a serve path that fell off
+its SLO cliff), not for nanosecond drift.
 
 Usage: bench_compare.py BASELINE.json FRESH.json [COMPARISON_OUT.json]
 
@@ -37,9 +38,13 @@ import sys
 
 REGRESSION_FACTOR = 2.0
 PACKED_GEMM = ("matmul", "matmul_packed", "matmul_at_b", "matmul_a_bt")
-# Kernel entries the tripwire gates: the packed gemms and the checkpoint
-# checksum.
-GATED = PACKED_GEMM + ("crc32",)
+# The fused bias-ReLU, forward and backward: loops that match on the
+# activation per element again run 7-9x (forward) and 2.5-3.4x
+# (backward) slower, past the factor.
+FUSED_RELU = ("add_bias_relu", "add_bias_relu_backward")
+# Kernel entries the tripwire gates: the packed gemms, the fused bias-ReLU
+# and the checkpoint checksum.
+GATED = PACKED_GEMM + FUSED_RELU + ("crc32",)
 KERNELS_SCHEMA = "adec-bench-kernels/v1"
 # Instruction-set levels the gemm is timed at, lowest first; a CPU that
 # runs a level runs every level before it.

@@ -132,6 +132,37 @@ class KernelsMode(unittest.TestCase):
         self.assertTrue(failures[0].startswith("crc32/payload/scalar:"))
 
 
+    def test_per_element_dispatch_speed_add_bias_relu_fails(self):
+        # The fused bias-ReLU is gated like a packed gemm, forward and
+        # backward: a fresh entry back at the per-element-dispatch loop's
+        # speed (7-9x slower forward) fails; the ungated tanh entry never
+        # does.
+        def fused_doc(ns_relu, ns_backward=8000, ns_tanh=280_000):
+            return {"schema": bc.KERNELS_SCHEMA, "isa": "avx2", "entries": [
+                {"name": "add_bias_relu", "tier": "small", "isa": "avx2",
+                 "shape": [64, 128], "ns_per_op": ns_relu},
+                {"name": "add_bias_relu_backward", "tier": "small",
+                 "isa": "avx2", "shape": [64, 128],
+                 "ns_per_op": ns_backward},
+                {"name": "add_bias_tanh", "tier": "small", "isa": "avx2",
+                 "shape": [64, 128], "ns_per_op": ns_tanh},
+            ]}
+        rows, failures = quiet(bc.compare_kernels, fused_doc(2000),
+                               fused_doc(3000, ns_tanh=900_000))
+        self.assertEqual(failures, [])
+        self.assertEqual({r["name"] for r in rows},
+                         {"add_bias_relu", "add_bias_relu_backward"})
+        _, failures = quiet(bc.compare_kernels, fused_doc(2000),
+                            fused_doc(11_000))
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith("add_bias_relu/small/avx2:"))
+        _, failures = quiet(bc.compare_kernels, fused_doc(2000),
+                            fused_doc(2000, ns_backward=40_000))
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(
+            failures[0].startswith("add_bias_relu_backward/small/avx2:"))
+
+
 class KernelsPerIsaLevel(unittest.TestCase):
     def test_entry_without_isa_reads_as_scalar(self):
         # The pre-isa baseline stays comparable with a leveled report.
