@@ -220,7 +220,7 @@ fn shape_pass(ir: &TapeIr, phase: &str, report: &mut Report) {
                 }
                 Some((m, n))
             }
-            IrOp::AddBias { x, bias } | IrOp::AddBiasAct { x, bias, .. } => {
+            IrOp::AddBiasAct { x, bias, .. } => {
                 let ((rows, cols), (brows, bcols)) = (shape_of(x), shape_of(bias));
                 if brows != 1 || bcols != cols {
                     mismatch(format!(
@@ -239,9 +239,7 @@ fn shape_pass(ir: &TapeIr, phase: &str, report: &mut Report) {
                 Some(shape_of(a))
             }
             IrOp::Scale { a, .. }
-            | IrOp::Relu { a }
-            | IrOp::Sigmoid { a }
-            | IrOp::Tanh { a }
+            | IrOp::Act { a, .. }
             | IrOp::Softplus { a }
             | IrOp::Exp { a }
             | IrOp::Square { a } => Some(shape_of(a)),
@@ -427,8 +425,7 @@ fn injects_nonfinite(op: &IrOp) -> bool {
 /// through — saturation dampens, it does not launder).
 fn saturates(op: &IrOp) -> bool {
     match op {
-        IrOp::Sigmoid { .. } | IrOp::Tanh { .. } => true,
-        IrOp::AddBiasAct { act, .. } => act.saturating(),
+        IrOp::Act { act, .. } | IrOp::AddBiasAct { act, .. } => act.saturating(),
         _ => false,
     }
 }
@@ -679,7 +676,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::full(1, 2, 1.0e30));
         let sq = tape.square(x);
-        let guarded = tape.sigmoid(sq);
+        let guarded = tape.act(sq, FusedAct::Sigmoid);
         let loss = tape.mean_all(guarded);
         let manifest = PhaseManifest::new("test.guarded");
         let report = analyze_tape(&tape.export_ir(&store), loss.index(), &manifest);

@@ -359,11 +359,7 @@ fn main() {
         body.push(job.json(ns[i], speedup(i)));
     }
     let body = body.join(",\n  ");
-    let size = match cfg.size {
-        Size::Small => "small",
-        Size::Medium => "medium",
-        Size::Paper => "paper",
-    };
+    let size = cfg.size.cli_name();
     let json = format!(
         "{{\n\"schema\":\"adec-bench-kernels/v1\",\n\"size\":\"{size}\",\n\"threads\":{},\n\"isa\":\"{}\",\n\"entries\":[\n  {}\n]\n}}\n",
         configured_threads(),

@@ -31,11 +31,10 @@ pub struct HarnessCfg {
 impl HarnessCfg {
     /// Reads `ADEC_SIZE` / `ADEC_SEED` / `ADEC_BUDGET`.
     pub fn from_env() -> Self {
-        let size = match std::env::var("ADEC_SIZE").as_deref() {
-            Ok("medium") => Size::Medium,
-            Ok("paper") => Size::Paper,
-            _ => Size::Small,
-        };
+        let size = std::env::var("ADEC_SIZE")
+            .ok()
+            .and_then(|s| Size::parse(&s))
+            .unwrap_or(Size::Small);
         let seed = std::env::var("ADEC_SEED")
             .ok()
             .and_then(|s| s.parse().ok())

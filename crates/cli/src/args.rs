@@ -2,6 +2,7 @@
 //! avoids non-approved dependencies).
 
 use adec_datagen::{Benchmark, Size};
+use adec_serve::DriftPolicy;
 
 /// Every runnable method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,8 +203,8 @@ pub struct ServeArgs {
     pub watch_checkpoint: Option<String>,
     /// Busy budget before a wedged replica is superseded (0 = derived).
     pub wedge_budget_ms: u64,
-    /// Drift mitigation policy: "observe", "degrade", or "gate".
-    pub drift_policy: String,
+    /// Drift mitigation policy.
+    pub drift_policy: DriftPolicy,
     /// Rows per drift detection window.
     pub drift_window: usize,
     /// Causal tracing tail-sampling threshold in milliseconds
@@ -223,7 +224,7 @@ impl Default for ServeArgs {
             replicas: 2,
             watch_checkpoint: None,
             wedge_budget_ms: 0,
-            drift_policy: "observe".to_string(),
+            drift_policy: DriftPolicy::Observe,
             drift_window: 256,
             trace_slow_ms: None,
         }
@@ -341,12 +342,9 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeArgs, ParseError> {
             }
             "--drift-policy" => {
                 let v = value("--drift-policy")?;
-                if !matches!(v.as_str(), "observe" | "degrade" | "gate") {
-                    return Err(ParseError(format!(
-                        "invalid drift policy '{v}' (want observe, degrade, or gate)"
-                    )));
-                }
-                args.drift_policy = v.clone();
+                args.drift_policy = DriftPolicy::parse(v).ok_or_else(|| {
+                    ParseError(format!("invalid drift policy '{v}' (want observe, degrade, or gate)"))
+                })?;
             }
             "--drift-window" => {
                 let v = value("--drift-window")?;
@@ -705,22 +703,17 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 fn parse_dataset(name: &str) -> Result<Benchmark, ParseError> {
-    match name {
-        "digits-full" | "mnist-full" => Ok(Benchmark::DigitsFull),
-        "digits-test" | "mnist-test" => Ok(Benchmark::DigitsTest),
-        "usps" => Ok(Benchmark::DigitsUsps),
-        "fashion" => Ok(Benchmark::Fashion),
-        "reuters" | "tfidf" => Ok(Benchmark::Tfidf),
-        "protein" | "mice" => Ok(Benchmark::Protein),
-        other => Err(ParseError(format!(
-            "unknown dataset '{other}' (try digits-full, digits-test, usps, fashion, reuters, protein)"
-        ))),
-    }
+    Benchmark::parse(name).ok_or_else(|| {
+        let names = Benchmark::ALL.map(Benchmark::cli_name).join(", ");
+        ParseError(format!("unknown dataset '{name}' (try {names})"))
+    })
 }
 
 /// The `--help` text.
 pub fn usage() -> String {
     let methods: Vec<&str> = Method::ALL.iter().map(|(n, _)| *n).collect();
+    let datasets = Benchmark::ALL.map(Benchmark::cli_name).join(" | ");
+    let sizes = Size::ALL.map(Size::cli_name).join(" | ");
     format!(
         "adec — Adversarial Deep Embedded Clustering (paper reproduction)\n\
          \n\
@@ -731,9 +724,9 @@ pub fn usage() -> String {
            adec prof [OPTIONS]                        (see adec prof --help)\n\
          \n\
          OPTIONS:\n\
-           --dataset <NAME>        digits-full | digits-test | usps | fashion | reuters | protein\n\
-           --method <NAME>         {}\n\
-           --size <SIZE>           small | medium | paper        (default small)\n\
+           --dataset <NAME>        {datasets}\n\
+           --method <NAME>         {methods}\n\
+           --size <SIZE>           {sizes}        (default small)\n\
            --seed <N>              experiment seed               (default 7)\n\
            --pretrain <KIND>       vanilla | acai | acai-aug | sdae (default acai-aug)\n\
            --pretrain-iters <N>    pretraining iterations        (default 1200)\n\
@@ -752,7 +745,7 @@ pub fn usage() -> String {
            --telemetry-interval <N> keep every Nth per-interval event  (default 1)\n\
            --list                  list methods and datasets\n\
            --help                  this message\n",
-        methods.join(" | ")
+        methods = methods.join(" | ")
     )
 }
 
@@ -773,12 +766,8 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
                     .ok_or_else(|| ParseError(format!("unknown method '{name}'")))?;
             }
             "--size" => {
-                args.size = match value("--size")?.as_str() {
-                    "small" => Size::Small,
-                    "medium" => Size::Medium,
-                    "paper" => Size::Paper,
-                    other => return Err(ParseError(format!("unknown size '{other}'"))),
-                }
+                let v = value("--size")?;
+                args.size = Size::parse(v).ok_or_else(|| ParseError(format!("unknown size '{v}'")))?;
             }
             "--seed" => {
                 let v = value("--seed")?;
@@ -1025,7 +1014,7 @@ mod tests {
         assert_eq!(args.replicas, 2);
         assert_eq!(args.watch_checkpoint, None);
         assert_eq!(args.wedge_budget_ms, 0);
-        assert_eq!(args.drift_policy, "observe");
+        assert_eq!(args.drift_policy, DriftPolicy::Observe);
         assert_eq!(args.drift_window, 256);
 
         let full = parse_serve(&strs(&[
@@ -1044,7 +1033,7 @@ mod tests {
         assert_eq!(full.replicas, 4);
         assert_eq!(full.watch_checkpoint.as_deref(), Some("watch.ckpt"));
         assert_eq!(full.wedge_budget_ms, 400);
-        assert_eq!(full.drift_policy, "gate");
+        assert_eq!(full.drift_policy, DriftPolicy::Gate);
         assert_eq!(full.drift_window, 64);
         assert_eq!(full.trace_slow_ms, Some(250));
         assert_eq!(args.trace_slow_ms, None, "tracing defaults off");

@@ -5,6 +5,7 @@
 
 use adec_cli::args::{parse, usage, Method};
 use adec_cli::runner::{check, run};
+use adec_datagen::Benchmark;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -83,7 +84,7 @@ fn main() {
                 if method.is_deep() { "(deep, uses shared pretrained autoencoder)" } else { "" }
             );
         }
-        println!("\ndatasets: digits-full digits-test usps fashion reuters protein");
+        println!("\ndatasets: {}", Benchmark::ALL.map(Benchmark::cli_name).join(" "));
         return;
     }
 

@@ -150,13 +150,9 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
         model.mode.as_str(),
         model.input_dim(),
         model.k(),
-        args.drift_policy,
+        args.drift_policy.as_str(),
         if model.profile().is_some() { "profile present" } else { "profile absent" },
     ));
-    // The flag value was validated at parse time; fall back to observe
-    // defensively rather than refusing to serve.
-    let drift_policy = adec_serve::DriftPolicy::parse(&args.drift_policy)
-        .unwrap_or(adec_serve::DriftPolicy::Observe);
     let config = adec_serve::ServerConfig {
         port: args.port,
         replicas: args.replicas,
@@ -167,9 +163,8 @@ pub fn serve(args: &crate::args::ServeArgs) -> Result<(), RunError> {
         reload_path: Some(ckpt_path),
         watch_path: args.watch_checkpoint.as_ref().map(std::path::PathBuf::from),
         drift: adec_serve::DriftConfig {
-            policy: drift_policy,
+            policy: args.drift_policy,
             window_rows: args.drift_window,
-            ..adec_serve::DriftConfig::default()
         },
         trace_slow_ms: args.trace_slow_ms,
         ..adec_serve::ServerConfig::default()
@@ -400,7 +395,7 @@ fn parse_kernel_rates(text: &str) -> Vec<KernelRate> {
 fn kernel_family(op: &str) -> Option<&'static str> {
     match op {
         "matmul" => Some("matmul"),
-        "add_bias" | "add_bias_act" => Some("add_bias"),
+        "add_bias_act" => Some("add_bias"),
         "softmax_ce" => Some("softmax"),
         _ => None,
     }

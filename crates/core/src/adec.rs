@@ -26,7 +26,7 @@ use crate::dec::{init_centroids, kl_graph, minibatch, KlTargets};
 use crate::guard::{
     faults::FaultPlan, DurabilityConfig, ExtraCursor, Fault, GuardConfig, TrainError, TrainGuard,
 };
-use crate::trace::{ClusterOutput, GradLoss, TraceConfig};
+use crate::trace::{ClusterOutput, TraceConfig};
 use adec_nn::{Activation, Mlp, Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
 use adec_tensor::{Matrix, SeedRng};
 
@@ -251,13 +251,14 @@ impl ClusterTrainer for AdecTrainer<'_> {
     }
 
     fn probe(&self, store: &ParamStore, rng: &mut SeedRng) -> Probe {
-        let self_loss = GradLoss::Adversarial {
-            decoder: &self.ae.decoder,
-            discriminator: &self.discriminator,
+        // The non-saturating regularizer, also under the saturating
+        // ablation, so Δ_FD compares one functional form across runs.
+        let adversarial = |tape: &mut Tape, x: &Matrix| {
+            adversarial_graph(tape, self.ae, &self.discriminator, store, x, false)
         };
         Probe {
             grad_norm: self.last_grad_norm,
-            ..self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(self_loss), rng)
+            ..self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(&adversarial), rng)
         }
     }
 
@@ -355,23 +356,11 @@ fn encoder_step(
     let loss = kl_graph(&mut kl_tape, ae, store, x_b, mu_id, p_b, cfg.alpha);
     kl_tape.backward(loss);
     let kl_value = kl_tape.scalar(loss);
-    // Every id queried below was bound during the forward pass on the same
-    // tape, so the lookup cannot miss.
-    #[allow(clippy::expect_used)]
-    let grad_of = |tape: &Tape, id: ParamId| -> Matrix {
-        let var = tape
-            .bindings()
-            .iter()
-            .find(|(bid, _)| *bid == id)
-            .map(|&(_, v)| v)
-            .expect("parameter bound on tape");
-        tape.grad(var)
-    };
     let mut kl_grads: Vec<(ParamId, Matrix)> = enc_ids
         .iter()
-        .map(|&id| (id, grad_of(&kl_tape, id)))
+        .map(|&id| (id, kl_tape.param_grad(id)))
         .collect();
-    let mu_grad = grad_of(&kl_tape, mu_id);
+    let mu_grad = kl_tape.param_grad(mu_id);
     let kl_norm = kl_grads
         .iter()
         .map(|(_, g)| g.sq_norm())
@@ -393,7 +382,7 @@ fn encoder_step(
             cfg.saturating_adversarial,
         );
         adv_tape.backward(loss);
-        let adv_grads: Vec<Matrix> = enc_ids.iter().map(|&id| grad_of(&adv_tape, id)).collect();
+        let adv_grads: Vec<Matrix> = enc_ids.iter().map(|&id| adv_tape.param_grad(id)).collect();
         let adv_norm = adv_grads
             .iter()
             .map(|g| g.sq_norm())

@@ -8,7 +8,7 @@
 use crate::autoencoder::Autoencoder;
 use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
 use crate::guard::{faults::FaultPlan, DurabilityConfig, Fault, GuardConfig, TrainError, TrainGuard};
-use crate::trace::{encoder_gradients, ClusterOutput, GradLoss, TraceConfig};
+use crate::trace::{encoder_gradients, ClusterOutput, TraceConfig};
 use adec_classic::{kmeans, KMeansConfig};
 use adec_nn::{
     hard_labels, kl_divergence, soft_assignment, target_distribution, Optimizer, ParamId,
@@ -254,6 +254,10 @@ pub(crate) fn kl_graph(
     tape.scale(kl, 1.0 / x_b.rows() as f32)
 }
 
+/// Builds a model's self-supervised loss of a probe batch on a tape (the
+/// Δ_FD gradient source).
+pub(crate) type SelfGraph<'a> = &'a dyn Fn(&mut Tape, &Matrix) -> Var;
+
 /// DEC's self-training targets, shared by DEC, IDEC and ADEC: the
 /// Student-t soft assignment `Q` of the full data (eq. 1) and its
 /// sharpened target `P` (eq. 3), as of the last refresh.
@@ -301,16 +305,17 @@ impl KlTargets {
 
     /// The mean KL loss at the last refresh and, with
     /// [`TraceConfig::tradeoff`], the Δ_FR / Δ_FD gradient probes.
-    /// `self_loss` is the model's self-supervised gradient source for
-    /// Δ_FD (None → Δ_FD not recorded, as for plain DEC which has no
-    /// regularizer).
+    /// Both supervised losses are [`kl_graph`] at the probe's α;
+    /// `self_graph` builds the model's self-supervised loss of a probe
+    /// batch for Δ_FD (None → Δ_FD not recorded, as for plain DEC which has
+    /// no regularizer).
     pub fn probe(
         &self,
         ae: &Autoencoder,
         data: &Matrix,
         store: &ParamStore,
         cfg: &TraceConfig,
-        self_loss: Option<GradLoss<'_>>,
+        self_graph: Option<SelfGraph<'_>>,
         rng: &mut SeedRng,
     ) -> Probe {
         let (q_full, p_full) = (&self.q, &self.p);
@@ -318,9 +323,8 @@ impl KlTargets {
 
         let (mut delta_fr, mut delta_fd) = (None, None);
         if cfg.tradeoff {
-            let probe = rng.sample_indices(data.rows(), cfg.probe_size.min(data.rows()));
-            let x_probe = data.gather_rows(&probe);
-            let mu = store.get(self.mu_id).clone();
+            let (probe, x_probe) = minibatch(data, cfg.probe_size, None, rng);
+            let mu = store.get(self.mu_id);
 
             // Sharpness-normalized probe: as the embedding spreads out, the
             // α = 1 assignment saturates to one-hot and the residual gradients
@@ -332,7 +336,7 @@ impl KlTargets {
             // identically to every model.
             let z_probe = ae.encoder.infer(store, &x_probe);
             let probe_alpha = {
-                let d2 = adec_tensor::pairwise_sq_dists(&z_probe, &mu);
+                let d2 = adec_tensor::pairwise_sq_dists(&z_probe, mu);
                 let mut acc = 0.0f32;
                 for i in 0..d2.rows() {
                     let mut best = f32::INFINITY;
@@ -343,18 +347,14 @@ impl KlTargets {
                 }
                 (acc / d2.rows().max(1) as f32).max(self.alpha)
             };
-            let q_probe = soft_assignment(&z_probe, &mu, probe_alpha);
+            let q_probe = soft_assignment(&z_probe, mu, probe_alpha);
             let p_probe = target_distribution(&q_probe);
-            let g_pseudo = encoder_gradients(
-                &ae.encoder,
-                store,
-                &x_probe,
-                GradLoss::DecKl {
-                    mu: &mu,
-                    p: &p_probe,
-                    alpha: probe_alpha,
-                },
-            );
+            let kl_gradients = |p: &Matrix| {
+                encoder_gradients(&ae.encoder, |tape| {
+                    kl_graph(tape, ae, store, &x_probe, self.mu_id, p, probe_alpha)
+                })
+            };
+            let g_pseudo = kl_gradients(&p_probe);
             if let Some(y_true) = &cfg.y_true {
                 let y_probe: Vec<usize> = probe.iter().map(|&i| y_true[i]).collect();
                 // The cluster↔class mapping comes from the FULL-data
@@ -362,20 +362,11 @@ impl KlTargets {
                 // Hungarian matchings that corrupt the supervised target.
                 let map = crate::trace::class_to_cluster_map(q_full, y_true);
                 let p_sup = crate::trace::supervised_target_with_map(&y_probe, &map, q_full.cols());
-                let g_true = encoder_gradients(
-                    &ae.encoder,
-                    store,
-                    &x_probe,
-                    GradLoss::DecKl {
-                        mu: &mu,
-                        p: &p_sup,
-                        alpha: probe_alpha,
-                    },
-                );
+                let g_true = kl_gradients(&p_sup);
                 delta_fr = Some(adec_metrics::delta_fr(&g_pseudo, &g_true));
             }
-            if let Some(self_loss) = self_loss {
-                let g_self = encoder_gradients(&ae.encoder, store, &x_probe, self_loss);
+            if let Some(self_graph) = self_graph {
+                let g_self = encoder_gradients(&ae.encoder, |tape| self_graph(tape, &x_probe));
                 delta_fd = Some(adec_metrics::delta_fd(&g_pseudo, &g_self));
             }
         }
@@ -488,6 +479,21 @@ pub(crate) mod tests {
         let out = Dec::run(&ae, &mut store, &data, &cfg, &mut rng).unwrap();
         assert!(out.converged, "well-separated 2-cluster case should converge early");
         assert!(out.iterations < 2_000);
+    }
+
+    #[test]
+    fn minibatch_clamps_to_n_and_augments_only_when_asked() {
+        let mut rng = SeedRng::new(5);
+        let data = Matrix::randn(10, 16, 0.0, 1.0, &mut rng);
+        let (idx, rows) = minibatch(&data, 32, None, &mut rng);
+        assert_eq!(idx.len(), 10, "batch clamps to n");
+        assert_eq!(rows, data.gather_rows(&idx));
+        let (idx, rows) = minibatch(&data, 4, None, &mut rng);
+        assert_eq!(idx.len(), 4);
+        assert_eq!(rows, data.gather_rows(&idx));
+        let (idx, rows) = minibatch(&data, 4, Some((4, 4)), &mut rng);
+        assert_eq!(rows.shape(), (4, 16));
+        assert_ne!(rows, data.gather_rows(&idx));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::autoencoder::Autoencoder;
 use crate::cluster_loop::{cluster_loop, ClusterTrainer, Probe, StepCheck};
 use crate::dec::{init_centroids, minibatch, KlTargets};
 use crate::guard::{faults::FaultPlan, DurabilityConfig, Fault, GuardConfig, TrainError, TrainGuard};
-use crate::trace::{ClusterOutput, GradLoss, TraceConfig};
+use crate::pretrain::ae_graph;
+use crate::trace::{ClusterOutput, TraceConfig};
 use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape, Var};
 use adec_tensor::Matrix;
 use adec_tensor::SeedRng;
@@ -161,10 +162,9 @@ impl ClusterTrainer for IdecTrainer<'_> {
     }
 
     fn probe(&self, store: &ParamStore, rng: &mut SeedRng) -> Probe {
-        let self_loss = GradLoss::Reconstruction {
-            decoder: &self.ae.decoder,
-        };
-        self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(self_loss), rng)
+        // The self-supervised loss is the step's reconstruction term.
+        let reconstruction = |tape: &mut Tape, x: &Matrix| ae_graph(tape, self.ae, store, x, None, 0.0);
+        self.targets.probe(self.ae, self.data, store, &self.cfg.trace, Some(&reconstruction), rng)
     }
 
     fn step(

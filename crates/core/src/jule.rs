@@ -20,6 +20,7 @@ use crate::autoencoder::Autoencoder;
 use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::ward_agglomerative;
 use adec_nn::{Optimizer, ParamId, ParamStore, Sgd, Tape};
+use adec_tensor::kernels::FusedAct;
 use adec_tensor::{Matrix, SeedRng};
 use std::time::Instant;
 
@@ -162,7 +163,7 @@ pub fn run(
             let gap = tape.sub(d_pos, d_neg);
             let margin = tape.leaf(Matrix::full(triplets.len(), 1, cfg.margin * mean_neg));
             let shifted = tape.add(gap, margin);
-            let hinge = tape.relu(shifted);
+            let hinge = tape.act(shifted, FusedAct::Relu);
             let loss = tape.mean_all(hinge);
             tape.backward(loss);
             opt.step_filtered(&tape, store, |id| encoder_ids.contains(&id));
@@ -321,7 +322,7 @@ mod tests {
             let gap = tape.sub(d_pos, d_neg);
             let margin = tape.leaf(Matrix::full(triplets.len(), 1, 0.25 * mean_neg));
             let shifted = tape.add(gap, margin);
-            let hinge = tape.relu(shifted);
+            let hinge = tape.act(shifted, FusedAct::Relu);
             let loss = tape.mean_all(hinge);
             tape.backward(loss);
             opt.step_filtered(&tape, &mut store, |id| encoder_ids.contains(&id));

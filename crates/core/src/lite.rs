@@ -16,7 +16,7 @@
 //! [`crate::jule`] and [`crate::vade`].
 
 use crate::autoencoder::Autoencoder;
-use crate::dec::{init_centroids, label_change};
+use crate::dec::{init_centroids, label_change, minibatch};
 use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::{finch, kmeans, KMeansConfig};
 use adec_nn::{
@@ -116,8 +116,7 @@ pub fn deepcluster_lite(
 
         // One-hot pseudo-label targets.
         for _ in 0..cfg.steps_per_round {
-            let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-            let x_b = data.gather_rows(&idx);
+            let (idx, x_b) = minibatch(data, cfg.batch_size, None, rng);
             let mut targets = Matrix::zeros(idx.len(), cfg.k);
             for (row, &i) in idx.iter().enumerate() {
                 targets.set(row, labels[i], 1.0);
@@ -189,8 +188,7 @@ pub fn depict_lite(
         let head_ids: std::collections::HashSet<ParamId> = head.param_ids().into_iter().collect();
         let mut head_opt = Sgd::new(0.1, 0.9);
         for _ in 0..100 {
-            let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-            let x_b = data.gather_rows(&idx);
+            let (idx, x_b) = minibatch(data, cfg.batch_size, None, rng);
             let t_b = targets.gather_rows(&idx);
             let mut tape = Tape::new();
             let xv = tape.leaf(x_b);
@@ -232,8 +230,7 @@ pub fn depict_lite(
             }
             y_prev = Some(y_pred);
         }
-        let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-        let x_b = data.gather_rows(&idx);
+        let (idx, x_b) = minibatch(data, cfg.batch_size, None, rng);
         let p_b = p_full.gather_rows(&idx);
         let mut tape = Tape::new();
         let xv = tape.leaf(x_b.clone());
@@ -317,8 +314,7 @@ pub fn sr_kmeans_lite(
             }
             y_prev = Some(y_pred);
         }
-        let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-        let x_b = data.gather_rows(&idx);
+        let (_, x_b) = minibatch(data, cfg.batch_size, None, rng);
         // Soft targets: responsibility-weighted centroid mixture (constant
         // within the step).
         let z_now = ae.embed(store, &x_b);

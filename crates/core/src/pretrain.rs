@@ -17,7 +17,7 @@ use crate::guard::{
     begin_resume, f32_word, faults::FaultPlan, word_f32, DurabilityConfig, ExtraCursor,
     GuardConfig, RunMark, TrainError, TrainGuard,
 };
-use adec_datagen::augment::{augment_batch, AugmentConfig};
+use crate::dec::minibatch;
 use adec_datagen::Modality;
 use adec_nn::{
     Activation, Adam, Checkpoint, Mlp, OptState, Optimizer, ParamId, ParamStore, Tape, Var,
@@ -121,32 +121,6 @@ pub struct PretrainStats {
     pub iterations: usize,
 }
 
-/// Samples a random mini-batch (rows) from `data`.
-pub(crate) fn sample_batch(data: &Matrix, batch: usize, rng: &mut SeedRng) -> (Vec<usize>, Matrix) {
-    let n = data.rows();
-    let b = batch.min(n);
-    let idx = rng.sample_indices(n, b);
-    let rows = data.gather_rows(&idx);
-    (idx, rows)
-}
-
-/// Applies the paper's augmentation when the modality is an image and the
-/// config requests it; otherwise returns the batch unchanged (the paper's
-/// ‡/† marks for text/tabular data).
-pub(crate) fn maybe_augment(
-    batch: &Matrix,
-    modality: Modality,
-    enabled: bool,
-    rng: &mut SeedRng,
-) -> Matrix {
-    match (enabled, modality) {
-        (true, Modality::Image { h, w }) => {
-            augment_batch(batch, h, w, &AugmentConfig::default(), rng)
-        }
-        _ => batch.clone(),
-    }
-}
-
 /// Serializes pretraining loop state into checkpoint extras.
 fn pretrain_extra(mark: RunMark, last_critic_loss: f32) -> Vec<u64> {
     let mut extra = Vec::new();
@@ -222,6 +196,7 @@ pub fn pretrain_autoencoder(
         }
     }
     let start_iter = if already_done { cfg.iterations } else { start_iter };
+    let augment = modality.augment_shape().filter(|_| cfg.augment);
     drop(prof_init);
 
     for i in start_iter..cfg.iterations {
@@ -274,8 +249,7 @@ pub fn pretrain_autoencoder(
         }
 
         let _prof_step = adec_nn::profiler::section("step");
-        let (_, raw) = sample_batch(data, cfg.batch_size, rng);
-        let x = maybe_augment(&raw, modality, cfg.augment, rng);
+        let (_, x) = minibatch(data, cfg.batch_size, augment, rng);
         let b = x.rows();
 
         // ---------------- Autoencoder step (eq. 8) ----------------
@@ -479,7 +453,7 @@ pub fn pretrain_stacked_denoising(
         // Features of the frozen stack below this layer.
         let features = ae.encoder.infer_prefix(store, data, l);
         for _ in 0..cfg.layer_iterations {
-            let (_, clean) = sample_batch(&features, cfg.batch_size, rng);
+            let (_, clean) = minibatch(&features, cfg.batch_size, None, rng);
             let corrupted = corrupt_mask(&clean, cfg.mask_prob, rng);
             let mut tape = Tape::new();
             let xv = tape.leaf(corrupted);
@@ -496,7 +470,7 @@ pub fn pretrain_stacked_denoising(
     let all_ids: std::collections::HashSet<ParamId> = ae.param_ids().into_iter().collect();
     let mut opt = Adam::new(cfg.lr).with_clip(5.0);
     for _ in 0..cfg.finetune_iterations {
-        let (_, clean) = sample_batch(data, cfg.batch_size, rng);
+        let (_, clean) = minibatch(data, cfg.batch_size, None, rng);
         let corrupted = corrupt_mask(&clean, cfg.mask_prob, rng);
         let mut tape = Tape::new();
         let xv = tape.leaf(corrupted);
@@ -583,20 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn augmentation_only_applies_to_images() {
-        let mut rng = SeedRng::new(3);
-        let batch = Matrix::randn(4, 16, 0.0, 1.0, &mut rng);
-        let same = maybe_augment(&batch, Modality::Tabular, true, &mut rng);
-        assert_eq!(same, batch);
-        let same2 = maybe_augment(&batch, Modality::Text, true, &mut rng);
-        assert_eq!(same2, batch);
-        let changed = maybe_augment(&batch, Modality::Image { h: 4, w: 4 }, true, &mut rng);
-        assert_ne!(changed, batch);
-        let disabled = maybe_augment(&batch, Modality::Image { h: 4, w: 4 }, false, &mut rng);
-        assert_eq!(disabled, batch);
-    }
-
-    #[test]
     fn stacked_denoising_reduces_error() {
         let mut rng = SeedRng::new(8);
         let data = toy_data(&mut rng);
@@ -640,17 +600,5 @@ mod tests {
         let cfg = PretrainConfig::vanilla(10);
         pretrain_autoencoder(&ae, &mut store, &data, Modality::Tabular, &cfg, &mut rng).unwrap();
         assert_eq!(store.len(), n_before, "vanilla must not register a critic");
-    }
-
-    #[test]
-    fn batch_sampling_bounds() {
-        let mut rng = SeedRng::new(5);
-        let data = Matrix::randn(10, 4, 0.0, 1.0, &mut rng);
-        let (idx, rows) = sample_batch(&data, 32, &mut rng);
-        assert_eq!(idx.len(), 10, "batch clamps to n");
-        assert_eq!(rows.shape(), (10, 4));
-        let (idx, rows) = sample_batch(&data, 4, &mut rng);
-        assert_eq!(idx.len(), 4);
-        assert_eq!(rows.shape(), (4, 4));
     }
 }

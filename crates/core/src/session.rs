@@ -92,14 +92,6 @@ impl Session {
         self.ae.embed(&self.store, &self.data)
     }
 
-    /// Image dimensions when the dataset supports augmentation.
-    fn augment_spec(&self) -> Option<(usize, usize)> {
-        match self.modality {
-            Modality::Image { h, w } => Some((h, w)),
-            _ => None,
-        }
-    }
-
     /// Runs DEC from the pretrained snapshot. On image datasets the
     /// clustering phase trains on augmented views (the paper's `*`
     /// setting) unless the config already chose.
@@ -111,7 +103,7 @@ impl Session {
         self.restore_pretrained();
         let mut cfg = cfg.clone();
         if cfg.augment.is_none() {
-            cfg.augment = self.augment_spec();
+            cfg.augment = self.modality.augment_shape();
         }
         let mut rng = self.rng.fork(0xDEC);
         Dec::run(&self.ae, &mut self.store, &self.data, &cfg, &mut rng)
@@ -127,7 +119,7 @@ impl Session {
         self.restore_pretrained();
         let mut cfg = cfg.clone();
         if cfg.augment.is_none() {
-            cfg.augment = self.augment_spec();
+            cfg.augment = self.modality.augment_shape();
         }
         let mut rng = self.rng.fork(0x1DEC);
         Idec::run(&self.ae, &mut self.store, &self.data, &cfg, &mut rng)
@@ -164,7 +156,7 @@ impl Session {
         self.restore_pretrained();
         let mut cfg = cfg.clone();
         if cfg.augment.is_none() {
-            cfg.augment = self.augment_spec();
+            cfg.augment = self.modality.augment_shape();
         }
         let mut rng = self.rng.fork(0xADEC);
         Adec::run(&self.ae, &mut self.store, &self.data, &cfg, &mut rng)

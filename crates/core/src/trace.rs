@@ -2,7 +2,7 @@
 //! paper's Δ_FR / Δ_FD gradient diagnostics (Figures 7–12).
 
 use adec_metrics::{accuracy, hungarian_min_cost, nmi, Contingency};
-use adec_nn::{Mlp, ParamId, ParamStore, Tape};
+use adec_nn::{Mlp, Tape, Var};
 use adec_tensor::Matrix;
 
 /// What a clustering run should record while training.
@@ -205,84 +205,15 @@ pub fn supervised_target_with_map(y_true: &[usize], map: &[usize], k: usize) -> 
     p
 }
 
-/// Which self/pseudo-supervised loss to differentiate on a probe batch.
-pub enum GradLoss<'a> {
-    /// The DEC KL objective with the given targets (pseudo or supervised).
-    DecKl {
-        /// Centroid matrix `k × d`.
-        mu: &'a Matrix,
-        /// Target distribution rows aligned with the probe batch.
-        p: &'a Matrix,
-        /// Student-t degrees of freedom.
-        alpha: f32,
-    },
-    /// Vanilla reconstruction through the given decoder.
-    Reconstruction {
-        /// Decoder network.
-        decoder: &'a Mlp,
-    },
-    /// ADEC's adversarial encoder regularizer
-    /// `E[log(1 − D(G(E(x))))]` through decoder and discriminator.
-    Adversarial {
-        /// Decoder network.
-        decoder: &'a Mlp,
-        /// Discriminator network (logit output).
-        discriminator: &'a Mlp,
-    },
-}
-
-/// Gradients of the chosen loss w.r.t. the *encoder* parameters on a probe
-/// batch, in `encoder.param_ids()` order. Used to evaluate eqs. 5–6.
-pub fn encoder_gradients(
-    encoder: &Mlp,
-    store: &ParamStore,
-    x: &Matrix,
-    loss: GradLoss<'_>,
-) -> Vec<Matrix> {
+/// Gradients w.r.t. the *encoder* parameters of the loss that `graph`
+/// builds on a fresh tape, in `encoder.param_ids()` order. Used to
+/// evaluate eqs. 5–6: the probes pass the graphs the trainers step on, so
+/// Δ_FR and Δ_FD measure the objectives the models apply.
+pub fn encoder_gradients(encoder: &Mlp, graph: impl FnOnce(&mut Tape) -> Var) -> Vec<Matrix> {
     let mut tape = Tape::new();
-    let xv = tape.leaf(x.clone());
-    let z = encoder.forward(&mut tape, store, xv);
-    let loss_node = match loss {
-        GradLoss::DecKl { mu, p, alpha } => {
-            let muv = tape.leaf(mu.clone());
-            let kl = tape.dec_kl(z, muv, p, alpha);
-            tape.scale(kl, 1.0 / x.rows() as f32)
-        }
-        GradLoss::Reconstruction { decoder } => {
-            let xhat = decoder.forward(&mut tape, store, z);
-            let target = tape.leaf(x.clone());
-            tape.mse(xhat, target)
-        }
-        GradLoss::Adversarial {
-            decoder,
-            discriminator,
-        } => {
-            let xhat = decoder.forward(&mut tape, store, z);
-            let logits = discriminator.forward(&mut tape, store, xhat);
-            // Non-saturating generator objective −E[log σ(s)] =
-            // E[softplus(−s)], matching the ADEC encoder step.
-            let neg = tape.scale(logits, -1.0);
-            let sp = tape.softplus(neg);
-            tape.mean_all(sp)
-        }
-    };
-    tape.backward(loss_node);
-
-    let encoder_ids: Vec<ParamId> = encoder.param_ids();
-    let mut grads = Vec::with_capacity(encoder_ids.len());
-    for id in encoder_ids {
-        // The first binding of each id on this tape belongs to the encoder
-        // forward pass just executed, so the lookup cannot miss.
-        #[allow(clippy::expect_used)]
-        let var = tape
-            .bindings()
-            .iter()
-            .find(|(bid, _)| *bid == id)
-            .map(|&(_, v)| v)
-            .expect("encoder param must be bound");
-        grads.push(tape.grad(var));
-    }
-    grads
+    let loss = graph(&mut tape);
+    tape.backward(loss);
+    encoder.param_ids().into_iter().map(|id| tape.param_grad(id)).collect()
 }
 
 #[cfg(test)]
@@ -291,8 +222,11 @@ pub fn encoder_gradients(
 #[allow(clippy::float_cmp, clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::autoencoder::{ArchPreset, Autoencoder};
+    use crate::dec::kl_graph;
+    use crate::pretrain::ae_graph;
     use adec_metrics::gradient_cosine;
-    use adec_nn::{soft_assignment, Activation};
+    use adec_nn::{soft_assignment, ParamStore};
     use adec_tensor::SeedRng;
 
     #[test]
@@ -330,17 +264,17 @@ mod tests {
     fn encoder_gradients_nonzero_and_aligned() {
         let mut rng = SeedRng::new(1);
         let mut store = ParamStore::new();
-        let encoder = Mlp::new(&mut store, &[6, 8, 3], Activation::Relu, Activation::Linear, &mut rng);
-        let decoder = Mlp::new(&mut store, &[3, 8, 6], Activation::Relu, Activation::Linear, &mut rng);
+        let ae = Autoencoder::new(&mut store, 6, ArchPreset::Small, &mut rng);
         let x = Matrix::randn(10, 6, 0.0, 1.0, &mut rng);
-        let z = encoder.infer(&store, &x);
-        let mu = Matrix::randn(2, 3, 0.0, 1.0, &mut rng);
+        let z = ae.embed(&store, &x);
+        let mu = Matrix::randn(2, z.cols(), 0.0, 1.0, &mut rng);
         let q = soft_assignment(&z, &mu, 1.0);
         let p = adec_nn::target_distribution(&q);
+        let mu_id = store.register("test.mu", mu);
 
-        let g_kl = encoder_gradients(&encoder, &store, &x, GradLoss::DecKl { mu: &mu, p: &p, alpha: 1.0 });
-        let g_rec = encoder_gradients(&encoder, &store, &x, GradLoss::Reconstruction { decoder: &decoder });
-        assert_eq!(g_kl.len(), encoder.param_ids().len());
+        let g_kl = encoder_gradients(&ae.encoder, |t| kl_graph(t, &ae, &store, &x, mu_id, &p, 1.0));
+        let g_rec = encoder_gradients(&ae.encoder, |t| ae_graph(t, &ae, &store, &x, None, 0.0));
+        assert_eq!(g_kl.len(), ae.encoder.param_ids().len());
         let kl_norm: f32 = g_kl.iter().map(|g| g.sq_norm()).sum();
         let rec_norm: f32 = g_rec.iter().map(|g| g.sq_norm()).sum();
         assert!(kl_norm > 0.0);

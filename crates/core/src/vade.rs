@@ -18,7 +18,7 @@
 //! at 0.287 ACC on MNIST-test next to 0.945 on MNIST-full.
 
 use crate::autoencoder::{arch_dims, ArchPreset};
-use crate::dec::label_change;
+use crate::dec::{label_change, minibatch};
 use crate::trace::{ClusterOutput, TraceConfig, TrainTrace};
 use adec_classic::{gmm, GmmConfig};
 use adec_nn::{Activation, Adam, Mlp, Optimizer, ParamId, ParamStore, Tape, Var};
@@ -163,9 +163,8 @@ pub fn run(
 
     // ---- Phase 1: VAE warm-up ----
     for _ in 0..cfg.vae_iterations {
-        let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-        let x_b = data.gather_rows(&idx);
-        let eps = Matrix::randn(idx.len(), latent, 0.0, 1.0, rng);
+        let (_, x_b) = minibatch(data, cfg.batch_size, None, rng);
+        let eps = Matrix::randn(x_b.rows(), latent, 0.0, 1.0, rng);
         let mut tape = Tape::new();
         let xv = tape.leaf(x_b.clone());
         let (mu, logvar) = model.heads(&mut tape, store, xv);
@@ -206,14 +205,13 @@ pub fn run(
             y_prev = Some(y_pred);
         }
 
-        let idx = rng.sample_indices(data.rows(), cfg.batch_size.min(data.rows()));
-        let x_b = data.gather_rows(&idx);
+        let (_, x_b) = minibatch(data, cfg.batch_size, None, rng);
         // Component attraction targets from the current GMM (hard MAP
         // assignment of the batch's latent means).
         let z_now = model.latent_means(store, &x_b);
         let assign: Vec<usize> = {
             // Responsibility argmax under the fitted mixture.
-            let mut labels = Vec::with_capacity(idx.len());
+            let mut labels = Vec::with_capacity(z_now.rows());
             for r in 0..z_now.rows() {
                 let mut best = 0usize;
                 let mut best_v = f32::NEG_INFINITY;
@@ -235,7 +233,7 @@ pub fn run(
         };
         let targets = fitted.means.gather_rows(&assign);
 
-        let eps = Matrix::randn(idx.len(), latent, 0.0, 1.0, rng);
+        let eps = Matrix::randn(x_b.rows(), latent, 0.0, 1.0, rng);
         let mut tape = Tape::new();
         let xv = tape.leaf(x_b.clone());
         let (mu, logvar) = model.heads(&mut tape, store, xv);
@@ -319,9 +317,8 @@ mod tests {
         let trainable: std::collections::HashSet<ParamId> = model.all_ids.iter().copied().collect();
         let mut opt = Adam::new(1e-3);
         for _ in 0..300 {
-            let idx = rng.sample_indices(data.rows(), 32);
-            let x_b = data.gather_rows(&idx);
-            let eps = Matrix::randn(idx.len(), 10, 0.0, 1.0, &mut rng);
+            let (_, x_b) = minibatch(&data, 32, None, &mut rng);
+            let eps = Matrix::randn(x_b.rows(), 10, 0.0, 1.0, &mut rng);
             let mut tape = Tape::new();
             let xv = tape.leaf(x_b.clone());
             let (mu, logvar) = model.heads(&mut tape, &store, xv);

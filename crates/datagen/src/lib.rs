@@ -58,6 +58,17 @@ pub enum Modality {
     Tabular,
 }
 
+impl Modality {
+    /// The `(h, w)` of the rotation/translation augmentation, which applies
+    /// to images only (the paper's ‡/† marks exempt text and tabular data).
+    pub fn augment_shape(self) -> Option<(usize, usize)> {
+        match self {
+            Modality::Image { h, w } => Some((h, w)),
+            _ => None,
+        }
+    }
+}
+
 /// A generated dataset: an `n × d` feature matrix plus ground-truth labels.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -91,7 +102,7 @@ impl Dataset {
 
     /// Whether image augmentation applies to this dataset.
     pub fn supports_augmentation(&self) -> bool {
-        matches!(self.modality, Modality::Image { .. })
+        self.modality.augment_shape().is_some()
     }
 }
 
@@ -107,6 +118,25 @@ pub enum Size {
     Medium,
     /// Published sample counts and resolutions (slow on CPU).
     Paper,
+}
+
+impl Size {
+    /// Every preset, smallest first.
+    pub const ALL: [Size; 3] = [Size::Small, Size::Medium, Size::Paper];
+
+    /// Command-line name (`--size`, `ADEC_SIZE`).
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            Size::Small => "small",
+            Size::Medium => "medium",
+            Size::Paper => "paper",
+        }
+    }
+
+    /// Parses a command-line name.
+    pub fn parse(name: &str) -> Option<Size> {
+        Size::ALL.into_iter().find(|s| s.cli_name() == name)
+    }
 }
 
 /// The six paper benchmarks.
@@ -147,6 +177,31 @@ impl Benchmark {
             Benchmark::Tfidf => "REUTERS-10K*",
             Benchmark::Protein => "Mice Protein*",
         }
+    }
+
+    /// Command-line name (`--dataset`).
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            Benchmark::DigitsFull => "digits-full",
+            Benchmark::DigitsTest => "digits-test",
+            Benchmark::DigitsUsps => "usps",
+            Benchmark::Fashion => "fashion",
+            Benchmark::Tfidf => "reuters",
+            Benchmark::Protein => "protein",
+        }
+    }
+
+    /// Parses a command-line name or one of the aliases `mnist-full`,
+    /// `mnist-test`, `tfidf` and `mice`.
+    pub fn parse(name: &str) -> Option<Benchmark> {
+        let name = match name {
+            "mnist-full" => "digits-full",
+            "mnist-test" => "digits-test",
+            "tfidf" => "reuters",
+            "mice" => "protein",
+            other => other,
+        };
+        Benchmark::ALL.into_iter().find(|b| b.cli_name() == name)
     }
 
     /// Generates the dataset at the given size with the given seed.
@@ -257,7 +312,30 @@ mod tests {
     }
 
     #[test]
+    fn cli_names_round_trip_with_aliases() {
+        for b in Benchmark::ALL {
+            assert_eq!(Benchmark::parse(b.cli_name()), Some(b));
+        }
+        for (alias, b) in [
+            ("mnist-full", Benchmark::DigitsFull),
+            ("mnist-test", Benchmark::DigitsTest),
+            ("tfidf", Benchmark::Tfidf),
+            ("mice", Benchmark::Protein),
+        ] {
+            assert_eq!(Benchmark::parse(alias), Some(b));
+        }
+        assert_eq!(Benchmark::parse("mnist"), None);
+        for s in Size::ALL {
+            assert_eq!(Size::parse(s.cli_name()), Some(s));
+        }
+        assert_eq!(Size::parse("large"), None);
+    }
+
+    #[test]
     fn modality_flags() {
+        assert_eq!(Modality::Image { h: 4, w: 5 }.augment_shape(), Some((4, 5)));
+        assert_eq!(Modality::Text.augment_shape(), None);
+        assert_eq!(Modality::Tabular.augment_shape(), None);
         assert!(Benchmark::DigitsFull.generate(Size::Small, 1).supports_augmentation());
         assert!(!Benchmark::Tfidf.generate(Size::Small, 1).supports_augmentation());
         assert!(!Benchmark::Protein.generate(Size::Small, 1).supports_augmentation());

@@ -375,7 +375,7 @@ impl LoadReport {
             r.server_served_delta,
             r.client_expected,
             r.consistent,
-            r.detail.replace('\\', "\\\\").replace('"', "\\\""),
+            adec_obs::json::escape(&r.detail),
         ));
         let tc = &self.trace;
         out.push_str(&format!(
@@ -384,7 +384,7 @@ impl LoadReport {
             tc.exemplars,
             tc.matched,
             tc.consistent,
-            tc.detail.replace('\\', "\\\\").replace('"', "\\\""),
+            adec_obs::json::escape(&tc.detail),
         ));
         let s = &self.server;
         let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
@@ -505,11 +505,18 @@ mod tests {
         ));
         assert!(full.contains(r#""p50":"#) || full.contains(r#""count":0"#));
         assert!(full.contains(r#""achieved_rps":99.5"#));
-        // Balanced braces (a cheap well-formedness check without a JSON
-        // parser in-tree; the python unit tests parse it for real).
-        let opens = full.matches('{').count();
-        let closes = full.matches('}').count();
-        assert_eq!(opens, closes, "{full}");
+        // A detail with a quote, a backslash, a newline and a control
+        // character still yields a document that parses back to it.
+        let detail = "a \"quoted\" C:\\path\nnext\u{1} end";
+        report.reconcile.detail = detail.to_string();
+        report.trace.detail = detail.to_string();
+        let full = report.to_json();
+        let doc = adec_obs::json::Json::parse(&full).unwrap_or_else(|e| panic!("{e}: {full}"));
+        for section in ["reconcile", "trace"] {
+            let got = doc.get(section).and_then(|s| s.get("detail")).and_then(|d| d.as_str());
+            assert_eq!(got, Some(detail), "{section}");
+        }
+        assert_eq!(doc.get("timing").and_then(|t| t.get("achieved_rps")).and_then(|v| v.as_f64()), Some(99.5));
 
         // The deterministic view is a prefix of the full document and
         // stable across identical runs.

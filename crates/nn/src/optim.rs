@@ -170,8 +170,7 @@ impl Sgd {
         for (vi, &gi) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
             *vi = self.momentum * *vi + gi;
         }
-        let v_snapshot = v.clone();
-        store.get_mut(id).axpy(-self.lr, &v_snapshot);
+        store.get_mut(id).axpy(-self.lr, v);
         adec_tensor::debug_assert_finite!(store.get(id), "sgd-updated parameter");
     }
 }

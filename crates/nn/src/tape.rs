@@ -7,7 +7,7 @@
 //! node that (transitively) requires them.
 //!
 //! The op set is exactly what the ADEC pipeline needs — dense layers,
-//! pointwise nonlinearities, the reductions behind MSE/BCE, row-wise
+//! the [`FusedAct`] activations, the reductions behind MSE/BCE, row-wise
 //! interpolation for ACAI, and the DEC KL objective as a composite node
 //! whose backward implements the analytic gradients of the paper's
 //! Theorems 2 and 3 (verified against finite differences in the tests).
@@ -37,8 +37,6 @@ enum Op {
     Leaf,
     /// `a · b`.
     MatMul(Var, Var),
-    /// `x + bias` with `bias` a `1 × cols` row broadcast over rows of `x`.
-    AddBias(Var, Var),
     /// Fused `act(x + bias)` as a single node — the kernel-layer path for
     /// dense layers (`adec_tensor::kernels::add_bias_act`).
     AddBiasAct(Var, Var, FusedAct),
@@ -50,12 +48,8 @@ enum Op {
     Mul(Var, Var),
     /// `c · a` for a compile-time constant scalar.
     Scale(Var, f32),
-    /// ReLU.
-    Relu(Var),
-    /// Logistic sigmoid.
-    Sigmoid(Var),
-    /// Hyperbolic tangent.
-    Tanh(Var),
+    /// `act(a)` elementwise, without a bias.
+    Act(Var, FusedAct),
     /// Numerically-stable softplus `ln(1 + eˣ)`.
     Softplus(Var),
     /// Elementwise exponential.
@@ -98,21 +92,28 @@ enum Op {
     },
 }
 
+/// Op name of a bare activation: the activation's own name.
+fn act_name(act: FusedAct) -> &'static str {
+    match act {
+        FusedAct::Identity => "identity",
+        FusedAct::Relu => "relu",
+        FusedAct::Sigmoid => "sigmoid",
+        FusedAct::Tanh => "tanh",
+    }
+}
+
 /// Stable op name matching [`IrOp::name`], so runtime profiles line up
 /// with phase-manifest op sets.
 fn op_name(op: &Op) -> &'static str {
     match op {
         Op::Leaf => "leaf",
         Op::MatMul(..) => "matmul",
-        Op::AddBias(..) => "add_bias",
         Op::AddBiasAct(..) => "add_bias_act",
         Op::Add(..) => "add",
         Op::Sub(..) => "sub",
         Op::Mul(..) => "mul",
         Op::Scale(..) => "scale",
-        Op::Relu(..) => "relu",
-        Op::Sigmoid(..) => "sigmoid",
-        Op::Tanh(..) => "tanh",
+        Op::Act(_, act) => act_name(*act),
         Op::Softplus(..) => "softplus",
         Op::Exp(..) => "exp",
         Op::Square(..) => "square",
@@ -187,12 +188,13 @@ impl Tape {
                 let n = self.nodes[b.0].value.cols();
                 2 * m as u64 * k as u64 * n as u64
             }
-            Op::AddBias(..) | Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Scale(..) => {
+            Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Scale(..) | Op::Square(_) => {
                 out.len() as u64
             }
-            Op::Relu(_) | Op::Square(_) => out.len() as u64,
             Op::AddBiasAct(_, _, act) => act.flops_per_element() * out.len() as u64,
-            Op::Sigmoid(_) | Op::Tanh(_) | Op::Softplus(_) | Op::Exp(_) => 8 * out.len() as u64,
+            // The fused op's count without its bias add.
+            Op::Act(_, act) => (act.flops_per_element() - 1) * out.len() as u64,
+            Op::Softplus(_) | Op::Exp(_) => 8 * out.len() as u64,
             Op::MeanAll(a) | Op::SumAll(a) | Op::RowSum(a) => len(a),
             Op::RowScale(a, _) => len(a),
             Op::BceWithLogits { logits, .. } => 10 * len(logits),
@@ -215,7 +217,7 @@ impl Tape {
     }
 
     /// Adds a leaf that *does* accumulate a gradient without being bound to
-    /// a store parameter. Useful for gradient inspection (Δ_FR / Δ_FD).
+    /// a store parameter (gradient checks inspect it with [`Tape::grad`]).
     pub fn grad_leaf(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Leaf, true)
     }
@@ -231,6 +233,18 @@ impl Tape {
     /// The `(ParamId, Var)` bindings recorded by [`Tape::param`].
     pub fn bindings(&self) -> &[(ParamId, Var)] {
         &self.bindings
+    }
+
+    /// The gradient [`Tape::backward`] accumulated into the first binding
+    /// of the store parameter `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` was never bound on this tape.
+    pub fn param_grad(&self, id: ParamId) -> Matrix {
+        let var = self.bindings.iter().find(|(bid, _)| *bid == id).map(|&(_, v)| v);
+        // Callers ask for parameters their own graph bound.
+        #[allow(clippy::expect_used)]
+        self.grad(var.expect("param_grad: parameter not bound on this tape"))
     }
 
     /// The forward value of a node.
@@ -265,18 +279,10 @@ impl Tape {
         self.push(value, Op::MatMul(a, b), ng)
     }
 
-    /// Adds a `1 × cols` bias row to every row of `x`.
-    pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        assert_eq!(self.value(bias).rows(), 1, "add_bias: bias must be 1 x cols");
-        let value = self.value(x).add_row_broadcast(self.value(bias).row(0));
-        let ng = self.needs(x) || self.needs(bias);
-        self.push(value, Op::AddBias(x, bias), ng)
-    }
-
     /// Fused `act(x + bias)` (bias a `1 × cols` row) computed by the
     /// tensor kernel layer in one pass. Backward runs
     /// `g ⊙ act′(output)` into `x` and its column sums into `bias` —
-    /// value-identical to the unfused `add_bias` + activation chain.
+    /// value-identical to a bias add followed by [`Tape::act`].
     pub fn add_bias_act(&mut self, x: Var, bias: Var, act: FusedAct) -> Var {
         assert_eq!(self.value(bias).rows(), 1, "add_bias_act: bias must be 1 x cols");
         let value = kernels::add_bias_act(self.value(x), self.value(bias).row(0), act);
@@ -312,25 +318,12 @@ impl Tape {
         self.push(value, Op::Scale(a, c), ng)
     }
 
-    /// ReLU activation.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| v.max(0.0));
+    /// `act(a)` elementwise: [`FusedAct::eval`] forward, `g ⊙ act′(output)`
+    /// backward, the same definitions as [`Tape::add_bias_act`].
+    pub fn act(&mut self, a: Var, act: FusedAct) -> Var {
+        let value = self.value(a).map(|v| act.eval(v));
         let ng = self.needs(a);
-        self.push(value, Op::Relu(a), ng)
-    }
-
-    /// Sigmoid activation (numerically stable).
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(stable_sigmoid);
-        let ng = self.needs(a);
-        self.push(value, Op::Sigmoid(a), ng)
-    }
-
-    /// Tanh activation.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| v.tanh());
-        let ng = self.needs(a);
-        self.push(value, Op::Tanh(a), ng)
+        self.push(value, Op::Act(a, act), ng)
     }
 
     /// Softplus `ln(1 + eˣ)` (numerically stable).
@@ -521,13 +514,14 @@ impl Tape {
     // Backward
     // ------------------------------------------------------------------
 
-    fn accumulate(&mut self, v: Var, delta: &Matrix) {
+    /// Adds `delta` into `v`'s gradient, moving it into an empty slot.
+    fn accumulate(&mut self, v: Var, delta: Matrix) {
         if !self.nodes[v.0].needs_grad {
             return;
         }
         match &mut self.nodes[v.0].grad {
-            Some(g) => g.axpy(1.0, delta),
-            slot @ None => *slot = Some(delta.clone()),
+            Some(g) => g.axpy(1.0, &delta),
+            slot @ None => *slot = Some(delta),
         }
     }
 
@@ -558,91 +552,60 @@ impl Tape {
                 Op::MatMul(a, b) => {
                     if self.needs(*a) {
                         let da = g.matmul_nt(self.value(*b));
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                     if self.needs(*b) {
                         let db = self.value(*a).matmul_tn(&g);
-                        self.accumulate(*b, &db);
-                    }
-                }
-                Op::AddBias(x, bias) => {
-                    if self.needs(*x) {
-                        self.accumulate(*x, &g);
-                    }
-                    if self.needs(*bias) {
-                        let db = Matrix::from_vec(1, g.cols(), g.col_sums());
-                        self.accumulate(*bias, &db);
+                        self.accumulate(*b, db);
                     }
                 }
                 Op::AddBiasAct(x, bias, act) => {
                     let (dx, dbias) =
                         kernels::add_bias_act_backward(&g, &self.nodes[idx].value, *act);
-                    if self.needs(*x) {
-                        self.accumulate(*x, &dx);
-                    }
-                    if self.needs(*bias) {
-                        let db = Matrix::from_vec(1, dx.cols(), dbias);
-                        self.accumulate(*bias, &db);
-                    }
+                    let db = Matrix::from_vec(1, dx.cols(), dbias);
+                    self.accumulate(*x, dx);
+                    self.accumulate(*bias, db);
                 }
                 Op::Add(a, b) => {
                     if self.needs(*a) {
-                        self.accumulate(*a, &g);
+                        self.accumulate(*a, g.clone());
                     }
-                    if self.needs(*b) {
-                        self.accumulate(*b, &g);
-                    }
+                    self.accumulate(*b, g);
                 }
                 Op::Sub(a, b) => {
-                    if self.needs(*a) {
-                        self.accumulate(*a, &g);
-                    }
-                    if self.needs(*b) {
-                        let neg = g.scale(-1.0);
-                        self.accumulate(*b, &neg);
+                    let neg = self.needs(*b).then(|| g.scale(-1.0));
+                    self.accumulate(*a, g);
+                    if let Some(neg) = neg {
+                        self.accumulate(*b, neg);
                     }
                 }
                 Op::Mul(a, b) => {
                     if self.needs(*a) {
                         let da = g.mul(self.value(*b));
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                     if self.needs(*b) {
                         let db = g.mul(self.value(*a));
-                        self.accumulate(*b, &db);
+                        self.accumulate(*b, db);
                     }
                 }
                 Op::Scale(a, c) => {
                     if self.needs(*a) {
                         let da = g.scale(*c);
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
-                Op::Relu(a) => {
+                Op::Act(a, act) => {
                     if self.needs(*a) {
-                        let da = g.zip_with(self.value(*a), |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                        self.accumulate(*a, &da);
-                    }
-                }
-                Op::Sigmoid(a) => {
-                    if self.needs(*a) {
-                        // Use the cached output value s: ds = g·s·(1−s).
-                        let s = &self.nodes[idx].value;
-                        let da = g.zip_with(s, |gi, si| gi * si * (1.0 - si));
-                        self.accumulate(*a, &da);
-                    }
-                }
-                Op::Tanh(a) => {
-                    if self.needs(*a) {
-                        let t = &self.nodes[idx].value;
-                        let da = g.zip_with(t, |gi, ti| gi * (1.0 - ti * ti));
-                        self.accumulate(*a, &da);
+                        let y = &self.nodes[idx].value;
+                        let da = g.zip_with(y, |gi, yi| gi * act.grad_from_output(yi));
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::Softplus(a) => {
                     if self.needs(*a) {
                         let da = g.zip_with(self.value(*a), |gi, xi| gi * stable_sigmoid(xi));
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::Exp(a) => {
@@ -650,13 +613,13 @@ impl Tape {
                         // The cached output *is* the derivative.
                         let out = &self.nodes[idx].value;
                         let da = g.mul(out);
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::Square(a) => {
                     if self.needs(*a) {
                         let da = g.zip_with(self.value(*a), |gi, xi| 2.0 * gi * xi);
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::MeanAll(a) => {
@@ -664,32 +627,32 @@ impl Tape {
                         let xv = self.value(*a);
                         let gv = g.get(0, 0) / xv.len() as f32;
                         let da = Matrix::full(xv.rows(), xv.cols(), gv);
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::SumAll(a) => {
                     if self.needs(*a) {
                         let xv = self.value(*a);
                         let da = Matrix::full(xv.rows(), xv.cols(), g.get(0, 0));
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::RowSum(a) => {
                     if self.needs(*a) {
                         let xv = self.value(*a);
                         let da = Matrix::from_fn(xv.rows(), xv.cols(), |r, _| g.get(r, 0));
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::RowScale(a, weights) => {
                     if self.needs(*a) {
-                        let mut da = g.clone();
+                        let mut da = g;
                         for (r, &w) in weights.iter().enumerate() {
                             for v in da.row_mut(r) {
                                 *v *= w;
                             }
                         }
-                        self.accumulate(*a, &da);
+                        self.accumulate(*a, da);
                     }
                 }
                 Op::BceWithLogits {
@@ -702,7 +665,7 @@ impl Tape {
                         let da = self
                             .value(*logits)
                             .zip_with(targets, |xi, ti| gv * (stable_sigmoid(xi) - ti));
-                        self.accumulate(*logits, &da);
+                        self.accumulate(*logits, da);
                     }
                 }
                 Op::SoftmaxCe {
@@ -713,54 +676,14 @@ impl Tape {
                     if self.needs(*logits) {
                         let gv = g.get(0, 0) / softmax.rows() as f32;
                         let da = softmax.zip_with(targets, |s, t| gv * (s - t));
-                        self.accumulate(*logits, &da);
+                        self.accumulate(*logits, da);
                     }
                 }
                 Op::DecKl { z, mu, p, alpha, q } => {
-                    let gv = g.get(0, 0);
-                    let zv = self.value(*z).clone();
-                    let muv = self.value(*mu).clone();
-                    let (n, d) = zv.shape();
-                    let k = muv.rows();
-                    let coeff = (alpha + 1.0) / alpha;
-                    if self.needs(*z) {
-                        let mut dz = Matrix::zeros(n, d);
-                        for i in 0..n {
-                            for j in 0..k {
-                                let mut sq = 0.0f32;
-                                for t in 0..d {
-                                    let diff = zv.get(i, t) - muv.get(j, t);
-                                    sq += diff * diff;
-                                }
-                                let w = coeff / (1.0 + sq / alpha) * (p.get(i, j) - q.get(i, j));
-                                for t in 0..d {
-                                    let diff = zv.get(i, t) - muv.get(j, t);
-                                    dz.set(i, t, dz.get(i, t) + w * diff);
-                                }
-                            }
-                        }
-                        dz.map_inplace(|v| v * gv);
-                        self.accumulate(*z, &dz);
-                    }
-                    if self.needs(*mu) {
-                        let mut dmu = Matrix::zeros(k, d);
-                        for i in 0..n {
-                            for j in 0..k {
-                                let mut sq = 0.0f32;
-                                for t in 0..d {
-                                    let diff = zv.get(i, t) - muv.get(j, t);
-                                    sq += diff * diff;
-                                }
-                                let w = -coeff / (1.0 + sq / alpha) * (p.get(i, j) - q.get(i, j));
-                                for t in 0..d {
-                                    let diff = zv.get(i, t) - muv.get(j, t);
-                                    dmu.set(j, t, dmu.get(j, t) + w * diff);
-                                }
-                            }
-                        }
-                        dmu.map_inplace(|v| v * gv);
-                        self.accumulate(*mu, &dmu);
-                    }
+                    let (dz, dmu) =
+                        dec_kl_backward(self.value(*z), self.value(*mu), p, q, *alpha, g.get(0, 0));
+                    self.accumulate(*z, dz);
+                    self.accumulate(*mu, dmu);
                 }
             }
             if let Some(t0) = prof_start {
@@ -797,13 +720,6 @@ pub enum IrOp {
         a: usize,
         /// Right operand node.
         b: usize,
-    },
-    /// `x + bias` with `bias` a `1 × cols` row.
-    AddBias {
-        /// Input node.
-        x: usize,
-        /// Bias row node.
-        bias: usize,
     },
     /// Fused `act(x + bias)`.
     AddBiasAct {
@@ -842,20 +758,12 @@ pub enum IrOp {
         /// Scalar constant.
         c: f32,
     },
-    /// ReLU.
-    Relu {
+    /// `act(a)` elementwise.
+    Act {
         /// Input node.
         a: usize,
-    },
-    /// Sigmoid.
-    Sigmoid {
-        /// Input node.
-        a: usize,
-    },
-    /// Tanh.
-    Tanh {
-        /// Input node.
-        a: usize,
+        /// Activation.
+        act: FusedAct,
     },
     /// Softplus.
     Softplus {
@@ -939,15 +847,12 @@ impl IrOp {
         match self {
             IrOp::Leaf => "leaf",
             IrOp::MatMul { .. } => "matmul",
-            IrOp::AddBias { .. } => "add_bias",
             IrOp::AddBiasAct { .. } => "add_bias_act",
             IrOp::Add { .. } => "add",
             IrOp::Sub { .. } => "sub",
             IrOp::Mul { .. } => "mul",
             IrOp::Scale { .. } => "scale",
-            IrOp::Relu { .. } => "relu",
-            IrOp::Sigmoid { .. } => "sigmoid",
-            IrOp::Tanh { .. } => "tanh",
+            IrOp::Act { act, .. } => act_name(*act),
             IrOp::Softplus { .. } => "softplus",
             IrOp::Exp { .. } => "exp",
             IrOp::Square { .. } => "square",
@@ -969,11 +874,9 @@ impl IrOp {
             | IrOp::Add { a, b }
             | IrOp::Sub { a, b }
             | IrOp::Mul { a, b } => vec![a, b],
-            IrOp::AddBias { x, bias } | IrOp::AddBiasAct { x, bias, .. } => vec![x, bias],
+            IrOp::AddBiasAct { x, bias, .. } => vec![x, bias],
             IrOp::Scale { a, .. }
-            | IrOp::Relu { a }
-            | IrOp::Sigmoid { a }
-            | IrOp::Tanh { a }
+            | IrOp::Act { a, .. }
             | IrOp::Softplus { a }
             | IrOp::Exp { a }
             | IrOp::Square { a }
@@ -1054,7 +957,6 @@ impl Tape {
                 let op = match &node.op {
                     Op::Leaf => IrOp::Leaf,
                     Op::MatMul(a, b) => IrOp::MatMul { a: a.0, b: b.0 },
-                    Op::AddBias(x, bias) => IrOp::AddBias { x: x.0, bias: bias.0 },
                     Op::AddBiasAct(x, bias, act) => IrOp::AddBiasAct {
                         x: x.0,
                         bias: bias.0,
@@ -1064,9 +966,7 @@ impl Tape {
                     Op::Sub(a, b) => IrOp::Sub { a: a.0, b: b.0 },
                     Op::Mul(a, b) => IrOp::Mul { a: a.0, b: b.0 },
                     Op::Scale(a, c) => IrOp::Scale { a: a.0, c: *c },
-                    Op::Relu(a) => IrOp::Relu { a: a.0 },
-                    Op::Sigmoid(a) => IrOp::Sigmoid { a: a.0 },
-                    Op::Tanh(a) => IrOp::Tanh { a: a.0 },
+                    Op::Act(a, act) => IrOp::Act { a: a.0, act: *act },
                     Op::Softplus(a) => IrOp::Softplus { a: a.0 },
                     Op::Exp(a) => IrOp::Exp { a: a.0 },
                     Op::Square(a) => IrOp::Square { a: a.0 },
@@ -1127,6 +1027,38 @@ impl std::fmt::Debug for Tape {
     }
 }
 
+/// Backward of [`Tape::dec_kl`] for upstream gradient `gv`: with
+/// `wᵢⱼ = ((α+1)/α) (1 + ‖zᵢ−μⱼ‖²/α)⁻¹ (pᵢⱼ − qᵢⱼ)`, returns
+/// `gv · Σⱼ wᵢⱼ (zᵢ − μⱼ)` for `z` and `gv · Σᵢ (−wᵢⱼ)(zᵢ − μⱼ)` for `μ`
+/// (Theorems 2–3). Each weight is computed once per pair and feeds both.
+fn dec_kl_backward(z: &Matrix, mu: &Matrix, p: &Matrix, q: &Matrix, alpha: f32, gv: f32) -> (Matrix, Matrix) {
+    let (n, d) = z.shape();
+    let k = mu.rows();
+    let coeff = (alpha + 1.0) / alpha;
+    let mut dz = Matrix::zeros(n, d);
+    let mut dmu = Matrix::zeros(k, d);
+    for i in 0..n {
+        let zi = z.row(i);
+        for j in 0..k {
+            let muj = mu.row(j);
+            let mut sq = 0.0f32;
+            for t in 0..d {
+                let diff = zi[t] - muj[t];
+                sq += diff * diff;
+            }
+            let w = coeff / (1.0 + sq / alpha) * (p.get(i, j) - q.get(i, j));
+            for t in 0..d {
+                let diff = zi[t] - muj[t];
+                dz.set(i, t, dz.get(i, t) + w * diff);
+                dmu.set(j, t, dmu.get(j, t) + (-w) * diff);
+            }
+        }
+    }
+    dz.map_inplace(|v| v * gv);
+    dmu.map_inplace(|v| v * gv);
+    (dz, dmu)
+}
+
 #[inline]
 fn stable_softplus(x: f32) -> f32 {
     x.max(0.0) + (1.0 + (-x.abs()).exp()).ln()
@@ -1182,8 +1114,8 @@ mod tests {
         let mut rng = SeedRng::new(2);
         let x = Matrix::randn(2, 5, 0.0, 1.0, &mut rng);
         for f in [
-            (|t: &mut Tape, v: Var| t.sigmoid(v)) as fn(&mut Tape, Var) -> Var,
-            |t, v| t.tanh(v),
+            (|t: &mut Tape, v: Var| t.act(v, FusedAct::Sigmoid)) as fn(&mut Tape, Var) -> Var,
+            |t, v| t.act(v, FusedAct::Tanh),
             |t, v| t.softplus(v),
         ] {
             check_unary(
@@ -1203,10 +1135,37 @@ mod tests {
         let x = Matrix::from_vec(1, 4, vec![-2.0, -0.5, 0.5, 2.0]);
         let mut tape = Tape::new();
         let xv = tape.grad_leaf(x);
-        let r = tape.relu(xv);
+        let r = tape.act(xv, FusedAct::Relu);
         let loss = tape.sum_all(r);
         tape.backward(loss);
         assert_eq!(tape.grad(xv).as_slice(), &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    /// `Tape::act` is `FusedAct::eval` forward and `g · grad_from_output(y)`
+    /// backward, bit for bit, for every activation — over ±0, ±MAX, ±∞ and
+    /// NaN inputs and upstream gradients of both signs.
+    #[test]
+    fn act_matches_fused_act_bitwise() {
+        let mut rng = SeedRng::new(21);
+        let mut xs = Matrix::randn(3, 7, 0.0, 3.0, &mut rng);
+        let specials = [0.0, -0.0, f32::MAX, -f32::MAX, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        xs.row_mut(0).copy_from_slice(&specials);
+        let w = Matrix::randn(3, 7, 0.0, 1.0, &mut rng);
+        for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Sigmoid, FusedAct::Tanh] {
+            let mut tape = Tape::new();
+            let x = tape.grad_leaf(xs.clone());
+            let y = tape.act(x, act);
+            // `sum(w ∘ y)` hands `y` the upstream gradient `w`.
+            let wv = tape.leaf(w.clone());
+            let wy = tape.mul(y, wv);
+            let loss = tape.sum_all(wy);
+            tape.backward(loss);
+            let want_y = xs.map(|v| act.eval(v));
+            let want_dx = w.zip_with(&want_y, |gi, yi| gi * act.grad_from_output(yi));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(tape.value(y)), bits(&want_y), "{act:?} forward");
+            assert_eq!(bits(&tape.grad(x)), bits(&want_dx), "{act:?} backward");
+        }
     }
 
     #[test]
@@ -1263,7 +1222,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(x0.clone());
         let b = tape.grad_leaf(b0.clone());
-        let y = tape.add_bias(x, b);
+        let y = tape.add_bias_act(x, b, FusedAct::Identity);
         let s = tape.square(y);
         let loss = tape.sum_all(s);
         tape.backward(loss);
@@ -1273,7 +1232,7 @@ mod tests {
                 let mut t = Tape::new();
                 let xv = t.leaf(x0.clone());
                 let bv = t.leaf(m.clone());
-                let y = t.add_bias(xv, bv);
+                let y = t.add_bias_act(xv, bv, FusedAct::Identity);
                 let s = t.square(y);
                 let l = t.sum_all(s);
                 t.scalar(l)
@@ -1378,6 +1337,96 @@ mod tests {
             gmu,
             num_mu
         );
+    }
+
+    /// The DecKl backward as two passes: every distance and weight is
+    /// computed once for `dz` and again, negated, for `dμ`.
+    fn dec_kl_two_pass(z: &Matrix, mu: &Matrix, p: &Matrix, alpha: f32, gv: f32) -> (Matrix, Matrix) {
+        let q = crate::loss::soft_assignment(z, mu, alpha);
+        let (n, d) = z.shape();
+        let k = mu.rows();
+        let coeff = (alpha + 1.0) / alpha;
+        let mut dz = Matrix::zeros(n, d);
+        for i in 0..n {
+            for j in 0..k {
+                let mut sq = 0.0f32;
+                for t in 0..d {
+                    let diff = z.get(i, t) - mu.get(j, t);
+                    sq += diff * diff;
+                }
+                let w = coeff / (1.0 + sq / alpha) * (p.get(i, j) - q.get(i, j));
+                for t in 0..d {
+                    let diff = z.get(i, t) - mu.get(j, t);
+                    dz.set(i, t, dz.get(i, t) + w * diff);
+                }
+            }
+        }
+        dz.map_inplace(|v| v * gv);
+        let mut dmu = Matrix::zeros(k, d);
+        for i in 0..n {
+            for j in 0..k {
+                let mut sq = 0.0f32;
+                for t in 0..d {
+                    let diff = z.get(i, t) - mu.get(j, t);
+                    sq += diff * diff;
+                }
+                let w = -coeff / (1.0 + sq / alpha) * (p.get(i, j) - q.get(i, j));
+                for t in 0..d {
+                    let diff = z.get(i, t) - mu.get(j, t);
+                    dmu.set(j, t, dmu.get(j, t) + w * diff);
+                }
+            }
+        }
+        dmu.map_inplace(|v| v * gv);
+        (dz, dmu)
+    }
+
+    /// The one-pass DecKl backward gives the two-pass loops' bits for `z`
+    /// and `μ`, whichever of them needs a gradient: random shapes and α,
+    /// rows sitting on a centroid with ±0 coordinates, and ±1e18 distances.
+    #[test]
+    fn dec_kl_backward_matches_two_pass_bitwise() {
+        let mut rng = SeedRng::new(31);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for case in 0..200 {
+            let (n, k, d) = (1 + rng.below(9), 1 + rng.below(5), 1 + rng.below(7));
+            let alpha = [1.0, 0.5, 2.0, rng.uniform(0.05, 20.0)][case % 4];
+            let mut mu0 = Matrix::randn(k, d, 0.0, 2.0, &mut rng);
+            let mut z0 = Matrix::randn(n, d, 0.0, 2.0, &mut rng);
+            match case % 5 {
+                // Row 0 sits on centroid 0, both with ±0 coordinates.
+                1 => {
+                    let zeros: Vec<f32> = (0..d).map(|t| if t % 2 == 0 { 0.0 } else { -0.0 }).collect();
+                    mu0.row_mut(0).copy_from_slice(&zeros);
+                    z0.row_mut(0).copy_from_slice(&zeros);
+                }
+                // Far points: distances near 1e18, squares near 1e37.
+                2 => {
+                    z0.map_inplace(|v| v.signum() * 1e18);
+                    mu0.row_mut(0).iter_mut().for_each(|v| *v = -1e18);
+                }
+                _ => {}
+            }
+            let q = crate::loss::soft_assignment(&z0, &mu0, alpha);
+            let p = crate::loss::target_distribution(&q);
+            let scale = rng.uniform(-2.0, 2.0);
+            let (want_dz, want_dmu) = dec_kl_two_pass(&z0, &mu0, &p, alpha, scale);
+            for (z_grad, mu_grad) in [(true, true), (true, false), (false, true), (false, false)] {
+                let mut tape = Tape::new();
+                let leaf = |t: &mut Tape, m: &Matrix, g: bool| if g { t.grad_leaf(m.clone()) } else { t.leaf(m.clone()) };
+                let z = leaf(&mut tape, &z0, z_grad);
+                let mu = leaf(&mut tape, &mu0, mu_grad);
+                let kl = tape.dec_kl(z, mu, &p, alpha);
+                let loss = tape.scale(kl, scale);
+                tape.backward(loss);
+                let zero = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+                let want_z = if z_grad { want_dz.clone() } else { zero(&z0) };
+                let want_mu = if mu_grad { want_dmu.clone() } else { zero(&mu0) };
+                let at = format!("case {case} ({n}x{d}, k {k}, alpha {alpha}, grads {z_grad}/{mu_grad})");
+                assert_eq!(bits(&tape.grad(z)), bits(&want_z), "dz {at}");
+                assert_eq!(bits(&tape.grad(mu)), bits(&want_mu), "dmu {at}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! quadratics (hermetic replacement for the earlier proptest harness).
 
 use adec_nn::{numeric_grad, Adam, Optimizer, ParamStore, Sgd, Tape};
+use adec_tensor::kernels::FusedAct;
 use adec_tensor::{Matrix, SeedRng};
 
 /// Deterministic seed fan shared by every sweep below.
@@ -43,11 +44,11 @@ fn pointwise_op_gradients() {
         let cols = 1 + (seed as usize % 4);
         let x = random_matrix(seed, rows, cols, 1.0);
         assert!(
-            grads_match(|t, v| { let a = t.sigmoid(v); let s = t.square(a); t.sum_all(s) }, &x, 5e-2),
+            grads_match(|t, v| { let a = t.act(v, FusedAct::Sigmoid); let s = t.square(a); t.sum_all(s) }, &x, 5e-2),
             "sigmoid seed {seed}"
         );
         assert!(
-            grads_match(|t, v| { let a = t.tanh(v); let s = t.square(a); t.sum_all(s) }, &x, 5e-2),
+            grads_match(|t, v| { let a = t.act(v, FusedAct::Tanh); let s = t.square(a); t.sum_all(s) }, &x, 5e-2),
             "tanh seed {seed}"
         );
         assert!(
@@ -72,9 +73,9 @@ fn composite_graph_gradients() {
         let x = random_matrix(seed, 3, 3, 0.7);
         let ok = grads_match(
             |t, v| {
-                let s = t.sigmoid(v);
+                let s = t.act(v, FusedAct::Sigmoid);
                 let q = t.mul(s, v); // shares v
-                let r = t.tanh(q);
+                let r = t.act(q, FusedAct::Tanh);
                 let sq = t.square(r);
                 t.mean_all(sq)
             },
@@ -94,7 +95,7 @@ fn matmul_chain_gradients() {
             move |t, v| {
                 let wv = t.leaf(w.clone());
                 let y = t.matmul(v, wv);
-                let r = t.relu(y);
+                let r = t.act(y, FusedAct::Relu);
                 let s = t.square(r);
                 t.sum_all(s)
             },

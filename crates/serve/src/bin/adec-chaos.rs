@@ -52,21 +52,8 @@ struct Args {
 /// Maps the CLI's dataset/size names (the same ones `adec --dataset` and
 /// `--size` accept) to generator inputs.
 fn parse_data_spec(dataset: &str, size: &str) -> Result<(Benchmark, Size), String> {
-    let bench = match dataset {
-        "digits-full" | "mnist-full" => Benchmark::DigitsFull,
-        "digits-test" | "mnist-test" => Benchmark::DigitsTest,
-        "usps" => Benchmark::DigitsUsps,
-        "fashion" => Benchmark::Fashion,
-        "reuters" | "tfidf" => Benchmark::Tfidf,
-        "protein" | "mice" => Benchmark::Protein,
-        other => return Err(format!("unknown dataset '{other}'")),
-    };
-    let size = match size {
-        "small" => Size::Small,
-        "medium" => Size::Medium,
-        "paper" => Size::Paper,
-        other => return Err(format!("unknown size '{other}'")),
-    };
+    let bench = Benchmark::parse(dataset).ok_or_else(|| format!("unknown dataset '{dataset}'"))?;
+    let size = Size::parse(size).ok_or_else(|| format!("unknown size '{size}'"))?;
     Ok((bench, size))
 }
 

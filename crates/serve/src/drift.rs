@@ -39,7 +39,7 @@
 //!   hot-reloads and resets the sentinel.
 
 use crate::model::ServeMode;
-use adec_metrics::detect::{Cusum, DEFAULT_ALLOWANCE, DEFAULT_THRESHOLD};
+use adec_metrics::detect::{Cusum, DEFAULT_THRESHOLD};
 use adec_nn::profile::{row_stats, DISTANCE_QUANTILES};
 use adec_nn::{soft_assignment, ReferenceProfile};
 use adec_obs::{emit, Event, Level};
@@ -78,26 +78,20 @@ impl DriftPolicy {
 
     /// Parses a CLI flag value; `None` for anything unknown.
     pub fn parse(s: &str) -> Option<DriftPolicy> {
-        match s {
-            "observe" => Some(DriftPolicy::Observe),
-            "degrade" => Some(DriftPolicy::Degrade),
-            "gate" => Some(DriftPolicy::Gate),
-            _ => None,
-        }
+        [DriftPolicy::Observe, DriftPolicy::Degrade, DriftPolicy::Gate]
+            .into_iter()
+            .find(|p| p.as_str() == s)
     }
 }
 
-/// Sentinel tuning; every field has a safe default.
+/// Sentinel tuning; every field has a safe default. All five signals
+/// share the CUSUM defaults of [`Cusum::with_defaults`].
 #[derive(Debug, Clone)]
 pub struct DriftConfig {
     /// Mitigation ladder rung.
     pub policy: DriftPolicy,
     /// Rows per detection window (fleet-wide).
     pub window_rows: usize,
-    /// CUSUM allowance `k` shared by all five signals.
-    pub allowance: f32,
-    /// CUSUM threshold `h` shared by all five signals.
-    pub threshold: f32,
 }
 
 impl Default for DriftConfig {
@@ -105,8 +99,6 @@ impl Default for DriftConfig {
         DriftConfig {
             policy: DriftPolicy::Observe,
             window_rows: DEFAULT_WINDOW_ROWS,
-            allowance: DEFAULT_ALLOWANCE,
-            threshold: DEFAULT_THRESHOLD,
         }
     }
 }
@@ -286,7 +278,7 @@ impl DriftSentinel {
         instance: u64,
     ) -> DriftSentinel {
         assert!(config.window_rows > 0, "DriftSentinel: zero window");
-        let cusums = std::array::from_fn(|_| Cusum::new(config.allowance, config.threshold));
+        let cusums = std::array::from_fn(|_| Cusum::with_defaults());
         DriftSentinel {
             state: Mutex::new(DetectorState {
                 profile,
@@ -485,7 +477,7 @@ impl DriftSentinel {
                     .field("window", state.windows)
                     .field("signal", worst.0)
                     .field("score", f64::from(worst.1))
-                    .field("threshold", f64::from(self.config.threshold))
+                    .field("threshold", f64::from(DEFAULT_THRESHOLD))
                     .field("severity", f64::from(severity)),
             );
             if self.config.policy != DriftPolicy::Observe {
@@ -592,6 +584,7 @@ fn window_signals(window: &BatchDriftStats, profile: &ReferenceProfile) -> [f32;
 #[allow(clippy::unwrap_used, clippy::panic, clippy::float_cmp, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use adec_metrics::detect::DEFAULT_ALLOWANCE;
     use adec_tensor::SeedRng;
 
     /// A profile over an exactly-known reference batch.
@@ -717,7 +710,7 @@ mod tests {
             (DriftPolicy::Gate, ServeMode::CentroidOnly),
         ] {
             let config =
-                DriftConfig { policy, window_rows: 96, ..DriftConfig::default() };
+                DriftConfig { policy, window_rows: 96 };
             let sentinel = DriftSentinel::new(config, Some(profile.clone()), 0);
             assert_eq!(sentinel.shed_contribution(), ServeMode::Full);
             assert!(!sentinel.gates_readiness());

@@ -152,7 +152,7 @@ fn stationary_never_alarms_and_every_shift_kind_is_detected() {
     let ds = blobs(3);
     let model = blob_model(&ds, true);
     let config =
-        DriftConfig { policy: DriftPolicy::Degrade, window_rows: WINDOW, ..DriftConfig::default() };
+        DriftConfig { policy: DriftPolicy::Degrade, window_rows: WINDOW };
 
     // Stationary control: ten windows, not one alarm.
     let sentinel = DriftSentinel::new(config.clone(), model.profile().cloned(), 0);
@@ -220,7 +220,7 @@ fn gate_policy_lifecycle_and_events_over_http() {
     let handle = common::start_server(model, move |c| {
         c.reload_path = Some(reload);
         c.drift =
-            DriftConfig { policy: DriftPolicy::Gate, window_rows: WINDOW, ..DriftConfig::default() };
+            DriftConfig { policy: DriftPolicy::Gate, window_rows: WINDOW };
     });
     let addr = handle.addr();
     let instance = u64::from(addr.port());
@@ -350,7 +350,7 @@ fn profileless_checkpoint_serves_with_sentinel_disabled() {
     let model = blob_model(&ds, false);
     let handle = common::start_server(model, |c| {
         c.drift =
-            DriftConfig { policy: DriftPolicy::Gate, window_rows: WINDOW, ..DriftConfig::default() };
+            DriftConfig { policy: DriftPolicy::Gate, window_rows: WINDOW };
     });
     let addr = handle.addr();
 
@@ -393,7 +393,6 @@ fn observe_policy_responses_match_profile_stripped_server() {
         c.drift = DriftConfig {
             policy: DriftPolicy::Observe,
             window_rows: WINDOW,
-            ..DriftConfig::default()
         };
     });
     let stripped = common::start_server(blob_model(&ds, false), |_| {});
@@ -436,7 +435,6 @@ fn degrade_policy_stamps_responses_but_keeps_readiness() {
         c.drift = DriftConfig {
             policy: DriftPolicy::Degrade,
             window_rows: WINDOW,
-            ..DriftConfig::default()
         };
     });
     let addr = handle.addr();
